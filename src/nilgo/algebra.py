@@ -127,6 +127,12 @@ def validate(L: MetricLieAlgebra) -> Diagnostics:
     return Diagnostics(anti, jacobi, bound, gsym, gmin)
 
 
+def require_spd(g: np.ndarray, what: str) -> None:
+    """Raise InputError unless ``g`` passes the Gram checks of :func:`validate`."""
+    if g.size and (np.max(np.abs(g - g.T)) > 1e-12 or np.min(np.linalg.eigvalsh((g + g.T) / 2)) <= 0):
+        raise InputError(f"{what} must be symmetric positive definite")
+
+
 def _gram_orthonormalize(vectors: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """Orthonormalize the rows of ``vectors`` w.r.t. the metric ``gram``."""
     if vectors.shape[0] == 0:
@@ -196,6 +202,8 @@ class TwoStepSplit:
     derived_equals_center: bool
     z_basis_exact: Optional[list] = field(default=None, repr=False)
     v_basis_exact: Optional[list] = field(default=None, repr=False)
+    # the J-map family, filled in once by jmaps.split_family
+    jmap_family: Optional[object] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def m(self) -> int:

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 for pass/verified, 1 for a refutation (witness included in
-the output), 2 for inconclusive results, 64 for malformed input.
+the output), 2 for inconclusive results, 64 for malformed input and
+usage errors.
 """
 
 from __future__ import annotations
@@ -92,8 +93,15 @@ def _certificate_exit(cert: go_checker.GOCertificate) -> int:
     return EXIT_INCONCLUSIVE
 
 
+def _metric_algebra(data: dict) -> algebra.MetricLieAlgebra:
+    """Parse an algebra document whose Gram matrix is an inner product."""
+    L = algebra.algebra_from_dict(data)
+    algebra.require_spd(L.gram, "gram matrix")
+    return L
+
+
 def _load_algebra(path: str) -> algebra.MetricLieAlgebra:
-    return algebra.algebra_from_dict(_read_json(path))
+    return _metric_algebra(_read_json(path))
 
 
 def _load_subspace(path: str) -> SkewOperatorSubspace:
@@ -106,14 +114,14 @@ def _load_subspace(path: str) -> SkewOperatorSubspace:
         except (KeyError, TypeError, ValueError) as e:
             raise InputError(f"bad subspace document: {e}") from None
         return SkewOperatorSubspace(n, basis)
-    L = algebra.algebra_from_dict(data)
-    split = algebra.split_two_step(L)
+    split = algebra.split_two_step(_metric_algebra(data))
     fam = jmaps.build_jmap_family(split)
     return SkewOperatorSubspace(split.n, [np.array(G, dtype=float) for G in fam.generators])
 
 
 def cmd_validate(args) -> int:
-    L = _load_algebra(args.algebra)
+    # diagnostics report a bad Gram matrix instead of rejecting it
+    L = algebra.algebra_from_dict(_read_json(args.algebra))
     diag = algebra.validate(L)
     report = {
         "dim": L.dim,
@@ -248,8 +256,16 @@ def _add_sampling(p):
     p.add_argument("--tol-refute", type=float, default=1e-4)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with the bad-input code; argparse's 2 means inconclusive here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="nilgo",
         description="geodesic-orbit analysis of metric two-step nilpotent Lie algebras",
     )
@@ -303,7 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("geodesic-compare", help="geodesic vs isometry-orbit deviation")
     p.add_argument("algebra")
-    p.add_argument("--x0", required=True, help="comma-separated initial velocity")
+    p.add_argument(
+        "--x0", required=True, help="comma-separated initial velocity; write --x0=-0.3,... when it starts with a minus"
+    )
     p.add_argument("--horizon", type=float, default=1.0)
     p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--format", choices=("json", "csv"), default="json")

@@ -10,16 +10,19 @@ when rational data is available, an exact infeasibility re-check).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import itertools
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from . import jmaps, linear_core as lc
-from .algebra import MetricLieAlgebra, TwoStepSplit, split_two_step
+from .algebra import MetricLieAlgebra, TwoStepSplit, require_spd, split_two_step
 from .errors import InputError, PreconditionError
 from .families import algebra_from_jmaps
+from .linear_core import bareiss_pivots as _bareiss_pivots  # perfbench/tracer.py times the re-check under this name
 from .operator_subspaces import (
     SkewOperatorSubspace,
     centralizer_in_so,
@@ -46,6 +49,10 @@ class SamplerConfig:
     tau_refute: float = 1e-4
     cond_limit: float = 1e10
     tau_rank: float = lc.DEFAULT_TAU_RANK
+
+    def __post_init__(self):
+        if self.samples < 0:
+            raise InputError(f"samples must be non-negative, got {self.samples}")
 
     def rng(self, index: int) -> np.random.Generator:
         # per-sample generator: reproducible and parallelism-independent
@@ -96,8 +103,7 @@ class MetricParameter:
         q = np.asarray(self.q, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise InputError("metric parameter must be square")
-        if np.max(np.abs(q - q.T)) > 1e-12 or np.min(np.linalg.eigvalsh((q + q.T) / 2)) <= 0:
-            raise InputError("metric parameter must be symmetric positive definite")
+        require_spd(q, "metric parameter")
         object.__setattr__(self, "q", q)
 
 
@@ -128,66 +134,86 @@ def _effective_cond(A: np.ndarray, tau_rank: float) -> float:
     return float(s[0] / nz[-1])
 
 
-def kv_solve(decomp: ReductiveDecomposition, X) -> tuple[np.ndarray, float]:
-    """Solve ([X+Z, Y]_p, X) = 0 for Z in h, minimum-norm least squares.
+def _floats(v) -> list[float]:
+    return [float(x) for x in v]
 
-    Returns coefficients of Z over h_basis and the residual norm.
+
+def _sweep(k: int, sums: bool = True) -> list[np.ndarray]:
+    """Basis vectors of R^k, then (if ``sums``) every e_i + e_j with i < j."""
+    eye = np.eye(k)
+    out = [eye[i] for i in range(k)]
+    if sums:
+        out += [eye[i] + eye[j] for i in range(k) for j in range(i + 1, k)]
+    return out
+
+
+def _sample_plan(config: SamplerConfig, dims, sums: bool = True) -> tuple[list, int]:
+    """Samples as tuples of vectors, one vector per entry of ``dims``.
+
+    The deterministic sweep (all combinations of the per-factor sweeps)
+    comes first, then ``config.samples`` seeded tuples of unit vectors,
+    drawn factor by factor from one generator per sample.  Returns the
+    samples and the length of the sweep.
     """
-    X = np.asarray(X, dtype=float)
+    plan = list(itertools.product(*(_sweep(k, sums) for k in dims)))
+    n_sweep = len(plan)
+    for idx in range(config.samples):
+        rng = config.rng(idx)
+        draws = [rng.standard_normal(k) for k in dims]
+        plan.append(tuple(v / np.linalg.norm(v) for v in draws))
+    return plan, n_sweep
+
+
+def _adjudicate(config: SamplerConfig, dims, system, witness) -> GOCertificate:
+    """Sampled certificate that ``system(*sample)`` is solvable on the plan of ``dims``.
+
+    ``system`` returns ``(A, b, scale)``; the least-squares residual of
+    ``A z = b`` relative to ``scale`` is compared with the tolerances.
+    The first sample above tau_refute whose system is well conditioned
+    refutes, with ``witness(sample, residual, from_sweep)`` as witness;
+    any other sample above tau_feas makes the result inconclusive.
+    """
+    plan, n_sweep = _sample_plan(config, dims)
+    status, found, max_res = VERIFIED_SAMPLED, None, 0.0
+    for idx, sample in enumerate(plan):
+        A, b, scale = system(*sample)
+        _, res = lc.least_squares(A, b)
+        rel = res / max(scale, 1e-300)
+        max_res = max(max_res, rel)
+        if rel > config.tau_feas:
+            if rel > config.tau_refute and _effective_cond(A, config.tau_rank) < config.cond_limit:
+                status, found = REFUTED, witness(sample, rel, idx < n_sweep)
+                break
+            status = INCONCLUSIVE
+    return GOCertificate(status, config.samples, max_res, config.tolerances(), config.seed, found)
+
+
+def _kv_system(decomp: ReductiveDecomposition, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gx = decomp.gram @ X
     if not decomp.h_basis:
         A = np.zeros((decomp.p_dim, 0))
     else:
         A = np.array([H.T @ gx for H in decomp.h_basis]).T
-    b = -decomp.ad_p(X).T @ gx
-    return lc.least_squares(A, b)
+    return A, -decomp.ad_p(X).T @ gx
 
 
-def _finish(inconclusive: bool, witness, max_res, config, n_random, exact_ref=False):
-    if witness is not None:
-        status = REFUTED
-    elif inconclusive:
-        status = INCONCLUSIVE
-    else:
-        status = VERIFIED_SAMPLED
-    return GOCertificate(
-        status=status,
-        samples=n_random,
-        max_residual=max_res,
-        tolerances=config.tolerances(),
-        seed=config.seed,
-        witness=witness,
-        exact_refutation=exact_ref,
-    )
+def kv_solve(decomp: ReductiveDecomposition, X) -> tuple[np.ndarray, float]:
+    """Solve ([X+Z, Y]_p, X) = 0 for Z in h, minimum-norm least squares.
+
+    Returns coefficients of Z over h_basis and the residual norm.
+    """
+    return lc.least_squares(*_kv_system(decomp, np.asarray(X, dtype=float)))
 
 
 def kv_go_check(decomp: ReductiveDecomposition, config: SamplerConfig = SamplerConfig()) -> GOCertificate:
     """Sampled KV GO-criterion over basis vectors, pairwise sums, and random unit X."""
-    d = decomp.p_dim
-    eye = np.eye(d)
-    sweep = [eye[i] for i in range(d)] + [eye[i] + eye[j] for i in range(d) for j in range(i + 1, d)]
-    randoms = []
-    for idx in range(config.samples):
-        v = config.rng(idx).standard_normal(d)
-        randoms.append(v / np.linalg.norm(v))
-    max_res = 0.0
-    witness = None
-    inconclusive = False
     cnorm = max(float(np.max(np.abs(decomp.structure))), 1.0)
-    for X in sweep + randoms:
-        _, res = kv_solve(decomp, X)
-        scale = cnorm * float(X @ X)
-        rel = res / max(scale, 1e-300)
-        max_res = max(max_res, rel)
-        if rel > config.tau_feas:
-            gx = decomp.gram @ X
-            A = np.array([H.T @ gx for H in decomp.h_basis]).T if decomp.h_basis else np.zeros((d, 0))
-            cond = _effective_cond(A, config.tau_rank)
-            if rel > config.tau_refute and cond < config.cond_limit:
-                witness = {"X": [float(v) for v in X], "residual": rel}
-                break
-            inconclusive = True
-    return _finish(inconclusive, witness, max_res, config, config.samples)
+    return _adjudicate(
+        config,
+        (decomp.p_dim,),
+        lambda X: (*_kv_system(decomp, X), cnorm * float(X @ X)),
+        lambda s, rel, _: {"X": _floats(s[0]), "residual": rel},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +221,9 @@ def kv_go_check(decomp: ReductiveDecomposition, config: SamplerConfig = SamplerC
 # ---------------------------------------------------------------------------
 
 
-def _gordon_system(L, split, ders, X, Y):
-    """Constraint matrix/vector for 'exists D in D(n): D(X)=0, D(Y)=J_X(Y)'."""
+def _gordon_system(L, split, ders, extra, X, Y):
+    """Constraint matrix/vector for 'exists D in D(n): D(X)=0, D(Y)=J_X(Y)',
+    plus the rows ``extra`` (when given) that must vanish on the solution."""
     Xa = split.z_basis.T @ X
     Ya = split.v_basis.T @ Y
     JX = jmaps.build_jmap(split, X)
@@ -204,6 +231,9 @@ def _gordon_system(L, split, ders, X, Y):
     cols = [np.concatenate([D @ Xa, D @ Ya]) for D in ders.basis]
     A = np.array(cols).T if cols else np.zeros((2 * L.dim, 0))
     b = np.concatenate([np.zeros(L.dim), target])
+    if extra is not None:
+        A = np.vstack([A, extra])
+        b = np.concatenate([b, np.zeros(extra.shape[0])])
     scale = np.linalg.norm(JX @ Y) + np.linalg.norm(X) * np.linalg.norm(Y)
     return A, b, scale
 
@@ -244,10 +274,9 @@ def gordon_go_check(
     if not split.derived_equals_center:
         raise PreconditionError("[n, n] = z is required (strip the flat factor first)")
     ders = skew_derivations(L, config.tau_rank)
-    m, n = split.m, split.n
     extra = None
     if restrict_to is not None:
-        if restrict_to.ambient_dim != n:
+        if restrict_to.ambient_dim != split.n:
             raise InputError("restrict_to must act on v")
         P = restrict_to.projector()
         rows = []
@@ -256,43 +285,16 @@ def gordon_go_check(
             rows.append(phi - P @ phi)
         extra = np.array(rows).T  # (n^2, n_ders): must vanish on the solution
 
-    eyem, eyen = np.eye(m), np.eye(n)
-    xs = [eyem[i] for i in range(m)] + [eyem[i] + eyem[j] for i in range(m) for j in range(i + 1, m)]
-    ys = [eyen[a] for a in range(n)] + [eyen[a] + eyen[b] for a in range(n) for b in range(a + 1, n)]
-    pairs = [(X, Y) for X in xs for Y in ys]
-    for idx in range(config.samples):
-        rng = config.rng(idx)
-        X = rng.standard_normal(m)
-        Y = rng.standard_normal(n)
-        pairs.append((X / np.linalg.norm(X), Y / np.linalg.norm(Y)))
-
-    max_res = 0.0
-    witness = None
-    inconclusive = False
-    exact_ref = False
-    n_sweep = len(xs) * len(ys)
-    for idx, (X, Y) in enumerate(pairs):
-        A, b, scale = _gordon_system(L, split, ders, X, Y)
-        if extra is not None:
-            A = np.vstack([A, extra])
-            b = np.concatenate([b, np.zeros(extra.shape[0])])
-        _, res = lc.least_squares(A, b)
-        rel = res / max(scale, 1e-300)
-        max_res = max(max_res, rel)
-        if rel > config.tau_feas:
-            cond = _effective_cond(A, config.tau_rank)
-            if rel > config.tau_refute and cond < config.cond_limit:
-                witness = {
-                    "X": [float(v) for v in X],
-                    "Y": [float(v) for v in Y],
-                    "residual": rel,
-                    "from_sweep": idx < n_sweep,
-                }
-                if idx < n_sweep and L.is_exact and split.is_exact and restrict_to is None:
-                    exact_ref = gordon_refute_exact(L, split, X, Y, config.tau_rank)
-                break
-            inconclusive = True
-    return _finish(inconclusive, witness, max_res, config, config.samples, exact_ref)
+    cert = _adjudicate(
+        config,
+        (split.m, split.n),
+        functools.partial(_gordon_system, L, split, ders, extra),
+        lambda s, rel, sweep: {"X": _floats(s[0]), "Y": _floats(s[1]), "residual": rel, "from_sweep": sweep},
+    )
+    w = cert.witness
+    if w is not None and w["from_sweep"] and L.is_exact and split.is_exact and restrict_to is None:
+        cert = replace(cert, exact_refutation=gordon_refute_exact(L, split, w["X"], w["Y"], config.tau_rank))
+    return cert
 
 
 def gordon_refute_exact(L: MetricLieAlgebra, split: TwoStepSplit, X, Y, tau_rank: float = lc.DEFAULT_TAU_RANK) -> bool:
@@ -360,51 +362,17 @@ def gordon_refute_exact(L: MetricLieAlgebra, split: TwoStepSplit, X, Y, tau_rank
     return ncols in pivots  # pivot in the rhs column <=> infeasible
 
 
-def _bareiss_pivots(M) -> list[int]:
-    rows = []
-    import math as _math
-
-    for row in M:
-        fr = [Fraction(x) for x in row]
-        den = 1
-        for x in fr:
-            den = den * x.denominator // _math.gcd(den, x.denominator)
-        rows.append([int(x * den) for x in fr])
-    m = len(rows)
-    if m == 0:
-        return []
-    ncols = len(rows[0])
-    prev = 1
-    r = 0
-    pivots = []
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, m):
-            ri = rows[i]
-            if any(ri[cc] != 0 for cc in range(c, ncols)):
-                rr = rows[r]
-                f = ri[c]
-                for cc in range(c, ncols):
-                    ri[cc] = (piv * ri[cc] - f * rr[cc]) // prev
-        prev = piv
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return pivots
-
-
 # ---------------------------------------------------------------------------
 # transitive normalizer condition
 # ---------------------------------------------------------------------------
 
 
-def _tnc_solve(V, nprime_mats, Z_mat, Y, tau_rank):
-    """Restrict Nprime to the commutant of Z, then least-squares on X(Y) = Z(Y)."""
+def _tnc_system(nprime_mats, Z_mat, Y, tau_rank):
+    """X(Y) = Z(Y) for X in the commutant of Z inside span(nprime_mats).
+
+    Returns ``(A, b, scale, mats)``: ``mats`` spans that commutant, column
+    j of A is ``mats[j] @ Y`` and b is Z(Y).
+    """
     if nprime_mats:
         K = np.array([(N @ Z_mat - Z_mat @ N).ravel() for N in nprime_mats]).T
         # suppress roundoff from the matrix products so that exactly
@@ -414,16 +382,11 @@ def _tnc_solve(V, nprime_mats, Z_mat, Y, tau_rank):
         combos = lc.nullspace(K, tau_rank)
     else:
         combos = []
-    target = Z_mat @ Y
-    if not combos:
-        A = np.zeros((len(Y), 0))
-    else:
-        A = np.array([sum(c * N for c, N in zip(combo, nprime_mats)) @ Y for combo in combos]).T
-    coeffs, res = lc.least_squares(A, target)
-    X_mat = np.zeros_like(Z_mat)
-    for c, combo in zip(coeffs, combos):
-        X_mat += c * sum(cc * N for cc, N in zip(combo, nprime_mats))
-    return X_mat, res, A
+    mats = [sum(c * N for c, N in zip(combo, nprime_mats)) for combo in combos]
+    A = np.array([M @ Y for M in mats]).T if mats else np.zeros((len(Y), 0))
+    b = Z_mat @ Y
+    scale = np.linalg.norm(b) + np.linalg.norm(Z_mat) * np.linalg.norm(Y)
+    return A, b, scale, mats
 
 
 def tnc_check(
@@ -439,35 +402,12 @@ def tnc_check(
     """
     if not subspace_contains(normalizer_in_so(V, config.tau_rank), Nprime, 1e-7):
         raise InputError("Nprime is not contained in the normalizer of V")
-    n = V.ambient_dim
-    eyen = np.eye(n)
-    eyem = np.eye(V.dim)
-    zs = [eyem[i] for i in range(V.dim)] + [
-        eyem[i] + eyem[j] for i in range(V.dim) for j in range(i + 1, V.dim)
-    ]
-    ys = [eyen[a] for a in range(n)] + [eyen[a] + eyen[b] for a in range(n) for b in range(a + 1, n)]
-    pairs = [(z, y) for z in zs for y in ys]
-    for idx in range(config.samples):
-        rng = config.rng(idx)
-        z = rng.standard_normal(V.dim)
-        y = rng.standard_normal(n)
-        pairs.append((z / np.linalg.norm(z), y / np.linalg.norm(y)))
-    max_res = 0.0
-    witness = None
-    inconclusive = False
-    for idx, (zc, Y) in enumerate(pairs):
-        Z_mat = V.element(zc)
-        _, res, A = _tnc_solve(V, Nprime.basis, Z_mat, Y, config.tau_rank)
-        scale = np.linalg.norm(Z_mat @ Y) + np.linalg.norm(Z_mat) * np.linalg.norm(Y)
-        rel = res / max(scale, 1e-300)
-        max_res = max(max_res, rel)
-        if rel > config.tau_feas:
-            cond = _effective_cond(A, config.tau_rank)
-            if rel > config.tau_refute and cond < config.cond_limit:
-                witness = {"Z": [float(v) for v in zc], "Y": [float(v) for v in Y], "residual": rel}
-                break
-            inconclusive = True
-    return _finish(inconclusive, witness, max_res, config, config.samples)
+    return _adjudicate(
+        config,
+        (V.dim, V.ambient_dim),
+        lambda zc, Y: _tnc_system(Nprime.basis, V.element(zc), Y, config.tau_rank)[:3],
+        lambda s, rel, _: {"Z": _floats(s[0]), "Y": _floats(s[1]), "residual": rel},
+    )
 
 
 def normalizer_resolve_residual(V: SkewOperatorSubspace, config: SamplerConfig = SamplerConfig()) -> float:
@@ -476,19 +416,16 @@ def normalizer_resolve_residual(V: SkewOperatorSubspace, config: SamplerConfig =
     the minimum-norm solutions found."""
     Nprime = normalizer_in_so(V, config.tau_rank)
     n = V.ambient_dim
-    eyen = np.eye(n)
-    eyem = np.eye(V.dim)
-    pairs = [(eyem[i], eyen[a]) for i in range(V.dim) for a in range(n)]
-    for idx in range(config.samples):
-        rng = config.rng(idx)
-        z = rng.standard_normal(V.dim)
-        y = rng.standard_normal(n)
-        pairs.append((z / np.linalg.norm(z), y / np.linalg.norm(y)))
+    plan, _ = _sample_plan(config, (V.dim, n), sums=False)
+    bnorm = max(np.linalg.norm(B) for B in V.basis)
     worst = 0.0
-    for zc, Y in pairs:
-        Z_mat = V.element(zc)
-        X_mat, res, _ = _tnc_solve(V, Nprime.basis, Z_mat, Y, config.tau_rank)
-        scale = max(np.linalg.norm(X_mat) * max(np.linalg.norm(B) for B in V.basis), 1.0)
+    for zc, Y in plan:
+        A, b, _, mats = _tnc_system(Nprime.basis, V.element(zc), Y, config.tau_rank)
+        coeffs, _ = lc.least_squares(A, b)
+        X_mat = np.zeros((n, n))
+        for c, M in zip(coeffs, mats):
+            X_mat += c * M
+        scale = max(np.linalg.norm(X_mat) * bnorm, 1.0)
         for B in V.basis:
             worst = max(worst, float(np.max(np.abs(X_mat @ B - B @ X_mat))) / scale)
     return worst

@@ -78,17 +78,11 @@ def build_jmap(split: TwoStepSplit, Z) -> np.ndarray:
     return out
 
 
-_family_cache: dict[int, JMapFamily] = {}
-
-
 def split_family(split: TwoStepSplit) -> JMapFamily:
-    """Cached J-map family of a split (splits are immutable)."""
-    key = id(split)
-    fam = _family_cache.get(key)
-    if fam is None or fam.split is not split:
-        fam = build_jmap_family(split)
-        _family_cache[key] = fam
-    return fam
+    """J-map family of a split, built on first use and kept on the split."""
+    if split.jmap_family is None:
+        object.__setattr__(split, "jmap_family", build_jmap_family(split))
+    return split.jmap_family
 
 
 def is_h_type(split: TwoStepSplit, tol: float = 1e-10) -> bool:

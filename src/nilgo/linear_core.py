@@ -233,11 +233,12 @@ def rat_inv(M: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[n:] for row in rref]
 
 
-def bareiss_rank(M) -> int:
-    """Rank of an integer (or rational, after denominator clearing) matrix.
+def bareiss_pivots(M) -> list[int]:
+    """Pivot columns of a rational matrix, in order.
 
-    Fraction-free Bareiss elimination; much faster than Fraction rref on
-    the large witness-verification systems.
+    Fraction-free Bareiss elimination on the rows scaled to integers;
+    much faster than Fraction rref on the large witness-verification
+    systems.
     """
     rows = []
     for row in M:
@@ -248,10 +249,11 @@ def bareiss_rank(M) -> int:
         rows.append([int(x * den) for x in fr])
     m = len(rows)
     if m == 0:
-        return 0
+        return []
     ncols = len(rows[0])
     prev = 1
     r = 0
+    pivots = []
     for c in range(ncols):
         pivot_row = next((i for i in range(r, m) if rows[i][c] != 0), None)
         if pivot_row is None:
@@ -259,17 +261,23 @@ def bareiss_rank(M) -> int:
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         piv = rows[r][c]
         for i in range(r + 1, m):
-            if any(rows[i][cc] != 0 for cc in range(c, ncols)):
-                ri = rows[i]
+            ri = rows[i]
+            if any(ri[cc] != 0 for cc in range(c, ncols)):
                 rr = rows[r]
                 f = ri[c]
                 for cc in range(c, ncols):
                     ri[cc] = (piv * ri[cc] - f * rr[cc]) // prev
         prev = piv
+        pivots.append(c)
         r += 1
         if r == m:
             break
-    return r
+    return pivots
+
+
+def bareiss_rank(M) -> int:
+    """Rank of an integer (or rational, after denominator clearing) matrix."""
+    return len(bareiss_pivots(M))
 
 
 def pfaffian_exact(M: list[list[Fraction]]) -> Fraction:

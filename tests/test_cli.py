@@ -151,3 +151,76 @@ class TestErrors:
         code, out = run(capsys, "validate", "-")
         assert code == 0
         assert json.loads(out)["nilpotency_class"] == 2
+
+
+# Gram entries that make the n10(2) metric indefinite or singular
+BAD_GRAMS = {
+    "indefinite": {(0, 0): 0, (1, 1): 0, (0, 1): 1, (1, 0): 1},
+    "singular": {(0, 0): 0},
+}
+
+
+class TestInputGates:
+    @staticmethod
+    def _n10_with_gram(capsys, tmp_path, kind):
+        path = tmp_path / "alg.json"
+        run(capsys, "family", "n10", "--t", "2", "-o", str(path))
+        doc = json.loads(path.read_text())
+        for (i, j), v in BAD_GRAMS[kind].items():
+            doc["gram"][i][j] = v
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("criterion", ["gordon", "kv"])
+    @pytest.mark.parametrize("kind", sorted(BAD_GRAMS))
+    def test_non_spd_gram_go_check_exit_64(self, capsys, tmp_path, criterion, kind):
+        path = self._n10_with_gram(capsys, tmp_path, kind)
+        code, out = run(capsys, "go-check", path, "--criterion", criterion, "--samples", "5")
+        assert code == 64
+        assert out == ""
+
+    @pytest.mark.parametrize("kind", sorted(BAD_GRAMS))
+    def test_non_spd_gram_tnc_exit_64(self, capsys, tmp_path, kind):
+        path = self._n10_with_gram(capsys, tmp_path, kind)
+        code, _ = run(capsys, "tnc", path, "--nprime", "centralizer", "--samples", "5")
+        assert code == 64
+
+    def test_validate_still_reports_bad_gram(self, capsys, tmp_path):
+        path = self._n10_with_gram(capsys, tmp_path, "indefinite")
+        code, out = run(capsys, "validate", path)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["passed"] is False
+        assert doc["gram_min_eigenvalue"] < 0
+
+    @pytest.mark.parametrize("command", ["go-check", "tnc"])
+    def test_negative_samples_exit_64(self, capsys, tmp_path, command):
+        path = tmp_path / "alg.json"
+        run(capsys, "family", "n10", "--t", "2", "-o", str(path))
+        code, out = run(capsys, command, str(path), "--samples", "-5")
+        assert code == 64
+        assert out == ""
+
+
+class TestUsageErrors:
+    @pytest.fixture
+    def heis(self, capsys, tmp_path):
+        path = tmp_path / "alg.json"
+        run(capsys, "family", "heisenberg", "--k", "1", "-o", str(path))
+        return str(path)
+
+    def test_leading_minus_x0_is_a_usage_error(self, capsys, heis):
+        with pytest.raises(SystemExit) as exc:
+            main(["geodesic-compare", heis, "--x0", "-0.3,1,0", "--step", "0.25"])
+        assert exc.value.code == 64
+        assert "--x0" in capsys.readouterr().err
+
+    def test_leading_minus_x0_with_equals(self, capsys, heis):
+        code, out = run(capsys, "geodesic-compare", heis, "--x0=-0.3,1,0", "--step", "0.25")
+        assert code == 0
+        assert json.loads(out)["steps"] == 4
+
+    def test_unknown_choice_exit_64(self, capsys, heis):
+        with pytest.raises(SystemExit) as exc:
+            main(["go-check", heis, "--criterion", "bogus"])
+        assert exc.value.code == 64

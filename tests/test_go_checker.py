@@ -120,6 +120,48 @@ class TestGordon:
         assert a.max_residual == b.max_residual
 
 
+class TestAdjudicator:
+    """Sweep order and verdicts shared by the sampled criteria."""
+
+    def test_gordon_witness_is_first_refuting_sweep_pair(self):
+        cert = gordon_go_check(h_type_clifford(4, 1), config=FAST)
+        e = np.eye(8)
+        assert cert.witness["X"] == list(np.eye(4)[0])
+        assert cert.witness["Y"] == list(e[0] + e[4])
+        assert cert.witness["from_sweep"] is True
+
+    def test_kv_witness_is_first_refuting_sweep_vector(self):
+        from nilgo.go_checker import ReductiveDecomposition
+
+        L = h_type_clifford(4, 1)
+        cert = kv_go_check(ReductiveDecomposition(L.dim, [], L.structure, L.gram), FAST)
+        e = np.eye(12)
+        assert cert.witness["X"] == list(e[0] + e[4])
+
+    def test_tnc_witness_is_first_sweep_pair(self):
+        V = vt_subspace(2)
+        cert = tnc_check(V, SkewOperatorSubspace(8, [centralizer_in_so(V).basis[0]]), FAST)
+        assert cert.witness["Z"] == [1.0, 0.0]
+        assert cert.witness["Y"] == list(np.eye(8)[0])
+
+    @pytest.mark.parametrize("criterion", ["gordon", "kv"])
+    def test_ill_conditioned_residual_is_inconclusive(self, criterion):
+        L = h_type_clifford(4, 1)
+        config = SamplerConfig(samples=5, cond_limit=1.0)
+        if criterion == "gordon":
+            cert = gordon_go_check(L, config=config)
+        else:
+            cert = kv_go_check(isometry_decomposition(L), config)
+        assert cert.status == "inconclusive"
+        assert cert.witness is None
+        assert cert.max_residual > config.tau_refute
+
+    def test_negative_samples_rejected(self):
+        with pytest.raises(InputError):
+            SamplerConfig(samples=-1)
+        assert SamplerConfig(samples=0).samples == 0
+
+
 class TestMetric:
     def test_apply_center_metric_gram(self):
         q = MetricParameter(np.array([[2.0, 1.0], [1.0, 3.0]]))

@@ -18,7 +18,7 @@ from nilgo import (
     split_two_step,
 )
 from nilgo.errors import InputError, PreconditionError
-from nilgo.jmaps import build_jmap_family, center_bound_check
+from nilgo.jmaps import build_jmap_family, center_bound_check, split_family
 
 
 class TestJmapDefinition:
@@ -55,6 +55,16 @@ class TestJmapDefinition:
         split = split_two_step(heisenberg(1))
         with pytest.raises(InputError):
             build_jmap(split, [1.0, 0.0])
+
+    def test_family_is_built_once_per_split(self):
+        L = n10(2)
+        split = split_two_step(L)
+        fam = split_family(split)
+        assert split.jmap_family is fam
+        assert split_family(split) is fam
+        other = split_two_step(L)
+        assert split_family(other) is not fam
+        assert split_family(other).split is other
 
 
 class TestHType:

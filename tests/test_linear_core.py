@@ -109,6 +109,11 @@ class TestRationalKernels:
         M = [[Q(1, 2), Q(1, 3)], [Q(1, 4), Q(1, 6)]]
         assert lc.bareiss_rank(M) == 1
 
+    def test_bareiss_pivots_match_rref(self):
+        M = lc.rational_matrix([[0, 2, 3, 1], [0, 4, 6, 2], [0, 1, 1, Q(1, 3)], [0, 0, 0, 5]])
+        assert lc.bareiss_pivots(M) == lc.rat_rref(M)[1] == [1, 2, 3]
+        assert lc.bareiss_pivots([]) == []
+
 
 class TestHomogeneousPolynomial:
     def test_eval_convention(self):
