@@ -186,7 +186,7 @@ def nilpotency_class(L: MetricLieAlgebra, tau_rank: float = lc.DEFAULT_TAU_RANK)
         images = np.einsum("ijk,wj->iwk", L.structure, current).reshape(-1, d)
         if not np.any(images):
             return k
-        _, s, vt = np.linalg.svd(images)
+        _, s, vt = np.linalg.svd(images, full_matrices=False)
         rank = int(np.sum(s > tau_rank * s[0]))
         if rank == 0:
             return k

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from . import linear_core as lc
-from .algebra import MetricLieAlgebra, nilpotency_class
+from .algebra import MetricLieAlgebra, nilpotency_class, require_spd
 from .errors import InputError, PreconditionError
 from .go_checker import SamplerConfig, isometry_decomposition, kv_solve
+from .operator_subspaces import derivation_defect
 
 
 def group_mult(L: MetricLieAlgebra, a, b) -> np.ndarray:
@@ -45,11 +45,39 @@ def connection(L: MetricLieAlgebra, X, Y) -> np.ndarray:
     return np.linalg.solve(L.gram, rhs)
 
 
-def _velocity_rate(L: MetricLieAlgebra, gram_inv, v):
-    # Euler-Arnold: (dv/dt, w) = ([v, w], v) for all w
+def _bracket_tensor(L: MetricLieAlgebra) -> np.ndarray:
+    """C with [x, y] = C @ kron(x, y)."""
     d = L.dim
-    r = np.array([L.inner(L.bracket(v, np.eye(d)[j]), v) for j in range(d)])
-    return gram_inv @ r
+    return L.structure.reshape(d * d, d).T
+
+
+def _euler_arnold_tensor(L: MetricLieAlgebra) -> np.ndarray:
+    """Q with v' = Q @ kron(v, v), the Euler-Arnold equation (v', w) = ([v, w], v) for all w."""
+    d = L.dim
+    return np.einsum("mj,ijl,lk->mik", np.linalg.inv(L.gram), L.structure, L.gram).reshape(d, d * d)
+
+
+def _schedule(L: MetricLieAlgebra, X0, T: float, h: float) -> tuple[np.ndarray, int]:
+    """The initial velocity as an array and the number of RK4 steps."""
+    if not (np.isfinite(h) and np.isfinite(T) and h > 0 and T > 0):
+        raise InputError("need finite positive step and horizon")
+    steps = int(round(T / h))
+    if steps < 1:
+        raise InputError(f"horizon {T} is shorter than half a step {h}")
+    X0 = np.asarray(X0, dtype=float)
+    if X0.shape != (L.dim,):
+        raise InputError(f"initial velocity has {X0.size} entries, need {L.dim}")
+    if not np.all(np.isfinite(X0)):
+        raise InputError("initial velocity has non-finite entries")
+    return X0, steps
+
+
+def _require_metric_two_step(L: MetricLieAlgebra) -> None:
+    # the kinematics x' = v - [x, v] / 2 in exponential coordinates are
+    # exact only for nilpotency class at most 2
+    require_spd(L.gram, "gram matrix")
+    if nilpotency_class(L) > 2:
+        raise PreconditionError("geodesic kinematics need nilpotency class <= 2")
 
 
 @dataclass(frozen=True)
@@ -61,23 +89,22 @@ class Trajectory:
 
 def geodesic_integrate(L: MetricLieAlgebra, X0, T: float, h: float) -> Trajectory:
     """Fixed-step RK4 for the geodesic through the identity with gamma'(0) = X0."""
-    if h <= 0 or T <= 0:
-        raise InputError("need positive step and horizon")
-    X0 = np.asarray(X0, dtype=float)
-    if X0.shape != (L.dim,):
-        raise InputError("initial velocity has wrong dimension")
-    gram_inv = np.linalg.inv(L.gram)
-    steps = int(round(T / h))
+    X0, steps = _schedule(L, X0, T, h)
+    _require_metric_two_step(L)
+    d = L.dim
+    # (x', v') = (v, 0) + K @ kron((x, v), v): the kinematic bracket on
+    # kron(x, v) and the Euler-Arnold tensor on kron(v, v)
+    K = np.zeros((2 * d, 2 * d * d))
+    K[:d, : d * d] = -0.5 * _bracket_tensor(L)
+    K[d:, d * d:] = _euler_arnold_tensor(L)
 
     def rate(state):
-        x, v = state[: L.dim], state[L.dim:]
-        xdot = v - 0.5 * L.bracket(x, v)
-        return np.concatenate([xdot, _velocity_rate(L, gram_inv, v)])
+        out = K @ np.outer(state, state[d:]).ravel()
+        out[:d] += state[d:]
+        return out
 
-    state = np.concatenate([np.zeros(L.dim), X0])
-    times = np.empty(steps + 1)
-    out = np.empty((steps + 1, 2 * L.dim))
-    times[0] = 0.0
+    state = np.concatenate([np.zeros(d), X0])
+    out = np.empty((steps + 1, 2 * d))
     out[0] = state
     for i in range(steps):
         k1 = rate(state)
@@ -85,9 +112,8 @@ def geodesic_integrate(L: MetricLieAlgebra, X0, T: float, h: float) -> Trajector
         k3 = rate(state + 0.5 * h * k2)
         k4 = rate(state + h * k3)
         state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        times[i + 1] = (i + 1) * h
         out[i + 1] = state
-    return Trajectory(times, out[:, : L.dim], out[:, L.dim:])
+    return Trajectory(np.arange(steps + 1) * h, out[:, :d], out[:, d:])
 
 
 def orbit_integrate(L: MetricLieAlgebra, X0, D, T: float, h: float) -> Trajectory:
@@ -96,44 +122,38 @@ def orbit_integrate(L: MetricLieAlgebra, X0, D, T: float, h: float) -> Trajector
     D must be a gram-skew derivation; then the curve is the orbit of a
     one-parameter isometry group and a candidate geodesic.
     """
-    X0 = np.asarray(X0, dtype=float)
+    X0, steps = _schedule(L, X0, T, h)
+    _require_metric_two_step(L)
     D = np.asarray(D, dtype=float)
     d = L.dim
     skew_res = np.max(np.abs(L.gram @ D + D.T @ L.gram))
-    der_res = max(
-        float(np.max(np.abs(D @ L.bracket(np.eye(d)[i], np.eye(d)[j])
-                            - L.bracket(D @ np.eye(d)[i], np.eye(d)[j])
-                            - L.bracket(np.eye(d)[i], D @ np.eye(d)[j]))))
-        for i in range(d) for j in range(d)
-    )
+    der_res = np.max(np.abs(derivation_defect(L.structure, D)))
     tol = 1e-8 * max(1.0, float(np.max(np.abs(D))))
     if skew_res > tol or der_res > tol:
         raise PreconditionError("D is not a metric-skew derivation")
-    steps = int(round(T / h))
+    # v at every half step: powers of the half-step propagator applied to X0
+    half = expm(0.5 * h * D)
+    vel = np.empty((2 * steps + 1, d))
+    vel[0] = X0
+    for k in range(2 * steps):
+        vel[k + 1] = half @ vel[k]
+    C = -0.5 * _bracket_tensor(L)
 
-    def vel(t):
-        return expm(t * D) @ X0
-
-    def xrate(t, x):
-        v = vel(t)
-        return v - 0.5 * L.bracket(x, v)
+    def xrate(x, v):
+        return v + C @ np.outer(x, v).ravel()
 
     x = np.zeros(d)
-    times = np.empty(steps + 1)
     pos = np.empty((steps + 1, d))
-    velocities = np.empty((steps + 1, d))
-    times[0], pos[0], velocities[0] = 0.0, x, X0
+    pos[0] = x
     for i in range(steps):
-        t = i * h
-        k1 = xrate(t, x)
-        k2 = xrate(t + 0.5 * h, x + 0.5 * h * k1)
-        k3 = xrate(t + 0.5 * h, x + 0.5 * h * k2)
-        k4 = xrate(t + h, x + h * k3)
+        v0, vm, v1 = vel[2 * i], vel[2 * i + 1], vel[2 * i + 2]
+        k1 = xrate(x, v0)
+        k2 = xrate(x + 0.5 * h * k1, vm)
+        k3 = xrate(x + 0.5 * h * k2, vm)
+        k4 = xrate(x + h * k3, v1)
         x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        times[i + 1] = t + h
         pos[i + 1] = x
-        velocities[i + 1] = vel(t + h)
-    return Trajectory(times, pos, velocities)
+    return Trajectory(np.arange(steps + 1) * h, pos, vel[::2])
 
 
 @dataclass(frozen=True)
@@ -159,16 +179,20 @@ def compare_geodesic_orbit(
     a persistent gap certifies that this X0 admits no orbit geodesic
     within the full isometry algebra.
     """
-    X0 = np.asarray(X0, dtype=float)
+    X0, _ = _schedule(L, X0, T, h)
     decomp = isometry_decomposition(L, config.tau_rank)
-    coeffs, kv_res = kv_solve(decomp, X0)
-    D = np.zeros((L.dim, L.dim))
-    for c, H in zip(coeffs, decomp.h_basis):
-        D += c * H
-    geo = geodesic_integrate(L, X0, T, h)
-    orb = orbit_integrate(L, X0, D, T, h)
-    diffs = geo.positions - orb.positions
-    dev = np.sqrt(np.einsum("ti,ij,tj->t", diffs, L.gram, diffs))
+    # an initial velocity too large for float64 shows up as a non-finite result
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs, kv_res = kv_solve(decomp, X0)
+        D = np.zeros((L.dim, L.dim))
+        for c, H in zip(coeffs, decomp.h_basis):
+            D += c * H
+        geo = geodesic_integrate(L, X0, T, h)
+        orb = orbit_integrate(L, X0, D, T, h)
+        diffs = geo.positions - orb.positions
+        dev = np.sqrt(np.einsum("ti,ij,tj->t", diffs, L.gram, diffs))
+    if not (np.isfinite(kv_res) and np.all(np.isfinite(dev))):
+        raise InputError("deviation is not finite; the initial velocity is too large")
     return OrbitComparison(
         sup_deviation=float(np.max(dev)),
         endpoint_deviation=float(dev[-1]),

@@ -122,6 +122,7 @@ class ReductiveDecomposition:
 
 def isometry_decomposition(L: MetricLieAlgebra, tau_rank: float = lc.DEFAULT_TAU_RANK) -> ReductiveDecomposition:
     """The full-isometry decomposition (D(n), n) of a nilmanifold."""
+    require_spd(L.gram, "gram matrix")
     ders = skew_derivations(L, tau_rank)
     return ReductiveDecomposition(L.dim, ders.basis, L.structure, L.gram)
 
@@ -268,6 +269,7 @@ def gordon_go_check(
 ) -> GOCertificate:
     """Gordon's criterion: for X in z, Y in v find D in D(n) with
     D(X) = 0 and D(Y) = J_X(Y); sampled over a sweep plus random pairs."""
+    require_spd(L.gram, "gram matrix")
     if metric is not None:
         L = apply_center_metric(L, metric)
     split = split_two_step(L, config.tau_rank)

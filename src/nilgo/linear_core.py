@@ -42,7 +42,8 @@ def nullspace(A, tau_rank: float = DEFAULT_TAU_RANK) -> list[np.ndarray]:
     A = as_matrix(A)
     if A.size == 0 or not np.any(A):
         return [e for e in np.eye(A.shape[1])]
-    _, s, vt = np.linalg.svd(A)
+    # U is never used; a wide A still needs the full V for its nullspace
+    _, s, vt = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
     cutoff = tau_rank * s[0]
     rank = int(np.sum(s > cutoff))
     return [vt[i] for i in range(rank, A.shape[1])]

@@ -105,6 +105,12 @@ def subspaces_equal(a: SkewOperatorSubspace, b: SkewOperatorSubspace, tau_rank: 
     return a.dim == b.dim and subspace_contains(a, b, tau_rank) and subspace_contains(b, a, tau_rank)
 
 
+def derivation_defect(c: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Residual D[e_i, e_j] - [D e_i, e_j] - [e_i, D e_j] of the derivation
+    identity on each basis pair, indexed (i, j, k), for the structure tensor c."""
+    return np.einsum("ab,ijb->ija", D, c) - np.einsum("ki,kjm->ijm", D, c) - np.einsum("kj,ikm->ijm", D, c)
+
+
 def skew_derivations(L: MetricLieAlgebra, tau_rank: float = lc.DEFAULT_TAU_RANK) -> DerivationAlgebra:
     """Basis of the gram-skew derivations D[X,Y] = [DX,Y] + [X,DY].
 
@@ -120,8 +126,7 @@ def skew_derivations(L: MetricLieAlgebra, tau_rank: float = lc.DEFAULT_TAU_RANK)
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     cols = []
     for M in params:
-        # residual of the derivation identity on each basis pair
-        r = np.einsum("ab,ijb->ija", M, c) - np.einsum("ki,kjm->ijm", M, c) - np.einsum("kj,ikm->ijm", M, c)
+        r = derivation_defect(c, M)
         cols.append(np.array([r[i, j] for (i, j) in pairs]).ravel())
     A = np.array(cols).T
     coeff_vectors = lc.nullspace(A, tau_rank)

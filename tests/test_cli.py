@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from nilgo import algebra_from_dict, validate
+from nilgo import algebra_from_dict, algebra_to_dict, validate
 from nilgo.cli import main
 
 FAMILY_ARGS = [
@@ -198,6 +198,41 @@ class TestInputGates:
         path = tmp_path / "alg.json"
         run(capsys, "family", "n10", "--t", "2", "-o", str(path))
         code, out = run(capsys, command, str(path), "--samples", "-5")
+        assert code == 64
+        assert out == ""
+
+
+class TestGeodesicCompareContract:
+    @pytest.fixture
+    def heis(self, capsys, tmp_path):
+        path = tmp_path / "alg.json"
+        run(capsys, "family", "heisenberg", "--k", "1", "-o", str(path))
+        return str(path)
+
+    def test_wrong_length_x0_exit_64(self, capsys, heis):
+        code, out = run(capsys, "geodesic-compare", heis, "--x0", "1,0", "--step", "0.25")
+        assert code == 64
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [["--step", "inf"], ["--horizon", "nan"], ["--horizon", "0.04", "--step", "0.1"]],
+        ids=["infinite_step", "nan_horizon", "horizon_below_half_step"],
+    )
+    def test_schedule_without_steps_exit_64(self, capsys, heis, schedule):
+        code, out = run(capsys, "geodesic-compare", heis, "--x0", "1,1,1", *schedule)
+        assert code == 64
+        assert out == ""
+
+    def test_non_finite_deviation_exit_64(self, capsys, heis):
+        code, out = run(capsys, "geodesic-compare", heis, "--x0=1e200,1e200,1e200", "--step", "0.25")
+        assert code == 64
+        assert out == ""
+
+    def test_three_step_exit_64(self, capsys, tmp_path, three_step):
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(algebra_to_dict(three_step)))
+        code, out = run(capsys, "geodesic-compare", str(path), "--x0", "1,0,0,0,0", "--step", "0.25")
         assert code == 64
         assert out == ""
 

@@ -1,16 +1,27 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from nilgo import (
+    MetricParameter,
     compare_geodesic_orbit,
     geodesic_integrate,
     group_mult,
+    h_type_clifford,
     heisenberg,
+    kv_solve,
     n10,
     orbit_integrate,
 )
 from nilgo.errors import InputError, PreconditionError
-from nilgo.geodesics import connection
+from nilgo.geodesics import _bracket_tensor, _euler_arnold_tensor, connection
+from nilgo.go_checker import apply_center_metric, isometry_decomposition
+
+# a non-identity Gram and a non-GO metric
+KERNEL_ALGEBRAS = {
+    "n10_center_metric": lambda: apply_center_metric(n10(2), MetricParameter(np.array([[2.0, 0.5], [0.5, 1.0]]))),
+    "h_type_clifford_4": lambda: h_type_clifford(4),
+}
 
 
 class TestGroupMult:
@@ -126,3 +137,57 @@ class TestCompare:
         cmp = compare_geodesic_orbit(L, np.array([1.0, 1.0, 1.0]), T=0.5, h=0.05)
         assert len(cmp.times) == len(cmp.deviations) == 11
         assert cmp.deviations[0] == 0.0
+
+
+def _reference_rate(L, v):
+    # Euler-Arnold: (dv/dt, e_j) = ([v, e_j], v) for every basis vector
+    r = np.array([L.inner(L.bracket(v, e), v) for e in np.eye(L.dim)])
+    return np.linalg.solve(L.gram, r)
+
+
+class TestKernels:
+    @pytest.mark.parametrize("name", sorted(KERNEL_ALGEBRAS))
+    def test_tensors_match_reference_formulas(self, name, rng):
+        L = KERNEL_ALGEBRAS[name]()
+        Q, C = _euler_arnold_tensor(L), _bracket_tensor(L)
+        for _ in range(5):
+            x, v = rng.standard_normal(L.dim), rng.standard_normal(L.dim)
+            assert np.max(np.abs(Q @ np.kron(v, v) - _reference_rate(L, v))) <= 1e-12
+            assert np.max(np.abs(C @ np.kron(x, v) - L.bracket(x, v))) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_ALGEBRAS))
+    def test_orbit_velocities_match_matrix_exponential(self, name, rng):
+        L = KERNEL_ALGEBRAS[name]()
+        X0 = rng.standard_normal(L.dim)
+        X0 /= np.linalg.norm(X0)
+        decomp = isometry_decomposition(L)
+        coeffs, _ = kv_solve(decomp, X0)
+        D = sum(c * H for c, H in zip(coeffs, decomp.h_basis))
+        traj = orbit_integrate(L, X0, D, 1.0, 2e-3)
+        reference = np.array([expm(t * D) @ X0 for t in traj.times])
+        assert np.max(np.abs(traj.velocities - reference)) <= 1e-12
+
+
+class TestGates:
+    def test_integrators_reject_three_step(self, three_step):
+        X0 = np.eye(5)[0]
+        with pytest.raises(PreconditionError):
+            geodesic_integrate(three_step, X0, 1.0, 0.1)
+        with pytest.raises(PreconditionError):
+            orbit_integrate(three_step, X0, np.zeros((5, 5)), 1.0, 0.1)
+
+    @pytest.mark.parametrize("T,h", [(1.0, np.inf), (np.nan, 0.1), (np.inf, 0.1), (0.04, 0.1)])
+    def test_integrators_reject_schedule_without_steps(self, T, h):
+        L, X0 = heisenberg(1), np.ones(3)
+        with pytest.raises(InputError):
+            geodesic_integrate(L, X0, T, h)
+        with pytest.raises(InputError):
+            orbit_integrate(L, X0, np.zeros((3, 3)), T, h)
+
+    def test_compare_rejects_wrong_length(self):
+        with pytest.raises(InputError):
+            compare_geodesic_orbit(heisenberg(1), np.ones(2), T=0.5, h=0.1)
+
+    def test_compare_rejects_non_finite_deviation(self):
+        with pytest.raises(InputError, match="not finite"):
+            compare_geodesic_orbit(heisenberg(1), np.full(3, 1e200), T=0.5, h=0.1)

@@ -7,11 +7,14 @@ from nilgo import (
     MetricParameter,
     SamplerConfig,
     SkewOperatorSubspace,
+    compare_geodesic_orbit,
+    geodesic_integrate,
     gordon_go_check,
     h_type_clifford,
     heisenberg,
     kv_go_check,
     kv_solve,
+    make_algebra,
     n10,
     naturally_reductive_flag,
     riehm_predict,
@@ -314,3 +317,27 @@ class TestRiehm:
         assert riehm_predict(7, 16, "plus_id")
         assert not riehm_predict(7, 16, "neither")
         assert not riehm_predict(7, 32, "plus_id")
+
+
+def _indefinite_n10():
+    """n10(2) whose Gram swaps e_0 and e_1: symmetric but indefinite."""
+    g = [[int(i == j) for j in range(10)] for i in range(10)]
+    g[0][0] = g[1][1] = 0
+    g[0][1] = g[1][0] = 1
+    return make_algebra(n10(2).structure_exact, g)
+
+
+class TestGramGate:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda L: gordon_go_check(L, config=FAST),
+            lambda L: kv_go_check(isometry_decomposition(L), FAST),
+            lambda L: geodesic_integrate(L, np.ones(10), 0.5, 0.1),
+            lambda L: compare_geodesic_orbit(L, np.ones(10), T=0.5, h=0.1),
+        ],
+        ids=["gordon", "kv", "geodesic_integrate", "compare_geodesic_orbit"],
+    )
+    def test_library_rejects_indefinite_gram(self, call):
+        with pytest.raises(InputError, match="gram"):
+            call(_indefinite_n10())

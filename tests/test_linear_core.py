@@ -14,11 +14,14 @@ def random_skew(rng, n):
 
 class TestNullspaceLeastSquares:
     def test_nullspace_of_rank_one(self):
-        A = np.outer([1.0, 2.0], [1.0, 0.0, -1.0])
-        basis = lc.nullspace(A)
-        assert len(basis) == 2
-        for v in basis:
-            assert np.linalg.norm(A @ v) < 1e-12
+        wide = np.outer([1.0, 2.0], [1.0, 0.0, -1.0])
+        tall = np.outer([1.0, 2.0, 0.0, -1.0, 3.0], [1.0, 0.0, -1.0])
+        for A in (wide, tall):
+            basis = lc.nullspace(A)
+            assert len(basis) == 2
+            assert np.allclose(np.array(basis) @ np.array(basis).T, np.eye(2))
+            for v in basis:
+                assert np.linalg.norm(A @ v) < 1e-12
 
     def test_nullspace_full_rank(self):
         assert lc.nullspace(np.eye(3)) == []
