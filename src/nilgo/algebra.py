@@ -172,7 +172,7 @@ def derived(L: MetricLieAlgebra, tau_rank: float = lc.DEFAULT_TAU_RANK) -> np.nd
     vecs = L.structure.reshape(d * d, d)
     if not np.any(vecs):
         return np.zeros((0, d))
-    _, s, vt = np.linalg.svd(vecs)
+    _, s, vt = np.linalg.svd(vecs, full_matrices=False)
     rank = int(np.sum(s > tau_rank * s[0]))
     return _gram_orthonormalize(vt[:rank], L.gram)
 
@@ -200,8 +200,10 @@ class TwoStepSplit:
     z_basis: np.ndarray  # (m, d) rows, gram-orthonormal
     v_basis: np.ndarray  # (n, d) rows, gram-orthonormal
     derived_equals_center: bool
-    z_basis_exact: Optional[list] = field(default=None, repr=False)
-    v_basis_exact: Optional[list] = field(default=None, repr=False)
+    # with an identity exact Gram and a center spanned by basis vectors,
+    # z_basis and v_basis are these rows of the identity; None otherwise
+    z_index: Optional[tuple] = None
+    v_index: Optional[tuple] = None
     # the J-map family, filled in once by jmaps.split_family
     jmap_family: Optional[object] = field(default=None, init=False, repr=False, compare=False)
 
@@ -215,7 +217,7 @@ class TwoStepSplit:
 
     @property
     def is_exact(self) -> bool:
-        return self.z_basis_exact is not None
+        return self.z_index is not None
 
 
 def _exact_unit_rows(vectors: list[list[Fraction]]) -> bool:
@@ -231,21 +233,18 @@ def split_two_step(L: MetricLieAlgebra, tau_rank: float = lc.DEFAULT_TAU_RANK) -
     der = derived(L, tau_rank)
     # derived subset of center always holds for 2-step; equality is the flag
     flag = der.shape[0] == z.shape[0]
-    ze = ve = None
+    zi = vi = None
     if L.is_exact:
         gram_is_identity = all(
             L.gram_exact[i][j] == (1 if i == j else 0) for i in range(L.dim) for j in range(L.dim)
         )
         zc = center_exact(L)
         if gram_is_identity and _exact_unit_rows(zc):
-            taken = {next(i for i, x in enumerate(v) if x != 0) for v in zc}
-            ze = sorted(taken)
-            ve = [i for i in range(L.dim) if i not in taken]
-            z = np.eye(L.dim)[ze]
-            v = np.eye(L.dim)[ve]
-            ze = [[Fraction(1 if i == idx else 0) for i in range(L.dim)] for idx in ze]
-            ve = [[Fraction(1 if i == idx else 0) for i in range(L.dim)] for idx in ve]
-    return TwoStepSplit(L, z, v, flag, ze, ve)
+            zi = tuple(sorted(next(i for i, x in enumerate(v) if x != 0) for v in zc))
+            vi = tuple(i for i in range(L.dim) if i not in zi)
+            z = np.eye(L.dim)[list(zi)]
+            v = np.eye(L.dim)[list(vi)]
+    return TwoStepSplit(L, z, v, flag, zi, vi)
 
 
 def detect_flat_factor(

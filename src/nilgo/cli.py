@@ -123,6 +123,12 @@ def cmd_validate(args) -> int:
     # diagnostics report a bad Gram matrix instead of rejecting it
     L = algebra.algebra_from_dict(_read_json(args.algebra))
     diag = algebra.validate(L)
+    nil_class = None
+    if diag.passed:
+        try:
+            nil_class = algebra.nilpotency_class(L)
+        except InputError:  # not nilpotent: reported as null
+            pass
     report = {
         "dim": L.dim,
         "antisymmetry_residual": diag.antisymmetry_residual,
@@ -130,7 +136,7 @@ def cmd_validate(args) -> int:
         "gram_symmetry_residual": diag.gram_symmetry_residual,
         "gram_min_eigenvalue": diag.gram_min_eigenvalue,
         "passed": diag.passed,
-        "nilpotency_class": algebra.nilpotency_class(L) if diag.passed else None,
+        "nilpotency_class": nil_class,
     }
     _emit_json(args, report)
     return EXIT_PASS if diag.passed else EXIT_REFUTED

@@ -18,6 +18,9 @@ from .errors import InputError, PreconditionError
 from .go_checker import SamplerConfig, isometry_decomposition, kv_solve
 from .operator_subspaces import derivation_defect
 
+# the largest number of RK4 steps one integration may take
+MAX_STEPS = 10**6
+
 
 def group_mult(L: MetricLieAlgebra, a, b) -> np.ndarray:
     """Baker-Campbell-Hausdorff product in exponential coordinates.
@@ -61,6 +64,8 @@ def _schedule(L: MetricLieAlgebra, X0, T: float, h: float) -> tuple[np.ndarray, 
     """The initial velocity as an array and the number of RK4 steps."""
     if not (np.isfinite(h) and np.isfinite(T) and h > 0 and T > 0):
         raise InputError("need finite positive step and horizon")
+    if T / h > MAX_STEPS:
+        raise InputError(f"horizon {T} at step {h} needs more than {MAX_STEPS} steps")
     steps = int(round(T / h))
     if steps < 1:
         raise InputError(f"horizon {T} is shorter than half a step {h}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
@@ -19,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import jmaps, linear_core as lc
-from .algebra import MetricLieAlgebra, TwoStepSplit, require_spd, split_two_step
+from .algebra import MetricLieAlgebra, TwoStepSplit, nilpotency_class, require_spd, split_two_step
 from .errors import InputError, PreconditionError
 from .families import algebra_from_jmaps
 from .linear_core import bareiss_pivots as _bareiss_pivots  # perfbench/tracer.py times the re-check under this name
@@ -27,9 +28,11 @@ from .operator_subspaces import (
     SkewOperatorSubspace,
     centralizer_in_so,
     compact_split,
+    derivation_system,
     generated_subalgebra,
     is_subalgebra,
     normalizer_in_so,
+    skew_basis,
     skew_derivations,
     span_matrices,
     subspace_contains,
@@ -123,6 +126,7 @@ class ReductiveDecomposition:
 def isometry_decomposition(L: MetricLieAlgebra, tau_rank: float = lc.DEFAULT_TAU_RANK) -> ReductiveDecomposition:
     """The full-isometry decomposition (D(n), n) of a nilmanifold."""
     require_spd(L.gram, "gram matrix")
+    nilpotency_class(L, tau_rank)  # raises InputError unless L is nilpotent
     ders = skew_derivations(L, tau_rank)
     return ReductiveDecomposition(L.dim, ders.basis, L.structure, L.gram)
 
@@ -305,6 +309,11 @@ def gordon_refute_exact(L: MetricLieAlgebra, split: TwoStepSplit, X, Y, tau_rank
     Builds the combined linear system {skew derivation identity,
     D(X) = 0, D(Y) = J_X(Y)} over the rationals and tests whether the
     augmented rank exceeds the plain rank (Farkas-style refutation).
+    An exact split has the identity Gram, so the skew derivations are
+    parametrized by the skew basis itself; the derivation rows come from
+    :func:`derivation_system` on the structure tensor times the common
+    denominator ``den`` of its entries, which scales each row by ``den``
+    and leaves the pivots unchanged.
     """
     if not (L.is_exact and split.is_exact):
         raise PreconditionError("exact re-check needs rational data")
@@ -315,53 +324,24 @@ def gordon_refute_exact(L: MetricLieAlgebra, split: TwoStepSplit, X, Y, tau_rank
         abs(float(a) - float(b)) > 1e-12 for a, b in zip(Yq, list(Y))
     ):
         raise PreconditionError("witness is not rational")
-    ginv = lc.rat_inv(L.gram_exact)
-    skew_params = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            S = [[Fraction(0)] * d for _ in range(d)]
-            S[i][j] = Fraction(1)
-            S[j][i] = Fraction(-1)
-            D = [[sum(ginv[a][k] * S[k][b] for k in range(d)) for b in range(d)] for a in range(d)]
-            skew_params.append(D)
-    c = L.structure_exact
-    rows = []
-    # derivation identity on each basis pair, one row per (pair, coordinate)
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(d):
-                row = []
-                for D in skew_params:
-                    v = sum(D[k][mm] * c[i][j][mm] for mm in range(d))
-                    v -= sum(D[mm][i] * c[mm][j][k] for mm in range(d))
-                    v -= sum(D[mm][j] * c[i][mm][k] for mm in range(d))
-                    row.append(v)
-                row.append(Fraction(0))
-                rows.append(row)
-    # witness evaluation rows
-    z_idx = [next(i for i, x in enumerate(r) if x != 0) for r in split.z_basis_exact]
-    v_idx = [next(i for i, x in enumerate(r) if x != 0) for r in split.v_basis_exact]
-    Xa = [Fraction(0)] * d
-    for coord, zi in zip(Xq, z_idx):
-        Xa[zi] = coord
-    Ya = [Fraction(0)] * d
-    for coord, vi in zip(Yq, v_idx):
-        Ya[vi] = coord
-    fam = jmaps.split_family(split)
-    n = split.n
-    J = [[sum(Xq[i] * fam.generators_exact[i][a][b] for i in range(split.m)) for b in range(n)] for a in range(n)]
-    JY = [sum(J[a][b] * Yq[b] for b in range(n)) for a in range(n)]
-    target = [Fraction(0)] * d
-    for a, vi in enumerate(v_idx):
-        target[vi] = JY[a]
-    for vec, rhs_vec in ((Xa, [Fraction(0)] * d), (Ya, target)):
-        for k in range(d):
-            row = [sum(D[k][mm] * vec[mm] for mm in range(d)) for D in skew_params]
-            row.append(rhs_vec[k])
-            rows.append(row)
-    pivots = _bareiss_pivots(rows)
-    ncols = len(skew_params)
-    return ncols in pivots  # pivot in the rhs column <=> infeasible
+    entries = [x for plane in L.structure_exact for row in plane for x in row]
+    den = math.lcm(*(x.denominator for x in entries))
+    c = np.array([x.numerator * (den // x.denominator) for x in entries], dtype=object).reshape(d, d, d)
+    # each defect entry sums three entries of c, up to sign; past int64
+    # the same expression runs on Python ints
+    exact_dtype = np.int64 if 3 * max(map(abs, c.flat)) <= np.iinfo(np.int64).max else object
+    S = np.array(skew_basis(d), dtype=np.int64)
+    A = derivation_system(c.astype(exact_dtype), S.astype(exact_dtype))
+    # witness rows over the same skew basis, in ambient coordinates
+    Xa = np.full(d, Fraction(0), dtype=object)
+    Xa[list(split.z_index)] = Xq
+    Ya = np.full(d, Fraction(0), dtype=object)
+    Ya[list(split.v_index)] = Yq
+    JXY = np.einsum("b,bak,k->a", Ya, c, Xa) / den  # (J_X Y, e_a) = ([Y, e_a], X)
+    lhs = np.vstack([A, np.einsum("pkm,m->kp", S, Xa), np.einsum("pkm,m->kp", S, Ya)])
+    rhs = np.concatenate([np.zeros(A.shape[0] + d, dtype=object), JXY])
+    pivots = _bareiss_pivots(np.column_stack([lhs, rhs]).tolist())
+    return len(S) in pivots  # pivot in the rhs column <=> infeasible
 
 
 # ---------------------------------------------------------------------------

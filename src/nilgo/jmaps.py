@@ -32,10 +32,6 @@ class JMapFamily:
         return self.generators_exact is not None
 
 
-def _unit_index(vec: list[Fraction]) -> int:
-    return next(i for i, x in enumerate(vec) if x != 0)
-
-
 def build_jmap_family(split: TwoStepSplit) -> JMapFamily:
     L = split.parent
     z, v = split.z_basis, split.v_basis
@@ -52,8 +48,7 @@ def build_jmap_family(split: TwoStepSplit) -> JMapFamily:
         gens.append(J)
     gens_exact = None
     if split.is_exact and L.is_exact:
-        zi = [_unit_index(r) for r in split.z_basis_exact]
-        vi = [_unit_index(r) for r in split.v_basis_exact]
+        zi, vi = split.z_index, split.v_index
         c = L.structure_exact
         gens_exact = []
         for k in zi:

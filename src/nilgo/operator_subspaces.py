@@ -111,6 +111,18 @@ def derivation_defect(c: np.ndarray, D: np.ndarray) -> np.ndarray:
     return np.einsum("ab,ijb->ija", D, c) - np.einsum("ki,kjm->ijm", D, c) - np.einsum("kj,ikm->ijm", D, c)
 
 
+def derivation_system(c: np.ndarray, params) -> np.ndarray:
+    """Linear system of the derivation identity over the span of ``params``.
+
+    Column p is the derivation defect of ``params[p]``, one row per basis
+    pair i < j and coordinate k (pair-major).  Works in the dtype of the
+    inputs: float for the numerical path, integer or object (Python int)
+    for the exact one.
+    """
+    iu, ju = np.triu_indices(c.shape[0], 1)
+    return np.array([derivation_defect(c, M)[iu, ju].ravel() for M in params]).T
+
+
 def skew_derivations(L: MetricLieAlgebra, tau_rank: float = lc.DEFAULT_TAU_RANK) -> DerivationAlgebra:
     """Basis of the gram-skew derivations D[X,Y] = [DX,Y] + [X,DY].
 
@@ -122,14 +134,7 @@ def skew_derivations(L: MetricLieAlgebra, tau_rank: float = lc.DEFAULT_TAU_RANK)
         return DerivationAlgebra(L, [])
     ginv = np.linalg.inv(L.gram)
     params = [ginv @ S for S in skew_basis(d)]
-    c = L.structure
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    cols = []
-    for M in params:
-        r = derivation_defect(c, M)
-        cols.append(np.array([r[i, j] for (i, j) in pairs]).ravel())
-    A = np.array(cols).T
-    coeff_vectors = lc.nullspace(A, tau_rank)
+    coeff_vectors = lc.nullspace(derivation_system(L.structure, params), tau_rank)
     basis = []
     for v in coeff_vectors:
         D = np.zeros((d, d))

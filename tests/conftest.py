@@ -47,6 +47,16 @@ def heisenberg_plus_flat():
 
 
 @pytest.fixture
+def so3():
+    """The simple (not nilpotent) algebra so(3): [e1,e2] = e3 and cyclic."""
+    c = _empty_structure(3)
+    _set_bracket(c, 0, 1, 2)
+    _set_bracket(c, 1, 2, 0)
+    _set_bracket(c, 2, 0, 1)
+    return make_algebra(c, identity_gram(3))
+
+
+@pytest.fixture
 def abelian():
     return make_algebra(_empty_structure(3), identity_gram(3))
 

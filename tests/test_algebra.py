@@ -78,6 +78,20 @@ class TestSplit:
         assert split.is_exact
         assert split.derived_equals_center
 
+    def test_exact_split_indices(self):
+        split = split_two_step(n10(2))
+        assert split.z_index == (0, 1)
+        assert split.v_index == tuple(range(2, 10))
+        assert np.array_equal(split.z_basis, np.eye(10)[:2])
+        assert np.array_equal(split.v_basis, np.eye(10)[2:])
+
+    def test_no_indices_for_non_identity_gram(self):
+        L = n10(2, q=[[2, 1], [1, 3]])
+        assert L.is_exact
+        split = split_two_step(L)
+        assert split.z_index is None and split.v_index is None
+        assert not split.is_exact
+
     def test_split_rejects_three_step(self, three_step):
         with pytest.raises(NotTwoStepError):
             split_two_step(three_step)

@@ -193,6 +193,22 @@ class TestInputGates:
         assert doc["passed"] is False
         assert doc["gram_min_eigenvalue"] < 0
 
+    def test_kv_rejects_non_nilpotent_exit_64(self, capsys, tmp_path, so3):
+        path = tmp_path / "so3.json"
+        path.write_text(json.dumps(algebra_to_dict(so3)))
+        code, out = run(capsys, "go-check", str(path), "--criterion", "kv", "--samples", "5")
+        assert code == 64
+        assert out == ""
+
+    def test_validate_reports_non_nilpotent(self, capsys, tmp_path, so3):
+        path = tmp_path / "so3.json"
+        path.write_text(json.dumps(algebra_to_dict(so3)))
+        code, out = run(capsys, "validate", str(path))
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["passed"] is True
+        assert doc["nilpotency_class"] is None
+
     @pytest.mark.parametrize("command", ["go-check", "tnc"])
     def test_negative_samples_exit_64(self, capsys, tmp_path, command):
         path = tmp_path / "alg.json"
@@ -226,6 +242,11 @@ class TestGeodesicCompareContract:
 
     def test_non_finite_deviation_exit_64(self, capsys, heis):
         code, out = run(capsys, "geodesic-compare", heis, "--x0=1e200,1e200,1e200", "--step", "0.25")
+        assert code == 64
+        assert out == ""
+
+    def test_too_many_steps_exit_64(self, capsys, heis):
+        code, out = run(capsys, "geodesic-compare", heis, "--x0", "1,0,0", "--step", "1e-300")
         assert code == 64
         assert out == ""
 

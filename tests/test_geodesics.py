@@ -184,6 +184,17 @@ class TestGates:
         with pytest.raises(InputError):
             orbit_integrate(L, X0, np.zeros((3, 3)), T, h)
 
+    @pytest.mark.parametrize("T", [1.0, 1e300], ids=["finite_ratio", "infinite_ratio"])
+    def test_integrators_reject_too_many_steps(self, T):
+        L, X0 = heisenberg(1), np.ones(3)
+        for call in (
+            lambda: geodesic_integrate(L, X0, T, 1e-300),
+            lambda: orbit_integrate(L, X0, np.zeros((3, 3)), T, 1e-300),
+            lambda: compare_geodesic_orbit(L, X0, T=T, h=1e-300),
+        ):
+            with pytest.raises(InputError, match="steps"):
+                call()
+
     def test_compare_rejects_wrong_length(self):
         with pytest.raises(InputError):
             compare_geodesic_orbit(heisenberg(1), np.ones(2), T=0.5, h=0.1)

@@ -22,7 +22,7 @@ from nilgo import (
     tnc_check,
 )
 from nilgo.errors import InputError, NotTwoStepError, PreconditionError
-from nilgo.families import l_matrix, r_matrix, vt_subspace
+from nilgo.families import algebra_from_jmaps, clifford_generators, l_matrix, r_matrix, vt_subspace
 from nilgo.go_checker import (
     apply_center_metric,
     build_nilalgebra_from_subspace,
@@ -341,3 +341,48 @@ class TestGramGate:
     def test_library_rejects_indefinite_gram(self, call):
         with pytest.raises(InputError, match="gram"):
             call(_indefinite_n10())
+
+
+class TestNilpotencyGate:
+    def test_kv_rejects_non_nilpotent(self, so3):
+        with pytest.raises(InputError, match="not nilpotent"):
+            isometry_decomposition(so3)
+
+    def test_kv_still_runs_on_three_step(self, three_step):
+        cert = kv_go_check(isometry_decomposition(three_step), FAST)
+        assert cert.status == "refuted"
+
+
+def _h_type_over_3():
+    """h_type_clifford(4) with every generator divided by 3."""
+    return algebra_from_jmaps([[[x / 3 for x in row] for row in J] for J in clifford_generators(4)])
+
+
+def _heisenberg2_shaped(top):
+    """[e0, e1] = top * z and [e2, e3] = z / 3 with z = e4, identity Gram."""
+    c = [[[Q(0)] * 5 for _ in range(5)] for _ in range(5)]
+    for i, j, v in ((0, 1, Q(top)), (2, 3, Q(1, 3))):
+        c[i][j][4], c[j][i][4] = v, -v
+    return make_algebra(c, [[int(i == j) for j in range(5)] for i in range(5)])
+
+
+class TestExactRecheck:
+    def test_rescaled_h_type_witness_refuted_exactly(self):
+        L = _h_type_over_3()
+        assert L.is_exact and max(x.denominator for p in L.structure_exact for r in p for x in r) == 3
+        cert = gordon_go_check(L, config=SamplerConfig(samples=0))
+        assert cert.status == "refuted" and cert.witness["from_sweep"]
+        assert cert.exact_refutation
+        assert gordon_refute_exact(L, split_two_step(L), cert.witness["X"], cert.witness["Y"])
+
+    def test_feasible_sweep_pair_not_refuted(self):
+        L = _h_type_over_3()
+        assert not gordon_refute_exact(L, split_two_step(L), np.eye(4)[0], np.eye(8)[0])
+
+    def test_int64_overflow_matches_unscaled_twin(self):
+        # 3 * 2**70 (the scaled entry) is past int64, so the re-check runs on Python ints
+        verdicts = []
+        for L in (_heisenberg2_shaped(2**70), _heisenberg2_shaped(1)):
+            split = split_two_step(L)
+            verdicts.append([gordon_refute_exact(L, split, [1.0], Y) for Y in [*np.eye(4), np.ones(4)]])
+        assert verdicts[0] == verdicts[1]
