@@ -9,6 +9,7 @@ exact arithmetic.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -383,30 +384,45 @@ def _parse_value(v):
     raise InputError(f"unsupported numeric value {v!r}")
 
 
+def _parse_index(v, what: str) -> int:
+    """An integer index: a JSON integer or a string of decimal digits."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    if isinstance(v, str) and re.fullmatch(r"[+-]?[0-9]+", v.strip()):
+        return int(v)
+    raise InputError(f"{what} must be an integer, got {v!r}")
+
+
 def algebra_from_dict(data: dict) -> MetricLieAlgebra:
-    """Parse the JSON algebra format (brackets given for i < j only)."""
+    """Parse the JSON algebra format (brackets given for i < j only, each pair at most once)."""
     if not isinstance(data, dict):
         raise InputError("algebra document must be a JSON object")
     try:
-        d = int(data["dim"])
+        d = _parse_index(data["dim"], "dim")
         brackets = data["brackets"]
         gram_in = data["gram"]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError) as e:
         raise InputError(f"bad algebra document: {e}") from None
-    if d < 0 or d > MAX_DIM:
-        raise InputError(f"dim {d} out of range")
+    if d < 1 or d > MAX_DIM:
+        raise InputError(f"dim {d} outside [1, {MAX_DIM}]")
     structure = [[[Fraction(0) for _ in range(d)] for _ in range(d)] for _ in range(d)]
     exact = True
+    seen = set()
     for entry in brackets:
         try:
-            i, j = int(entry["i"]), int(entry["j"])
+            i, j = _parse_index(entry["i"], "bracket index i"), _parse_index(entry["j"], "bracket index j")
             coeffs = entry["coeffs"]
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError) as e:
             raise InputError(f"bad bracket entry {entry!r}: {e}") from None
         if not (0 <= i < d and 0 <= j < d and i < j):
             raise InputError(f"bracket indices ({i}, {j}) must satisfy 0 <= i < j < dim")
+        if (i, j) in seen:
+            raise InputError(f"bracket ({i}, {j}) is given twice")
+        seen.add((i, j))
+        if not isinstance(coeffs, dict):
+            raise InputError(f"coeffs of bracket ({i}, {j}) must be an object")
         for kstr, v in coeffs.items():
-            k = int(kstr)
+            k = _parse_index(kstr, "coefficient index")
             if not 0 <= k < d:
                 raise InputError(f"coefficient index {k} out of range")
             val = _parse_value(v)

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import jmaps, linear_core as lc
-from .algebra import MetricLieAlgebra, TwoStepSplit, nilpotency_class, require_spd, split_two_step
+from .algebra import MetricLieAlgebra, TwoStepSplit, make_algebra, nilpotency_class, require_spd, split_two_step
 from .errors import InputError, PreconditionError
 from .families import algebra_from_jmaps
 from .linear_core import bareiss_pivots as _bareiss_pivots  # perfbench/tracer.py times the re-check under this name
@@ -120,7 +120,8 @@ class ReductiveDecomposition:
     gram: np.ndarray
 
     def ad_p(self, X: np.ndarray) -> np.ndarray:
-        return np.einsum("i,ijk->kj", X, self.structure)
+        """ad(X) on p; X may be a stack of vectors (last axis)."""
+        return np.einsum("...i,ijk->...kj", X, self.structure)
 
 
 def isometry_decomposition(L: MetricLieAlgebra, tau_rank: float = lc.DEFAULT_TAU_RANK) -> ReductiveDecomposition:
@@ -131,75 +132,76 @@ def isometry_decomposition(L: MetricLieAlgebra, tau_rank: float = lc.DEFAULT_TAU
     return ReductiveDecomposition(L.dim, ders.basis, L.structure, L.gram)
 
 
-def _effective_cond(A: np.ndarray, tau_rank: float) -> float:
-    s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 1.0
-    nz = s[s > tau_rank * s[0]]
-    return float(s[0] / nz[-1])
+def _sweep(k: int, sums: bool = True) -> np.ndarray:
+    """Basis vectors of R^k, then (if ``sums``) every e_i + e_j with i < j, as rows."""
+    eye, (iu, ju) = np.eye(k), np.triu_indices(k, 1)
+    return np.vstack([eye, eye[iu] + eye[ju]]) if sums else eye
 
 
-def _floats(v) -> list[float]:
-    return [float(x) for x in v]
+def _sample_plan(config: SamplerConfig, dims, sums: bool = True) -> tuple[tuple, int]:
+    """One array of sample vectors per entry of ``dims``, and the sweep length.
 
-
-def _sweep(k: int, sums: bool = True) -> list[np.ndarray]:
-    """Basis vectors of R^k, then (if ``sums``) every e_i + e_j with i < j."""
-    eye = np.eye(k)
-    out = [eye[i] for i in range(k)]
-    if sums:
-        out += [eye[i] + eye[j] for i in range(k) for j in range(i + 1, k)]
-    return out
-
-
-def _sample_plan(config: SamplerConfig, dims, sums: bool = True) -> tuple[list, int]:
-    """Samples as tuples of vectors, one vector per entry of ``dims``.
-
-    The deterministic sweep (all combinations of the per-factor sweeps)
-    comes first, then ``config.samples`` seeded tuples of unit vectors,
-    drawn factor by factor from one generator per sample.  Returns the
-    samples and the length of the sweep.
+    The sweep (all combinations of the per-factor sweeps, the first factor
+    outermost) comes first, then ``config.samples`` seeded unit vectors
+    per factor, drawn factor by factor from one generator per sample.
     """
-    plan = list(itertools.product(*(_sweep(k, sums) for k in dims)))
-    n_sweep = len(plan)
-    for idx in range(config.samples):
-        rng = config.rng(idx)
-        draws = [rng.standard_normal(k) for k in dims]
-        plan.append(tuple(v / np.linalg.norm(v) for v in draws))
-    return plan, n_sweep
+    sweeps = [_sweep(k, sums) for k in dims]
+    combos = np.indices([len(s) for s in sweeps]).reshape(len(dims), -1)
+    draws = [[v / np.linalg.norm(v) for v in map(config.rng(i).standard_normal, dims)] for i in range(config.samples)]
+    plan = tuple(
+        np.vstack([s[c], np.reshape([t[f] for t in draws], (config.samples, k))])
+        for f, (s, c, k) in enumerate(zip(sweeps, combos, dims))
+    )
+    return plan, combos.shape[1]
+
+
+CHUNK = 256  # samples per stacked solve: bounds the memory of one batch
 
 
 def _adjudicate(config: SamplerConfig, dims, system, witness) -> GOCertificate:
-    """Sampled certificate that ``system(*sample)`` is solvable on the plan of ``dims``.
+    """Sampled certificate that the systems on the plan of ``dims`` are solvable.
 
-    ``system`` returns ``(A, b, scale)``; the least-squares residual of
-    ``A z = b`` relative to ``scale`` is compared with the tolerances.
-    The first sample above tau_refute whose system is well conditioned
-    refutes, with ``witness(sample, residual, from_sweep)`` as witness;
-    any other sample above tau_feas makes the result inconclusive.
+    ``system`` maps a chunk of the plan (one array per factor) to blocks
+    ``(A, b, scale)`` of stacked systems ``A[i] z = b[i]`` in plan order;
+    each block is one :func:`linear_core.batch_residuals` call.  Scanning
+    in plan order, the first sample whose residual relative to its scale
+    exceeds tau_refute with a well-conditioned system refutes, with
+    ``witness(sample, residual, from_sweep)``; any other sample above
+    tau_feas makes the result inconclusive.  Non-finite systems, scales
+    or residuals raise InputError.
     """
     plan, n_sweep = _sample_plan(config, dims)
-    status, found, max_res = VERIFIED_SAMPLED, None, 0.0
-    for idx, sample in enumerate(plan):
-        A, b, scale = system(*sample)
-        _, res = lc.least_squares(A, b)
-        rel = res / max(scale, 1e-300)
-        max_res = max(max_res, rel)
-        if rel > config.tau_feas:
-            if rel > config.tau_refute and _effective_cond(A, config.tau_rank) < config.cond_limit:
-                status, found = REFUTED, witness(sample, rel, idx < n_sweep)
-                break
+    status, max_res = VERIFIED_SAMPLED, 0.0
+    for start in range(0, len(plan[0]), CHUNK):
+        chunk = [f[start:start + CHUNK] for f in plan]
+        rel, cond = [], []
+        # overflow surfaces as a non-finite system, scale or residual below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for A, b, scale in system(*chunk):
+                if not np.all(np.isfinite(scale)):
+                    raise InputError("residual scale is not finite")
+                res, c = lc.batch_residuals(A, b, config.tau_rank)
+                rel.append(res / np.maximum(scale, 1e-300))
+                cond.append(c)
+        rel, cond = np.concatenate(rel), np.concatenate(cond)
+        over = rel > config.tau_feas
+        refuting = np.flatnonzero(over & (rel > config.tau_refute) & (cond < config.cond_limit))
+        stop = refuting[0] + 1 if refuting.size else len(rel)
+        max_res = max(max_res, float(rel[:stop].max()))
+        if over[:stop].any():
             status = INCONCLUSIVE
-    return GOCertificate(status, config.samples, max_res, config.tolerances(), config.seed, found)
+        if refuting.size:
+            i = refuting[0]
+            found = witness(tuple(f[i] for f in chunk), float(rel[i]), bool(start + i < n_sweep))
+            return GOCertificate(REFUTED, config.samples, max_res, config.tolerances(), config.seed, found)
+    return GOCertificate(status, config.samples, max_res, config.tolerances(), config.seed)
 
 
 def _kv_system(decomp: ReductiveDecomposition, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    gx = decomp.gram @ X
-    if not decomp.h_basis:
-        A = np.zeros((decomp.p_dim, 0))
-    else:
-        A = np.array([H.T @ gx for H in decomp.h_basis]).T
-    return A, -decomp.ad_p(X).T @ gx
+    """Stacked KV systems for the rows of X: column h of A[i] is H_h^T G X_i."""
+    gx = X @ decomp.gram.T
+    H = np.reshape(decomp.h_basis, (-1, decomp.p_dim, decomp.p_dim))
+    return np.einsum("hji,bj->bih", H, gx), -np.einsum("bkj,bk->bj", decomp.ad_p(X), gx)
 
 
 def kv_solve(decomp: ReductiveDecomposition, X) -> tuple[np.ndarray, float]:
@@ -207,7 +209,8 @@ def kv_solve(decomp: ReductiveDecomposition, X) -> tuple[np.ndarray, float]:
 
     Returns coefficients of Z over h_basis and the residual norm.
     """
-    return lc.least_squares(*_kv_system(decomp, np.asarray(X, dtype=float)))
+    A, b = _kv_system(decomp, np.asarray(X, dtype=float)[None])
+    return lc.least_squares(A[0], b[0])
 
 
 def kv_go_check(decomp: ReductiveDecomposition, config: SamplerConfig = SamplerConfig()) -> GOCertificate:
@@ -216,8 +219,8 @@ def kv_go_check(decomp: ReductiveDecomposition, config: SamplerConfig = SamplerC
     return _adjudicate(
         config,
         (decomp.p_dim,),
-        lambda X: (*_kv_system(decomp, X), cnorm * float(X @ X)),
-        lambda s, rel, _: {"X": _floats(s[0]), "residual": rel},
+        lambda X: [(*_kv_system(decomp, X), cnorm * np.einsum("bi,bi->b", X, X))],
+        lambda s, rel, _: {"X": s[0].tolist(), "residual": rel},
     )
 
 
@@ -226,25 +229,19 @@ def kv_go_check(decomp: ReductiveDecomposition, config: SamplerConfig = SamplerC
 # ---------------------------------------------------------------------------
 
 
-def _gordon_system(L, split, ders, extra, X, Y):
-    """Constraint matrix/vector for 'exists D in D(n): D(X)=0, D(Y)=J_X(Y)',
-    plus the rows ``extra`` (when given) that must vanish on the solution."""
-    Xa = split.z_basis.T @ X
-    Ya = split.v_basis.T @ Y
-    JX = jmaps.build_jmap(split, X)
-    target = split.v_basis.T @ (JX @ Y)
-    cols = [np.concatenate([D @ Xa, D @ Ya]) for D in ders.basis]
-    A = np.array(cols).T if cols else np.zeros((2 * L.dim, 0))
-    b = np.concatenate([np.zeros(L.dim), target])
-    if extra is not None:
-        A = np.vstack([A, extra])
-        b = np.concatenate([b, np.zeros(extra.shape[0])])
-    scale = np.linalg.norm(JX @ Y) + np.linalg.norm(X) * np.linalg.norm(Y)
-    return A, b, scale
-
-
-def _restriction_to_v(L, split, D):
-    return split.v_basis @ L.gram @ D @ split.v_basis.T
+def _gordon_blocks(split, maps, extra, X, Y):
+    """Stacked systems for 'exists D: D(X) = 0, D(Y) = J_X(Y)' over rows of
+    X and Y, one column per derivation.  With ``maps = (CX, AY, TY)``,
+    ``CX[p] X`` and ``AY[p] Y - TY J_X Y`` are D_p(X) and D_p(Y) - J_X(Y) in
+    orthonormal coordinates of z and of v; the rows ``extra`` follow."""
+    CX, AY, TY = maps
+    J = np.reshape(jmaps.split_family(split).generators, (split.m, split.n, split.n))
+    JXY = np.einsum("bi,iac,bc->ba", X, J, Y)
+    extra_rows = np.broadcast_to(extra, (len(X), *extra.shape))
+    A = np.concatenate([np.einsum("pij,bj->bip", CX, X), np.einsum("pij,bj->bip", AY, Y), extra_rows], axis=1)
+    b = np.concatenate([np.zeros_like(X), JXY @ TY.T, np.zeros((len(X), len(extra)))], axis=1)
+    scale = np.linalg.norm(JXY, axis=1) + np.linalg.norm(X, axis=1) * np.linalg.norm(Y, axis=1)
+    return [(A, b, scale)]
 
 
 def apply_center_metric(L: MetricLieAlgebra, metric: MetricParameter) -> MetricLieAlgebra:
@@ -253,8 +250,6 @@ def apply_center_metric(L: MetricLieAlgebra, metric: MetricParameter) -> MetricL
     The Lie algebra structure is unchanged; only the gram matrix is
     rebuilt so that the current orthonormal central basis has gram q.
     """
-    from .algebra import make_algebra
-
     split = split_two_step(L)
     q = metric.q
     if q.shape != (split.m, split.m):
@@ -279,23 +274,24 @@ def gordon_go_check(
     split = split_two_step(L, config.tau_rank)
     if not split.derived_equals_center:
         raise PreconditionError("[n, n] = z is required (strip the flat factor first)")
-    ders = skew_derivations(L, config.tau_rank)
-    extra = None
+    Ds = np.reshape(skew_derivations(L, config.tau_rank, split).basis, (-1, L.dim, L.dim))
+    extra = np.zeros((0, len(Ds)))
     if restrict_to is not None:
         if restrict_to.ambient_dim != split.n:
             raise InputError("restrict_to must act on v")
-        P = restrict_to.projector()
-        rows = []
-        for D in ders.basis:
-            phi = _restriction_to_v(L, split, D).ravel()
-            rows.append(phi - P @ phi)
-        extra = np.array(rows).T  # (n^2, n_ders): must vanish on the solution
+        # the restrictions of D to v must lie in restrict_to
+        phi = np.einsum("ai,pij,bj->pab", split.v_basis @ L.gram, Ds, split.v_basis).reshape(len(Ds), -1)
+        extra = (phi - phi @ restrict_to.projector().T).T
 
+    # D keeps z and v, so the ambient residual is the one in orthonormal
+    # coordinates of the two subspaces
+    Qz, Qv = np.linalg.qr(split.z_basis.T)[0].T, np.linalg.qr(split.v_basis.T)[0].T
+    maps = (Qz @ Ds @ split.z_basis.T, Qv @ Ds @ split.v_basis.T, Qv @ split.v_basis.T)
     cert = _adjudicate(
         config,
         (split.m, split.n),
-        functools.partial(_gordon_system, L, split, ders, extra),
-        lambda s, rel, sweep: {"X": _floats(s[0]), "Y": _floats(s[1]), "residual": rel, "from_sweep": sweep},
+        functools.partial(_gordon_blocks, split, maps, extra),
+        lambda s, rel, sweep: {"X": s[0].tolist(), "Y": s[1].tolist(), "residual": rel, "from_sweep": sweep},
     )
     w = cert.witness
     if w is not None and w["from_sweep"] and L.is_exact and split.is_exact and restrict_to is None:
@@ -349,26 +345,34 @@ def gordon_refute_exact(L: MetricLieAlgebra, split: TwoStepSplit, X, Y, tau_rank
 # ---------------------------------------------------------------------------
 
 
-def _tnc_system(nprime_mats, Z_mat, Y, tau_rank):
-    """X(Y) = Z(Y) for X in the commutant of Z inside span(nprime_mats).
+def _commutant(nprime_mats, Z_mat, tau_rank) -> np.ndarray:
+    """Basis of the commutant of Z inside span(nprime_mats), stacked."""
+    N = np.reshape(nprime_mats, (-1, *Z_mat.shape))
+    if not len(N):
+        return N
+    K = (N @ Z_mat - Z_mat @ N).reshape(len(N), -1).T
+    # suppress roundoff from the matrix products so that exactly
+    # commuting elements are not ranked by noise singular values
+    kscale = max(np.linalg.norm(M) for M in N) * np.linalg.norm(Z_mat)
+    K[np.abs(K) <= 1e-12 * max(kscale, 1.0)] = 0.0
+    return np.tensordot(np.reshape(lc.nullspace(K, tau_rank), (-1, len(N))), N, 1)
 
-    Returns ``(A, b, scale, mats)``: ``mats`` spans that commutant, column
-    j of A is ``mats[j] @ Y`` and b is Z(Y).
-    """
-    if nprime_mats:
-        K = np.array([(N @ Z_mat - Z_mat @ N).ravel() for N in nprime_mats]).T
-        # suppress roundoff from the matrix products so that exactly
-        # commuting elements are not ranked by noise singular values
-        kscale = max(np.linalg.norm(N) * np.linalg.norm(Z_mat) for N in nprime_mats)
-        K[np.abs(K) <= 1e-12 * max(kscale, 1.0)] = 0.0
-        combos = lc.nullspace(K, tau_rank)
-    else:
-        combos = []
-    mats = [sum(c * N for c, N in zip(combo, nprime_mats)) for combo in combos]
-    A = np.array([M @ Y for M in mats]).T if mats else np.zeros((len(Y), 0))
-    b = Z_mat @ Y
-    scale = np.linalg.norm(b) + np.linalg.norm(Z_mat) * np.linalg.norm(Y)
-    return A, b, scale, mats
+
+def _tnc_blocks(V, nprime_mats, tau_rank, cache, zc, Y):
+    """Stacked systems X(Y) = Z(Y), X in the commutant of Z inside
+    span(nprime_mats), over rows of zc (Z in V's basis) and Y.  The
+    commutant is computed once per distinct Z (kept in ``cache``);
+    consecutive samples with commutants of one dimension share a block."""
+    systems = []
+    for z, y in zip(zc, Y):
+        if z.tobytes() not in cache:
+            Z_mat = V.element(z)
+            cache[z.tobytes()] = Z_mat, _commutant(nprime_mats, Z_mat, tau_rank)
+        Z_mat, mats = cache[z.tobytes()]
+        b = Z_mat @ y
+        systems.append(((mats @ y).T, b, np.linalg.norm(b) + np.linalg.norm(Z_mat) * np.linalg.norm(y)))
+    groups = itertools.groupby(systems, key=lambda system: system[0].shape[1])
+    return [tuple(np.array(part) for part in zip(*group)) for _, group in groups]
 
 
 def tnc_check(
@@ -387,8 +391,8 @@ def tnc_check(
     return _adjudicate(
         config,
         (V.dim, V.ambient_dim),
-        lambda zc, Y: _tnc_system(Nprime.basis, V.element(zc), Y, config.tau_rank)[:3],
-        lambda s, rel, _: {"Z": _floats(s[0]), "Y": _floats(s[1]), "residual": rel},
+        functools.partial(_tnc_blocks, V, Nprime.basis, config.tau_rank, {}),
+        lambda s, rel, _: {"Z": s[0].tolist(), "Y": s[1].tolist(), "residual": rel},
     )
 
 
@@ -397,19 +401,16 @@ def normalizer_resolve_residual(V: SkewOperatorSubspace, config: SamplerConfig =
     report the worst relative centralizer residual max_i |[X, V_i]| of
     the minimum-norm solutions found."""
     Nprime = normalizer_in_so(V, config.tau_rank)
-    n = V.ambient_dim
-    plan, _ = _sample_plan(config, (V.dim, n), sums=False)
-    bnorm = max(np.linalg.norm(B) for B in V.basis)
+    plan, _ = _sample_plan(config, (V.dim, V.ambient_dim), sums=False)
+    Bs = np.reshape(V.basis, (-1, V.ambient_dim, V.ambient_dim))
+    bnorm = max(np.linalg.norm(B) for B in Bs)
     worst = 0.0
-    for zc, Y in plan:
-        A, b, _, mats = _tnc_system(Nprime.basis, V.element(zc), Y, config.tau_rank)
-        coeffs, _ = lc.least_squares(A, b)
-        X_mat = np.zeros((n, n))
-        for c, M in zip(coeffs, mats):
-            X_mat += c * M
-        scale = max(np.linalg.norm(X_mat) * bnorm, 1.0)
-        for B in V.basis:
-            worst = max(worst, float(np.max(np.abs(X_mat @ B - B @ X_mat))) / scale)
+    for zc, Y in zip(*plan):
+        Z_mat = V.element(zc)
+        mats = _commutant(Nprime.basis, Z_mat, config.tau_rank)
+        coeffs, _ = lc.least_squares((mats @ Y).T, Z_mat @ Y)
+        X_mat = np.tensordot(coeffs, mats, 1)
+        worst = max(worst, float(np.max(np.abs(X_mat @ Bs - Bs @ X_mat))) / max(np.linalg.norm(X_mat) * bnorm, 1.0))
     return worst
 
 
@@ -429,11 +430,7 @@ def build_nilalgebra_from_subspace(V, q=None) -> MetricLieAlgebra:
     ``V`` may be a SkewOperatorSubspace (float path) or a list of exact
     rational matrices (nested lists); ``q`` is the inner product on V.
     """
-    if isinstance(V, SkewOperatorSubspace):
-        gens = [B.tolist() for B in V.basis]
-    else:
-        gens = V
-    return algebra_from_jmaps(gens, q)
+    return algebra_from_jmaps([B.tolist() for B in V.basis] if isinstance(V, SkewOperatorSubspace) else V, q)
 
 
 # ---------------------------------------------------------------------------

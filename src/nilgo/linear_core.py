@@ -60,6 +60,39 @@ def least_squares(A, b) -> tuple[np.ndarray, float]:
     return x, residual
 
 
+def batch_residuals(A, b, tau_rank: float = DEFAULT_TAU_RANK) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals and effective condition numbers of the stacked systems ``A[i] x = b[i]``.
+
+    One stacked SVD serves both.  The residual is the distance from
+    ``b[i]`` to the numerical column space of ``A[i]``, with the rank
+    cutoff of ``np.linalg.lstsq(rcond=None)`` (singular values above
+    ``eps * max(rows, cols) * s_max``), i.e. the residual that
+    :func:`least_squares` reports.  The effective condition number is
+    ``s_max`` over the smallest singular value above ``tau_rank * s_max``,
+    and 1 for a zero matrix.  Non-finite data raises InputError.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if A.ndim != 3 or b.shape != A.shape[:2]:
+        raise InputError(f"expected stacked systems, got A {A.shape} and b {b.shape}")
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        raise InputError("system entries must be finite")
+    rows, cols = A.shape[1:]
+    if cols == 0:
+        return np.linalg.norm(b, axis=1), np.ones(len(A))
+    u, s, _ = np.linalg.svd(A, full_matrices=False)
+    if not np.all(np.isfinite(s)):
+        raise InputError("singular values are not finite")
+    top = s[:, :1]
+    coords = np.einsum("brk,br->bk", u, b) * (s > np.finfo(float).eps * max(rows, cols) * top)
+    residual = np.linalg.norm(b - np.einsum("brk,bk->br", u, coords), axis=1)
+    if not np.all(np.isfinite(residual)):
+        raise InputError("least-squares residual is not finite")
+    smallest = np.where(s > tau_rank * top, s, np.inf).min(axis=1)
+    cond = np.where(top[:, 0] > 0.0, top[:, 0] / smallest, 1.0)
+    return residual, cond
+
+
 def _check_skew(S: np.ndarray) -> np.ndarray:
     S = as_matrix(S)
     n, m = S.shape
@@ -239,39 +272,44 @@ def bareiss_pivots(M) -> list[int]:
 
     Fraction-free Bareiss elimination on the rows scaled to integers;
     much faster than Fraction rref on the large witness-verification
-    systems.
+    systems.  Rows of Python ints are taken as they are; only the other
+    rows have their denominators cleared.
     """
     rows = []
     for row in M:
+        if all(type(x) is int for x in row):
+            rows.append(list(row))
+            continue
         fr = [Fraction(x) for x in row]
-        den = 1
-        for x in fr:
-            den = den * x.denominator // math.gcd(den, x.denominator)
+        den = math.lcm(*(x.denominator for x in fr))
         rows.append([int(x * den) for x in fr])
-    m = len(rows)
-    if m == 0:
+    if not rows:
         return []
     ncols = len(rows[0])
+    rows = [row for row in rows if any(row)]  # a zero row stays zero and never pivots
     prev = 1
     r = 0
     pivots = []
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, m):
-            ri = rows[i]
-            if any(ri[cc] != 0 for cc in range(c, ncols)):
-                rr = rows[r]
-                f = ri[c]
-                for cc in range(c, ncols):
-                    ri[cc] = (piv * ri[cc] - f * rr[cc]) // prev
+        piv, tail = rows[r][c], rows[r][c:]
+        below = []
+        for ri in rows[r + 1:]:
+            f = ri[c]
+            if f:
+                ri[c:] = [(piv * x - f * y) // prev for x, y in zip(ri[c:], tail)]
+            else:
+                ri[c:] = [piv * x // prev for x in ri[c:]]
+            if any(ri[c + 1:]):
+                below.append(ri)
+        rows[r + 1:] = below
         prev = piv
         pivots.append(c)
         r += 1
-        if r == m:
+        if r == len(rows):
             break
     return pivots
 

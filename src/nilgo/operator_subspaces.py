@@ -13,8 +13,9 @@ from typing import Optional
 import numpy as np
 
 from . import linear_core as lc
-from .algebra import MetricLieAlgebra
-from .errors import InputError, PreconditionError
+from .algebra import MetricLieAlgebra, TwoStepSplit, split_two_step
+from .errors import InputError, NotTwoStepError, PreconditionError
+from .jmaps import split_family
 
 
 @dataclass(frozen=True)
@@ -123,25 +124,73 @@ def derivation_system(c: np.ndarray, params) -> np.ndarray:
     return np.array([derivation_defect(c, M)[iu, ju].ravel() for M in params]).T
 
 
-def skew_derivations(L: MetricLieAlgebra, tau_rank: float = lc.DEFAULT_TAU_RANK) -> DerivationAlgebra:
+def skew_derivations(
+    L: MetricLieAlgebra, tau_rank: float = lc.DEFAULT_TAU_RANK, split: Optional[TwoStepSplit] = None
+) -> DerivationAlgebra:
     """Basis of the gram-skew derivations D[X,Y] = [DX,Y] + [X,DY].
 
     Gram-skewness is built into the parametrization D = G^{-1} S with S
-    skew, so only the derivation identity enters the nullspace system.
+    skew.  A two-step algebra (``split``, computed when not given) is
+    solved in its split-native form (:func:`split_derivation_system`);
+    any other algebra (abelian, class >= 3) through the general
+    derivation identity.  The basis is orthonormal for the coefficients
+    of S = G D over :func:`skew_basis`, i.e. for half the Frobenius
+    product of G D.
     """
     d = L.dim
-    if d == 0:
+    if d <= 1:
         return DerivationAlgebra(L, [])
+    if split is None:
+        try:
+            split = split_two_step(L, tau_rank)
+        except (NotTwoStepError, InputError):  # abelian, class >= 3 or not nilpotent
+            pass
     ginv = np.linalg.inv(L.gram)
-    params = [ginv @ S for S in skew_basis(d)]
-    coeff_vectors = lc.nullspace(derivation_system(L.structure, params), tau_rank)
-    basis = []
-    for v in coeff_vectors:
-        D = np.zeros((d, d))
-        for a, M in zip(v, params):
-            D += a * M
-        basis.append(D)
-    return DerivationAlgebra(L, basis)
+    if split is None:
+        params = ginv @ np.reshape(skew_basis(d), (-1, d, d))
+        coeffs = np.reshape(lc.nullspace(derivation_system(L.structure, params), tau_rank), (-1, len(params)))
+    else:
+        iu, ju = np.triu_indices(d, 1)
+        coeffs = np.linalg.qr(_split_derivation_forms(split, tau_rank)[:, iu, ju].T)[0].T
+    return DerivationAlgebra(L, list(ginv @ _skew_from_upper(coeffs, d)))
+
+
+def _skew_from_upper(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """The skew matrices with the given upper-triangle entries (rows of ``coeffs``)."""
+    iu, ju = np.triu_indices(n, 1)
+    S = np.zeros((len(coeffs), n, n))
+    S[:, iu, ju] = coeffs
+    S[:, ju, iu] = -coeffs
+    return S
+
+
+def split_derivation_system(J: np.ndarray) -> np.ndarray:
+    """Linear system of ``[J_i, A] = sum_j C_ij J_j`` over ``so(n) + so(m)``.
+
+    ``J`` stacks the m generators J_i of a two-step split on v, in
+    orthonormal coordinates.  Column k < n(n-1)/2 is the skew basis
+    element E_k of so(n) as A, the remaining columns are those of so(m)
+    as C; one row per generator i and pair a < b (generator-major).  The
+    solutions are the skew derivations D = (A, C) (Eberlein 1994).
+    """
+    m, n = J.shape[0], J.shape[-1]
+    iu, ju = np.triu_indices(n, 1)
+    E = np.reshape(skew_basis(n), (-1, n, n))
+    comm = np.einsum("iab,kbc->ikac", J, E) - np.einsum("kab,ibc->ikac", E, J)
+    rows_a = comm[:, :, iu, ju].transpose(0, 2, 1).reshape(m * len(iu), len(E))
+    CJ = np.einsum("lij,jab->liab", np.reshape(skew_basis(m), (-1, m, m)), J)[:, :, iu, ju]
+    return np.hstack([rows_a, -CJ.transpose(1, 2, 0).reshape(m * len(iu), -1)])
+
+
+def _split_derivation_forms(split: TwoStepSplit, tau_rank: float) -> np.ndarray:
+    """G D for a basis of the skew derivations of a two-step algebra, stacked."""
+    m, n = split.m, split.n
+    J = np.reshape(split_family(split).generators, (m, n, n))
+    sol = np.reshape(lc.nullspace(split_derivation_system(J), tau_rank), (-1, n * (n - 1) // 2 + m * (m - 1) // 2))
+    k = n * (n - 1) // 2
+    A, C = _skew_from_upper(sol[:, :k], n), _skew_from_upper(sol[:, k:], m)
+    Pv, Pz = split.v_basis @ split.parent.gram, split.z_basis @ split.parent.gram
+    return np.einsum("ai,pab,bj->pij", Pv, A, Pv) + np.einsum("ai,pab,bj->pij", Pz, C, Pz)
 
 
 def _constrained_so_subspace(V: SkewOperatorSubspace, project_out_span: bool, tau_rank: float) -> SkewOperatorSubspace:

@@ -218,6 +218,69 @@ class TestInputGates:
         assert out == ""
 
 
+HEIS_GRAM = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+# algebra documents outside the JSON contract
+BAD_DOCUMENTS = {
+    "dim_zero": {"dim": 0, "brackets": [], "gram": []},
+    "fractional_index": {"dim": 3, "brackets": [{"i": 0.5, "j": 1, "coeffs": {"2": 1}}], "gram": HEIS_GRAM},
+    "duplicate_bracket": {
+        "dim": 3,
+        "brackets": [{"i": 0, "j": 1, "coeffs": {"2": 1}}, {"i": 0, "j": 1, "coeffs": {"2": 2}}],
+        "gram": HEIS_GRAM,
+    },
+}
+
+
+class TestDocumentContract:
+    @pytest.mark.parametrize(
+        "kind,command",
+        [
+            ("dim_zero", "validate"),
+            ("dim_zero", "go-check"),
+            ("dim_zero", "pfaffian"),
+            ("fractional_index", "validate"),
+            ("fractional_index", "go-check"),
+            ("duplicate_bracket", "validate"),
+            ("duplicate_bracket", "go-check"),
+        ],
+    )
+    def test_rejected_with_exit_64(self, capsys, tmp_path, kind, command):
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(BAD_DOCUMENTS[kind]))
+        code, out = run(capsys, command, str(path))
+        assert code == 64
+        assert out == ""
+
+    def test_integer_string_indices_still_accepted(self, capsys, tmp_path):
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps({"dim": 3, "brackets": [{"i": "0", "j": 1, "coeffs": {"2": 1}}], "gram": HEIS_GRAM}))
+        code, _ = run(capsys, "validate", str(path))
+        assert code == 0
+
+
+class TestNonFiniteCertificates:
+    """Finite documents whose residuals overflow exit 64, never 0 or 1."""
+
+    @pytest.mark.parametrize("criterion", ["gordon", "kv"])
+    def test_go_check_huge_bracket_exit_64(self, capsys, tmp_path, criterion):
+        path = tmp_path / "alg.json"
+        doc = {"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": {"2": 1e308}}], "gram": HEIS_GRAM}
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "go-check", str(path), "--criterion", criterion, "--samples", "5")
+        assert code == 64
+        assert out == ""
+
+    def test_tnc_overflowing_scale_exit_64(self, capsys, tmp_path):
+        a = 5e153  # |B1|^2 + |B2|^2 fits in a float, |B1 + B2|^2 does not
+        B1 = [[0, a, 0, 0], [-a, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+        B2 = [[0, a, 0, 0], [-a, 0, 0, 0], [0, 0, 0, a], [0, 0, -a, 0]]
+        path = tmp_path / "sub.json"
+        path.write_text(json.dumps({"n": 4, "basis": [B1, B2]}))
+        code, out = run(capsys, "tnc", str(path), "--nprime", "self", "--samples", "5")
+        assert code == 64
+        assert out == ""
+
+
 class TestGeodesicCompareContract:
     @pytest.fixture
     def heis(self, capsys, tmp_path):

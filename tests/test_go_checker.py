@@ -319,6 +319,83 @@ class TestRiehm:
         assert not riehm_predict(7, 32, "plus_id")
 
 
+class TestBatchedAdjudicator:
+    """The chunked scan gives the certificate of a sample-by-sample scan."""
+
+    CASES = {
+        "gordon refuted": lambda c: gordon_go_check(h_type_clifford(4, 1), config=c),
+        "gordon verified": lambda c: gordon_go_check(n10(2), config=c),
+        "kv refuted": lambda c: kv_go_check(isometry_decomposition(h_type_clifford(4, 1)), c),
+        "kv verified": lambda c: kv_go_check(isometry_decomposition(n10(2)), c),
+        "tnc refuted": lambda c: centralizer_type_check(SkewOperatorSubspace(
+            8, [np.array(G, dtype=float) for G in clifford_generators(4)]), c),
+        "tnc verified": lambda c: centralizer_type_check(vt_subspace(2), c),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_chunk_size_does_not_change_the_certificate(self, monkeypatch, name):
+        config = SamplerConfig(seed=3, samples=30)
+        full = self.CASES[name](config).to_dict()
+        monkeypatch.setattr("nilgo.go_checker.CHUNK", 3)
+        small = self.CASES[name](config).to_dict()
+        assert small["status"] == full["status"]
+        assert np.isclose(small["max_residual"], full["max_residual"], rtol=1e-12, atol=1e-15)
+        if full["witness"] is not None:
+            assert {k: v for k, v in small["witness"].items() if k != "residual"} == {
+                k: v for k, v in full["witness"].items() if k != "residual"
+            }
+
+    def test_tnc_commutant_once_per_distinct_z(self, monkeypatch):
+        import nilgo.go_checker as gc
+
+        calls = []
+        original = gc._commutant
+
+        def counting(nprime_mats, Z_mat, tau_rank):
+            calls.append(Z_mat.tobytes())
+            return original(nprime_mats, Z_mat, tau_rank)
+
+        monkeypatch.setattr(gc, "_commutant", counting)
+        monkeypatch.setattr(gc, "CHUNK", 7)  # sweep runs of one Z cross chunk boundaries
+        centralizer_type_check(vt_subspace(2), SamplerConfig(samples=10))
+        assert len(calls) == len(set(calls)) == 3 + 10  # e_1, e_2, e_1 + e_2, then one per random sample
+
+
+def _huge_heisenberg():
+    """heisenberg(1) with [e0, e1] = 1e308 e2: finite data, overflowing residual scales."""
+    c = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]
+    c[0][1][2], c[1][0][2] = 1e308, -1e308
+    return make_algebra(c, np.eye(3).tolist())
+
+
+def _huge_subspace():
+    """Two skew 4x4 matrices that pass the subspace checks while |Z| of their sum overflows."""
+    a = 5e153
+    B1 = np.zeros((4, 4))
+    B1[0, 1], B1[1, 0] = a, -a
+    B2 = B1.copy()
+    B2[2, 3], B2[3, 2] = a, -a
+    return SkewOperatorSubspace(4, [B1, B2])
+
+
+class TestNonFiniteResiduals:
+    """A non-finite system, scale or residual never decides a certificate."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: gordon_go_check(_huge_heisenberg(), config=FAST),
+            lambda: kv_go_check(isometry_decomposition(_huge_heisenberg()), FAST),
+            lambda: tnc_check(_huge_subspace(), _huge_subspace(), FAST),
+            lambda: centralizer_type_check(_huge_subspace(), FAST),
+        ],
+        ids=["gordon", "kv", "tnc_self", "tnc_centralizer"],
+    )
+    def test_overflow_raises_input_error(self, call):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InputError, match="finite"):
+            call()
+
+
 def _indefinite_n10():
     """n10(2) whose Gram swaps e_0 and e_1: symmetric but indefinite."""
     g = [[int(i == j) for j in range(10)] for i in range(10)]

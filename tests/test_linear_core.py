@@ -40,6 +40,76 @@ class TestNullspaceLeastSquares:
         assert np.isclose(res, np.sqrt(2.0))
 
 
+def _reference_cond(A, tau_rank):
+    """Effective condition number as the per-sample adjudicator computed it."""
+    s = np.linalg.svd(A, compute_uv=False)
+    if s.size == 0 or s[0] == 0.0:
+        return 1.0
+    nz = s[s > tau_rank * s[0]]
+    return float(s[0] / nz[-1])
+
+
+class TestBatchResiduals:
+    @staticmethod
+    def _stacks(rng):
+        yield rng.standard_normal((6, 9, 4)), rng.standard_normal((6, 9))  # tall, generic
+        yield rng.standard_normal((5, 3, 7)), rng.standard_normal((5, 3))  # wide
+        low = rng.standard_normal((7, 8, 2)) @ rng.standard_normal((7, 2, 5))  # rank 2 of 5 columns
+        low[:, :, 4] = low[:, :, 0] * 1e-3  # a small but not negligible column
+        yield low, rng.standard_normal((7, 8))
+        yield np.zeros((3, 6, 0)), rng.standard_normal((3, 6))  # no unknowns
+        yield np.zeros((4, 5, 3)), rng.standard_normal((4, 5))  # all zero
+        consistent = rng.standard_normal((4, 6, 3))
+        yield consistent, np.einsum("bij,bj->bi", consistent, rng.standard_normal((4, 3)))
+
+    def test_matches_least_squares_and_cond(self, rng):
+        for A, b in self._stacks(rng):
+            res, cond = lc.batch_residuals(A, b, 1e-9)
+            for i in range(len(A)):
+                _, ref = lc.least_squares(A[i], b[i])
+                assert abs(res[i] - ref) <= 1e-12 * max(1.0, np.linalg.norm(b[i]))
+                assert abs(cond[i] - _reference_cond(A[i], 1e-9)) <= 1e-12 * _reference_cond(A[i], 1e-9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_system_rejected(self, rng, bad):
+        A, b = rng.standard_normal((3, 4, 2)), rng.standard_normal((3, 4))
+        A[1, 2, 0] = bad
+        with pytest.raises(InputError):
+            lc.batch_residuals(A, b)
+        A[1, 2, 0] = 0.0
+        b[2, 1] = bad
+        with pytest.raises(InputError):
+            lc.batch_residuals(A, b)
+
+    def test_overflowing_residual_rejected(self):
+        # finite entries whose residual norm overflows float64
+        A = np.zeros((1, 2, 1))
+        b = np.array([[1e308, 1e308]])
+        with np.errstate(over="ignore"), pytest.raises(InputError):
+            lc.batch_residuals(A, b)
+
+
+class TestBareissIntegerRows:
+    def test_pivots_match_rref_on_mixed_rows(self):
+        import random
+
+        gen = random.Random(7)
+        for _ in range(200):
+            m, n = gen.randint(1, 7), gen.randint(1, 7)
+            M = [[gen.choice([0, 0, 0, 1, -2, 3, Q(1, 2), Q(-5, 3)]) for _ in range(n)] for _ in range(m)]
+            if m > 2:
+                M[1] = [2 * x for x in M[0]]  # a row that eliminates to zero
+                M[2] = [int(x * 6) for x in M[0]]  # an integer row
+            assert lc.bareiss_pivots(M) == lc.rat_rref(lc.rational_matrix(M))[1]
+
+    def test_integer_rows_are_not_converted(self, monkeypatch):
+        def no_fraction(*args):
+            raise AssertionError("integer rows must not go through Fraction")
+
+        monkeypatch.setattr(lc, "Fraction", no_fraction)
+        assert lc.bareiss_pivots([[2, 4, 0], [1, 2, 1], [0, 0, 0]]) == [0, 2]
+
+
 class TestPfaffian:
     def test_two_by_two(self):
         S = np.array([[0.0, 5.0], [-5.0, 0.0]])

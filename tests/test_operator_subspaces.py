@@ -1,17 +1,24 @@
 import numpy as np
 import pytest
 
-from nilgo import SkewOperatorSubspace, heisenberg, n10, skew_derivations
+import nilgo.linear_core as lc
+
+from nilgo import MetricParameter, SkewOperatorSubspace, heisenberg, n10, skew_derivations, split_two_step
 from nilgo.errors import InputError, PreconditionError
-from nilgo.families import l_matrix, r_matrix, vt_subspace
+from nilgo.families import family_thm2, h_type_clifford, l_matrix, r_matrix, vt_subspace
+from nilgo.go_checker import apply_center_metric
+from nilgo.jmaps import split_family
 from nilgo.operator_subspaces import (
     centralizer_in_so,
     compact_split,
+    derivation_defect,
+    derivation_system,
     generated_subalgebra,
     is_subalgebra,
     normalizer_in_so,
     skew_basis,
     span_matrices,
+    split_derivation_system,
     subspace_contains,
     subspaces_equal,
 )
@@ -76,6 +83,51 @@ class TestDerivations:
 
     def test_abelian_derivations_are_all_of_so(self, abelian):
         assert skew_derivations(abelian).dim == 3
+
+
+SPLIT_CASES = {
+    "n10(2) center metric": lambda: apply_center_metric(n10(2), MetricParameter(np.array([[2.0, 0.5], [0.5, 1.0]]))),
+    "h_type_clifford(4)": lambda: h_type_clifford(4),
+    "h_type_clifford(7)": lambda: h_type_clifford(7),
+    "thm2 dim 22": lambda: family_thm2([2, 3, 5, 7]),
+}
+
+
+def _upper_coefficients(L, mats):
+    """Coefficients of G D over skew_basis(d), one row per D."""
+    iu, ju = np.triu_indices(L.dim, 1)
+    return np.array([(L.gram @ D)[iu, ju] for D in mats])
+
+
+class TestSplitNativeDerivations:
+    @pytest.mark.parametrize("name", sorted(SPLIT_CASES))
+    def test_same_space_as_general_system_and_orthonormal(self, name):
+        L = SPLIT_CASES[name]()
+        ginv = np.linalg.inv(L.gram)
+        params = [ginv @ S for S in skew_basis(L.dim)]
+        general = np.array(lc.nullspace(derivation_system(L.structure, params)))  # coefficients over params
+        split = skew_derivations(L).basis
+        assert len(split) == len(general)
+        C = _upper_coefficients(L, split)
+        # orthonormal for the coefficients of G D over skew_basis(d)
+        assert np.allclose(C @ C.T, np.eye(len(C)), atol=1e-12)
+        # the same subspace: each spans the other
+        assert np.linalg.norm(C - (C @ general.T) @ general) <= 1e-10
+        assert np.linalg.norm(general - (general @ C.T) @ C) <= 1e-10
+
+    def test_system_size_thm2_dim22(self):
+        split = split_two_step(family_thm2([2, 3, 5, 7]))
+        A = split_derivation_system(np.array(split_family(split).generators))
+        assert A.shape == (380, 191)
+
+    def test_flat_factor_uses_split(self, heisenberg_plus_flat):
+        # class two with a Euclidean factor: so(2) on v, so(2) on the flat
+        # plane, and nothing else
+        ders = skew_derivations(heisenberg_plus_flat)
+        assert ders.dim == 2
+        for D in ders.basis:
+            assert np.allclose(D, -D.T, atol=1e-12)
+            assert np.allclose(derivation_defect(heisenberg_plus_flat.structure, D), 0.0, atol=1e-12)
 
 
 class TestNormalizerCentralizer:
