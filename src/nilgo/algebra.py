@@ -2,13 +2,16 @@
 
 An algebra is given by a dense tensor c[i][j][k] with
 [e_i, e_j] = sum_k c[i][j][k] e_k and a Gram matrix for the inner product.
-When all input data is rational an exact copy of the tensors is kept so
-downstream checks (Pfaffian forms, witness re-verification) can run in
-exact arithmetic.
+When all input data is rational each tensor is kept exactly as an array of
+Python ints over one common denominator, and the float tensors are derived
+from it, so downstream checks (the exact split, Pfaffian forms, witness
+re-verification) run in integer arithmetic.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,8 +30,10 @@ class MetricLieAlgebra:
     dim: int
     structure: np.ndarray  # shape (d, d, d), float
     gram: np.ndarray  # shape (d, d), float
-    structure_exact: Optional[list] = field(default=None, repr=False)
-    gram_exact: Optional[list] = field(default=None, repr=False)
+    # exact data as (integer object array, common denominator): the
+    # structure tensor is c_int / den and the Gram matrix g_int / gden
+    structure_exact: Optional[tuple] = field(default=None, repr=False)
+    gram_exact: Optional[tuple] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.dim < 0 or self.dim > MAX_DIM:
@@ -56,44 +61,47 @@ class MetricLieAlgebra:
     def inner(self, X, Y) -> float:
         return float(np.asarray(X) @ self.gram @ np.asarray(Y))
 
-    def bracket_exact(self, X, Y) -> list[Fraction]:
-        c = self.structure_exact
-        d = self.dim
-        out = [Fraction(0)] * d
-        for i in range(d):
-            xi = X[i]
-            if xi == 0:
-                continue
-            for j in range(d):
-                yj = Y[j]
-                if yj == 0:
-                    continue
-                row = c[i][j]
-                for k in range(d):
-                    if row[k] != 0:
-                        out[k] += xi * yj * row[k]
-        return out
 
+def _over_common_denominator(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(a_int, den)`` with ``a == a_int / den`` for an object array of ints and Fractions.
 
-def make_algebra(structure, gram, exact: bool | None = None) -> MetricLieAlgebra:
-    """Build an algebra; keeps an exact copy when the data is rational.
-
-    ``structure`` may contain ints, Fractions or floats.  ``exact=None``
-    autodetects; ``exact=False`` forces the float-only representation.
+    ``den`` is the least common denominator, so equal rational arrays give
+    equal pairs.
     """
-    d = len(gram)
-    flat_s = [structure[i][j][k] for i in range(d) for j in range(d) for k in range(d)] if d else []
-    flat_g = [gram[i][j] for i in range(d) for j in range(d)]
-    if exact is None:
-        exact = all(isinstance(v, (int, Fraction)) for v in flat_s + flat_g)
-    s_arr = np.array([[[float(structure[i][j][k]) for k in range(d)] for j in range(d)] for i in range(d)], dtype=float)
-    s_arr = s_arr.reshape((d, d, d))
-    g_arr = np.array([[float(gram[i][j]) for j in range(d)] for i in range(d)], dtype=float).reshape((d, d))
-    se = ge = None
-    if exact:
-        se = [[[Fraction(structure[i][j][k]) for k in range(d)] for j in range(d)] for i in range(d)]
-        ge = [[Fraction(gram[i][j]) for j in range(d)] for i in range(d)]
-    return MetricLieAlgebra(d, s_arr, g_arr, se, ge)
+    nz = np.flatnonzero(a)
+    vals = a.flat[nz]
+    den = math.lcm(*(x.denominator for x in vals))
+    out = np.zeros(a.shape, dtype=object)
+    out.flat[nz] = [x.numerator * (den // x.denominator) for x in vals]
+    return out, den
+
+
+def _float_view(a_int: np.ndarray, den: int) -> np.ndarray:
+    """The correctly rounded floats of ``a_int / den`` (OverflowError past the float range)."""
+    out = np.zeros(a_int.shape)
+    nz = np.flatnonzero(a_int)
+    out.flat[nz] = [x / den for x in a_int.flat[nz]]
+    return out
+
+
+def make_algebra(structure, gram) -> MetricLieAlgebra:
+    """Build an algebra from nested lists or arrays of ints, Fractions or floats.
+
+    When every entry is an int or a Fraction the algebra keeps the exact
+    pairs and derives its float tensors from them; otherwise it is float
+    only.  A value past the float range raises InputError.
+    """
+    g = np.array(gram, dtype=object)
+    d = len(g)
+    c = np.array(structure, dtype=object).reshape((d, d, d))
+    g = g.reshape((d, d))
+    try:
+        if all(issubclass(t, (int, Fraction)) for t in set(map(type, itertools.chain(c.flat, g.flat)))):
+            se, ge = _over_common_denominator(c), _over_common_denominator(g)
+            return MetricLieAlgebra(d, _float_view(*se), _float_view(*ge), se, ge)
+        return MetricLieAlgebra(d, c.astype(float), g.astype(float))
+    except OverflowError:
+        raise InputError("a coefficient is too large for a float") from None
 
 
 @dataclass(frozen=True)
@@ -118,11 +126,13 @@ def validate(L: MetricLieAlgebra) -> Diagnostics:
     c = L.structure
     anti = float(np.max(np.abs(c + np.swapaxes(c, 0, 1)))) if L.dim else 0.0
     cmax = float(np.max(np.abs(c))) if L.dim else 0.0
+    if not math.isfinite(cmax * cmax):
+        raise InputError("structure constants are too large: their products overflow")
     # [[e_i, e_j], e_k] summed over the cyclic permutations
     jac = np.einsum("ijl,lkm->ijkm", c, c)
     cyc = jac + np.transpose(jac, (1, 2, 0, 3)) + np.transpose(jac, (2, 0, 1, 3))
     jacobi = float(np.max(np.abs(cyc))) if L.dim else 0.0
-    bound = 1e-10 * max(cmax**2, 1.0)
+    bound = 1e-10 * max(cmax * cmax, 1.0)
     gsym = float(np.max(np.abs(L.gram - L.gram.T))) if L.dim else 0.0
     gmin = float(np.min(np.linalg.eigvalsh((L.gram + L.gram.T) / 2))) if L.dim else 1.0
     return Diagnostics(anti, jacobi, bound, gsym, gmin)
@@ -160,13 +170,6 @@ def center(L: MetricLieAlgebra, tau_rank: float = lc.DEFAULT_TAU_RANK) -> np.nda
     return _gram_orthonormalize(vecs, L.gram)
 
 
-def center_exact(L: MetricLieAlgebra) -> list[list[Fraction]]:
-    d = L.dim
-    c = L.structure_exact
-    rows = [[c[i][j][k] for i in range(d)] for j in range(d) for k in range(d)]
-    return lc.rat_nullspace(rows)
-
-
 def derived(L: MetricLieAlgebra, tau_rank: float = lc.DEFAULT_TAU_RANK) -> np.ndarray:
     """Gram-orthonormal basis (rows) of span{[e_i, e_j]}."""
     d = L.dim
@@ -182,13 +185,18 @@ def nilpotency_class(L: MetricLieAlgebra, tau_rank: float = lc.DEFAULT_TAU_RANK)
     """Length of the lower central series n^1 = [n, n], n^(i+1) = [n, n^i]."""
     d = L.dim
     current = np.eye(d)
+    scale = None
     for k in range(1, d + 2):
         # span of [e_i, w] for all basis e_i and w in the current term
         images = np.einsum("ijk,wj->iwk", L.structure, current).reshape(-1, d)
         if not np.any(images):
             return k
         _, s, vt = np.linalg.svd(images, full_matrices=False)
-        rank = int(np.sum(s > tau_rank * s[0]))
+        # ranks are cut relative to [n, n]: round-off in a later term's
+        # orthonormal basis leaves brackets of size eps * |c| that a cut
+        # relative to the term itself would count
+        scale = s[0] if scale is None else scale
+        rank = int(np.sum(s > tau_rank * scale))
         if rank == 0:
             return k
         current = vt[:rank]
@@ -221,10 +229,6 @@ class TwoStepSplit:
         return self.z_index is not None
 
 
-def _exact_unit_rows(vectors: list[list[Fraction]]) -> bool:
-    return all(sum(1 for x in v if x != 0) == 1 and next(x for x in v if x != 0) == 1 for v in vectors)
-
-
 def split_two_step(L: MetricLieAlgebra, tau_rank: float = lc.DEFAULT_TAU_RANK) -> TwoStepSplit:
     cls = nilpotency_class(L, tau_rank)
     if cls != 2:
@@ -235,13 +239,13 @@ def split_two_step(L: MetricLieAlgebra, tau_rank: float = lc.DEFAULT_TAU_RANK) -
     # derived subset of center always holds for 2-step; equality is the flag
     flag = der.shape[0] == z.shape[0]
     zi = vi = None
-    if L.is_exact:
-        gram_is_identity = all(
-            L.gram_exact[i][j] == (1 if i == j else 0) for i in range(L.dim) for j in range(L.dim)
-        )
-        zc = center_exact(L)
-        if gram_is_identity and _exact_unit_rows(zc):
-            zi = tuple(sorted(next(i for i, x in enumerate(v) if x != 0) for v in zc))
+    if L.is_exact and L.gram_exact[1] == 1 and np.array_equal(L.gram_exact[0], np.eye(L.dim, dtype=int)):
+        # the center is the left nullspace of c as a d x d^2 matrix; it is
+        # spanned by basis vectors iff its zero rows account for all of it
+        rows = L.structure_exact[0].reshape(L.dim, -1)
+        zero = [i for i, row in enumerate(rows) if not any(row)]
+        if len(zero) == L.dim - lc.bareiss_rank(rows.tolist()):
+            zi = tuple(zero)
             vi = tuple(i for i in range(L.dim) if i not in zi)
             z = np.eye(L.dim)[list(zi)]
             v = np.eye(L.dim)[list(vi)]
@@ -315,7 +319,7 @@ def is_nonsingular(
 
     Exact for m <= 2 via the Pfaffian form; sampled for m >= 3 with the
     central basis vectors swept first (those witnesses are re-checked with
-    the exact determinant when rational data is available).
+    the exact rank when rational data is available).
     """
     from . import jmaps
 
@@ -325,8 +329,8 @@ def is_nonsingular(
     fam = jmaps.split_family(split)
     m, n = split.m, split.n
     if m == 1:
-        if fam.is_exact:
-            pf = lc.pfaffian_exact(fam.generators_exact[0])
+        if fam.is_exact:  # Pf(J / den) vanishes with Pf(J)
+            pf = lc.pfaffian_exact(fam.generators_exact[0][0].tolist())
             if pf != 0:
                 return NonsingularityResult("yes", exact=True)
             return NonsingularityResult("no", np.array([1.0]), exact=True)
@@ -359,7 +363,7 @@ def is_nonsingular(
         if smin <= tau_rank * max(smax, 1.0):
             exact = False
             if fam.is_exact and idx < m:
-                exact = lc.rat_det(fam.generators_exact[idx]) == 0
+                exact = lc.bareiss_rank(fam.generators_exact[0][idx].tolist()) < n
             return NonsingularityResult("no", Z, exact=exact)
     return NonsingularityResult("sampled_yes")
 
@@ -373,7 +377,7 @@ def _parse_value(v):
     if isinstance(v, bool):
         raise InputError("boolean is not a number")
     if isinstance(v, int):
-        return Fraction(v)
+        return v
     if isinstance(v, str):
         try:
             return Fraction(v)
@@ -405,8 +409,9 @@ def algebra_from_dict(data: dict) -> MetricLieAlgebra:
         raise InputError(f"bad algebra document: {e}") from None
     if d < 1 or d > MAX_DIM:
         raise InputError(f"dim {d} outside [1, {MAX_DIM}]")
-    structure = [[[Fraction(0) for _ in range(d)] for _ in range(d)] for _ in range(d)]
-    exact = True
+    if not isinstance(brackets, list):
+        raise InputError("brackets must be an array")
+    structure = np.zeros((d, d, d), dtype=object)
     seen = set()
     for entry in brackets:
         try:
@@ -426,22 +431,15 @@ def algebra_from_dict(data: dict) -> MetricLieAlgebra:
             if not 0 <= k < d:
                 raise InputError(f"coefficient index {k} out of range")
             val = _parse_value(v)
-            if isinstance(val, float):
-                exact = False
-            structure[i][j][k] = val
-            structure[j][i][k] = -val
-    if len(gram_in) != d or any(len(r) != d for r in gram_in):
+            structure[i, j, k] = val
+            structure[j, i, k] = -val
+    rows_ok = isinstance(gram_in, list) and all(isinstance(r, list) and len(r) == d for r in gram_in)
+    if not rows_ok or len(gram_in) != d:
         raise InputError("gram must be a dim x dim array")
-    gram = []
-    for r in gram_in:
-        row = []
-        for v in r:
-            val = _parse_value(v)
-            if isinstance(val, float):
-                exact = False
-            row.append(val)
-        gram.append(row)
-    return make_algebra(structure, gram, exact=exact if exact else False)
+    gram = np.zeros((d, d), dtype=object)
+    for a, r in enumerate(gram_in):
+        gram[a] = [_parse_value(v) for v in r]
+    return make_algebra(structure, gram)
 
 
 def _format_value(v):
@@ -453,18 +451,20 @@ def _format_value(v):
 
 
 def algebra_to_dict(L: MetricLieAlgebra) -> dict:
+    c, den = L.structure_exact if L.is_exact else (None, None)
     brackets = []
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
             coeffs = {}
             for k in range(L.dim):
-                v = L.structure_exact[i][j][k] if L.is_exact else L.structure[i, j, k]
+                v = Fraction(c[i, j, k], den) if L.is_exact else L.structure[i, j, k]
                 if v != 0:
                     coeffs[str(k)] = _format_value(v)
             if coeffs:
                 brackets.append({"i": i, "j": j, "coeffs": coeffs})
     if L.is_exact:
-        gram = [[_format_value(x) for x in row] for row in L.gram_exact]
+        g, gden = L.gram_exact
+        gram = [[_format_value(Fraction(x, gden)) for x in row] for row in g]
     else:
         gram = [[float(x) for x in row] for row in L.gram]
     return {"dim": L.dim, "brackets": brackets, "gram": gram}

@@ -2,7 +2,8 @@
 
 Exit codes: 0 for pass/verified, 1 for a refutation (witness included in
 the output), 2 for inconclusive results, 64 for malformed input and
-usage errors.
+usage errors, 70 for an internal error (any other exception; its
+traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import io
 import json
 import os
 import sys
+import traceback
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +27,7 @@ EXIT_PASS = 0
 EXIT_REFUTED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 64
+EXIT_INTERNAL = 70  # EX_SOFTWARE in sysexits.h; never 1, which means refuted
 
 
 def _read_json(path: str) -> dict:
@@ -346,6 +349,9 @@ def main(argv=None) -> int:
     except NilgoError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

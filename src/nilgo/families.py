@@ -50,11 +50,9 @@ def algebra_from_jmaps(generators, q=None) -> MetricLieAlgebra:
     )
     if exact:
         qinv = lc.rat_inv([[Q(x) for x in r] for r in qrows])
-        zero = Q(0)
     else:
         qinv = np.linalg.inv(np.array([[float(x) for x in r] for r in qrows]))
-        zero = 0.0
-    structure = [[[zero for _ in range(d)] for _ in range(d)] for _ in range(d)]
+    structure = np.zeros((d, d, d), dtype=object)
     for a in range(n):
         for b in range(n):
             if a == b:
@@ -62,15 +60,14 @@ def algebra_from_jmaps(generators, q=None) -> MetricLieAlgebra:
             w = [generators[i][b][a] for i in range(m)]  # (G_i v_a, v_b)
             for i in range(m):
                 coeff = sum(qinv[i][j] * w[j] for j in range(m))
-                structure[m + a][m + b][i] = coeff
-    gram = [[zero for _ in range(d)] for _ in range(d)]
+                structure[m + a, m + b, i] = coeff
+    gram = np.zeros((d, d), dtype=object)
     for i in range(m):
         for j in range(m):
-            gram[i][j] = qrows[i][j] if exact else float(qrows[i][j])
-    one = Q(1) if exact else 1.0
+            gram[i, j] = qrows[i][j] if exact else float(qrows[i][j])
     for a in range(n):
-        gram[m + a][m + a] = one
-    return make_algebra(structure, gram, exact=exact)
+        gram[m + a, m + a] = 1 if exact else 1.0
+    return make_algebra(structure, gram)
 
 
 # ---------------------------------------------------------------------------
@@ -83,12 +80,11 @@ def heisenberg(k: int) -> MetricLieAlgebra:
     if k < 1:
         raise InputError("k must be >= 1")
     d = 2 * k + 1
-    structure = [[[Q(0) for _ in range(d)] for _ in range(d)] for _ in range(d)]
+    structure = np.zeros((d, d, d), dtype=int)
     for i in range(k):
-        structure[2 * i][2 * i + 1][d - 1] = Q(1)
-        structure[2 * i + 1][2 * i][d - 1] = Q(-1)
-    gram = [[Q(1) if i == j else Q(0) for j in range(d)] for i in range(d)]
-    return make_algebra(structure, gram, exact=True)
+        structure[2 * i, 2 * i + 1, d - 1] = 1
+        structure[2 * i + 1, 2 * i, d - 1] = -1
+    return make_algebra(structure, np.eye(d, dtype=int))
 
 
 # ---------------------------------------------------------------------------

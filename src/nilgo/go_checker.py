@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
@@ -39,7 +38,6 @@ from .operator_subspaces import (
 )
 
 VERIFIED_SAMPLED = "verified_sampled"
-VERIFIED_EXACT = "verified_exact"
 REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
 
@@ -82,7 +80,7 @@ class GOCertificate:
 
     @property
     def verified(self) -> bool:
-        return self.status in (VERIFIED_SAMPLED, VERIFIED_EXACT)
+        return self.status == VERIFIED_SAMPLED
 
     def to_dict(self) -> dict:
         return {
@@ -257,7 +255,7 @@ def apply_center_metric(L: MetricLieAlgebra, metric: MetricParameter) -> MetricL
     zb = split.z_basis
     W = L.gram @ zb.T  # functionals of the orthonormal central basis
     gram = L.gram + W @ (q - np.eye(split.m)) @ W.T
-    return make_algebra(L.structure, gram, exact=False)
+    return make_algebra(L.structure, gram)
 
 
 def gordon_go_check(
@@ -307,9 +305,9 @@ def gordon_refute_exact(L: MetricLieAlgebra, split: TwoStepSplit, X, Y, tau_rank
     augmented rank exceeds the plain rank (Farkas-style refutation).
     An exact split has the identity Gram, so the skew derivations are
     parametrized by the skew basis itself; the derivation rows come from
-    :func:`derivation_system` on the structure tensor times the common
-    denominator ``den`` of its entries, which scales each row by ``den``
-    and leaves the pivots unchanged.
+    :func:`derivation_system` on the stored integer tensor ``c = den *
+    structure``, which scales each row by ``den`` and leaves the pivots
+    unchanged.
     """
     if not (L.is_exact and split.is_exact):
         raise PreconditionError("exact re-check needs rational data")
@@ -320,9 +318,7 @@ def gordon_refute_exact(L: MetricLieAlgebra, split: TwoStepSplit, X, Y, tau_rank
         abs(float(a) - float(b)) > 1e-12 for a, b in zip(Yq, list(Y))
     ):
         raise PreconditionError("witness is not rational")
-    entries = [x for plane in L.structure_exact for row in plane for x in row]
-    den = math.lcm(*(x.denominator for x in entries))
-    c = np.array([x.numerator * (den // x.denominator) for x in entries], dtype=object).reshape(d, d, d)
+    c, den = L.structure_exact
     # each defect entry sums three entries of c, up to sign; past int64
     # the same expression runs on Python ints
     exact_dtype = np.int64 if 3 * max(map(abs, c.flat)) <= np.iinfo(np.int64).max else object

@@ -21,7 +21,9 @@ from .errors import InputError, PreconditionError
 class JMapFamily:
     split: TwoStepSplit
     generators: list  # m skew (n, n) float arrays
-    generators_exact: Optional[list] = field(default=None, repr=False)
+    # (J_int, den): the generators are J_int[i] / den, J_int an (m, n, n)
+    # integer object array
+    generators_exact: Optional[tuple] = field(default=None, repr=False)
 
     @property
     def m(self) -> int:
@@ -47,17 +49,10 @@ def build_jmap_family(split: TwoStepSplit) -> JMapFamily:
                 J[a, b] = -val
         gens.append(J)
     gens_exact = None
-    if split.is_exact and L.is_exact:
-        zi, vi = split.z_index, split.v_index
-        c = L.structure_exact
-        gens_exact = []
-        for k in zi:
-            J = [[Fraction(0)] * n for _ in range(n)]
-            for a in range(n):
-                for b in range(n):
-                    if a != b:
-                        J[b][a] = c[vi[a]][vi[b]][k]
-            gens_exact.append(J)
+    if split.is_exact:
+        c, den = L.structure_exact
+        # (J_k)_{ba} = ([v_a, v_b], z_k) = c[v_a, v_b, z_k] under the identity Gram
+        gens_exact = (c[np.ix_(split.v_index, split.v_index, split.z_index)].transpose(2, 1, 0), den)
     return JMapFamily(split, gens, gens_exact)
 
 
@@ -107,11 +102,12 @@ def pfaffian_form(split: TwoStepSplit) -> lc.HomogeneousPolynomial2:
     deg = split.n // 2
     points = [(0, 1)] + [(1, j) for j in range(deg)]
     if fam.is_exact:
-        G1, G2 = fam.generators_exact
-        evals = []
-        for x, y in points:
-            S = [[x * G1[a][b] + y * G2[a][b] for b in range(split.n)] for a in range(split.n)]
-            evals.append(((Fraction(x), Fraction(y)), lc.pfaffian_exact(S)))
+        (G1, G2), den = fam.generators_exact
+        scale = den**deg  # Pf(S / den) = Pf(S) / den^(n/2)
+        evals = [
+            ((Fraction(x), Fraction(y)), Fraction(lc.pfaffian_exact((x * G1 + y * G2).tolist()), scale))
+            for x, y in points
+        ]
         poly = lc.interpolate_homogeneous2(evals, deg)
     else:
         G1, G2 = fam.generators

@@ -205,45 +205,6 @@ def rat_rank(M: list[list[Fraction]]) -> int:
     return len(rat_rref(M)[1])
 
 
-def rat_nullspace(M: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the exact nullspace, in rref-canonical form."""
-    if not M:
-        return []
-    cols = len(M[0])
-    rref, pivots = rat_rref(M)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][fc]
-        basis.append(v)
-    return basis
-
-
-def rat_det(M: list[list[Fraction]]) -> Fraction:
-    m = [row[:] for row in M]
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise InputError("determinant needs a square matrix")
-    det = Fraction(1)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det
-
-
 def rat_solve(M: list[list[Fraction]], b: Sequence[Fraction]):
     """One exact solution of ``Mx = b``, or ``None`` if inconsistent."""
     rows = len(M)
@@ -319,17 +280,28 @@ def bareiss_rank(M) -> int:
     return len(bareiss_pivots(M))
 
 
-def pfaffian_exact(M: list[list[Fraction]]) -> Fraction:
-    """Exact Pfaffian by skew-symmetric elimination over the rationals."""
+def pfaffian_exact(M) -> Fraction:
+    """Exact Pfaffian of a rational skew-symmetric matrix.
+
+    Fraction-free skew elimination on the matrix scaled to integers by the
+    common denominator ``den`` of its entries, then Pf(M) = Pf(den M) /
+    den^(n/2).  After the pivot block (k, k+1) the entry (i, j) is the
+    Pfaffian of rows and columns {0, ..., k+1, i, j}, so dividing by the
+    previous pivot is exact (the Pfaffian form of Bareiss 1968).  Python
+    ints are taken as they are.
+    """
     n = len(M)
     if n % 2 != 0:
         raise InputError("pfaffian needs even dimension")
-    a = [[Fraction(x) for x in row] for row in M]
+    a = [[x if type(x) is int else Fraction(x) for x in row] for row in M]
     for i in range(n):
         for j in range(n):
             if a[i][j] != -a[j][i]:
                 raise InputError("matrix is not skew-symmetric")
-    pf = Fraction(1)
+    den = math.lcm(*(x.denominator for row in a for x in row))
+    if den != 1:
+        a = [[int(x * den) for x in row] for row in a]
+    sign, prev = 1, 1
     for k in range(0, n, 2):
         j = next((c for c in range(k + 1, n) if a[k][c] != 0), None)
         if j is None:
@@ -338,17 +310,15 @@ def pfaffian_exact(M: list[list[Fraction]]) -> Fraction:
             a[k + 1], a[j] = a[j], a[k + 1]
             for row in a:
                 row[k + 1], row[j] = row[j], row[k + 1]
-            pf = -pf
-        pivot = a[k][k + 1]
-        pf *= pivot
+            sign = -sign
+        piv, rk, rk1 = a[k][k + 1], a[k], a[k + 1]
         for i in range(k + 2, n):
-            if a[k][i] != 0:
-                f = a[k][i] / pivot
-                for c in range(n):
-                    a[i][c] -= f * a[k + 1][c]
-                for r in range(n):
-                    a[r][i] -= f * a[r][k + 1]
-    return pf
+            ri = a[i]
+            for j in range(i + 1, n):
+                ri[j] = (piv * ri[j] - rk[i] * rk1[j] + rk[j] * rk1[i]) // prev
+                a[j][i] = -ri[j]
+        prev = piv
+    return Fraction(sign * prev, den ** (n // 2))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nilgo import make_algebra
+from nilgo import h_type_clifford, heisenberg, make_algebra
+from nilgo.linear_core import rat_inv
 
 # filled by the acceptance suite, replayed after capture ends
 acceptance_lines = []
@@ -64,3 +65,30 @@ def abelian():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def change_basis(L, P):
+    """The exact algebra L in the basis b_i = sum_a P[i][a] e_a, with the identity Gram on the b_i."""
+    c, den = L.structure_exact
+    P = np.array(P, dtype=object)
+    c_new = np.einsum("ia,jb,abk,kl->ijl", P, P, c, np.array(rat_inv(P.tolist()), dtype=object), optimize=True)
+    return make_algebra(c_new * Fraction(1, den), np.eye(len(P), dtype=int))
+
+
+@pytest.fixture(params=["heisenberg1", "heisenberg2"])
+def off_basis_heisenberg(request):
+    """A Heisenberg algebra whose center is not spanned by basis vectors:
+    heisenberg(1) with b_2 = e_0 + e_2 (center b_2 - b_0), or heisenberg(2)
+    with b_3 = e_4 - e_2 and b_4 = e_3 (center b_2 + b_3)."""
+    if request.param == "heisenberg1":
+        return change_basis(heisenberg(1), [[1, 0, 0], [0, 1, 0], [1, 0, 1]])
+    P = [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, -1, 0, 1], [0, 0, 0, 1, 0]]
+    return change_basis(heisenberg(2), P)
+
+
+@pytest.fixture
+def off_basis_h_type():
+    """h_type_clifford(4) with b_0 = e_0 + e_4: the center contains b_0 - b_4."""
+    P = np.eye(12, dtype=int)
+    P[0, 4] = 1
+    return change_basis(h_type_clifford(4), P)

@@ -19,6 +19,7 @@ from nilgo import (
 )
 from nilgo.algebra import is_nonsingular, restrict_to_span
 from nilgo.errors import InputError, NotTwoStepError, PreconditionError
+from nilgo.families import algebra_from_jmaps
 
 
 class TestValidation:
@@ -39,10 +40,55 @@ class TestValidation:
         L = make_algebra(c, np.eye(3).tolist())
         assert not validate(L).passed
 
+    def test_overflowing_products_raise_input_error(self):
+        # [e0, e1] = 1e308 e2: finite, but the Jacobi products overflow
+        c = np.zeros((3, 3, 3))
+        c[0, 1, 2], c[1, 0, 2] = 1e308, -1e308
+        with pytest.raises(InputError, match="too large"):
+            validate(make_algebra(c, np.eye(3)))
+
     def test_indefinite_gram_detected(self):
         c = [[[Q(0)]] ]
         L = make_algebra([[[Q(0)]]], [[Q(-1)]])
         assert not validate(L).passed
+
+
+class TestExactPair:
+    def test_integers_over_least_common_denominator(self):
+        c = np.zeros((3, 3, 3), dtype=object)
+        c[0, 1, 2], c[1, 0, 2] = Q(1, 2), Q(-1, 2)
+        c[0, 2, 1], c[2, 0, 1] = Q(2, 3), Q(-2, 3)
+        L = make_algebra(c, [[Q(1, 4), 0, 0], [0, 1, 0], [0, 0, 1]])
+        c_int, den = L.structure_exact
+        assert den == 6 and all(type(x) is int for x in c_int.flat)
+        assert (c_int[0, 1, 2], c_int[1, 0, 2], c_int[0, 2, 1]) == (3, -3, 4)
+        g_int, gden = L.gram_exact
+        assert gden == 4 and g_int.tolist() == [[1, 0, 0], [0, 4, 0], [0, 0, 4]]
+        assert np.array_equal(L.structure, (c_int / den).astype(float))
+        assert np.array_equal(L.gram, np.diag([0.25, 1.0, 1.0]))
+
+    def test_float_views_are_correctly_rounded(self):
+        L = n10(Q(10, 7))
+        c_int, den = L.structure_exact
+        assert den == 7
+        assert all(L.structure.flat[i] == float(Q(x, den)) for i, x in enumerate(c_int.flat))
+
+    def test_any_float_entry_drops_the_exact_pair(self):
+        L = make_algebra(np.zeros((2, 2, 2), dtype=int), [[1, 0], [0, 1.0]])
+        assert not L.is_exact and L.structure_exact is None and L.gram_exact is None
+
+    @pytest.mark.parametrize("top", [10**400, Q(10**400, 3)], ids=["integer", "fraction"])
+    def test_coefficient_past_float_range_raises_input_error(self, top):
+        c = np.zeros((3, 3, 3), dtype=object)
+        c[0, 1, 2], c[1, 0, 2] = top, -top
+        with pytest.raises(InputError, match="too large for a float"):
+            make_algebra(c, np.eye(3, dtype=int))
+
+    def test_huge_integer_in_float_algebra_raises_input_error(self):
+        c = np.zeros((3, 3, 3), dtype=object)
+        c[0, 1, 2], c[1, 0, 2] = 10**400, 0.5
+        with pytest.raises(InputError, match="too large for a float"):
+            make_algebra(c, np.eye(3))
 
 
 class TestStructure:
@@ -66,9 +112,9 @@ class TestStructure:
         assert np.allclose(w, [0.0, 0.0, 1.0])
 
     def test_bracket_exact(self):
-        L = heisenberg(1)
-        w = L.bracket_exact([Q(1), Q(0), Q(0)], [Q(0), Q(1), Q(0)])
-        assert w == [Q(0), Q(0), Q(1)]
+        c, den = heisenberg(1).structure_exact
+        w = np.einsum("i,j,ijk->k", np.array([Q(1), Q(0), Q(0)]), np.array([Q(0), Q(1), Q(0)]), c) / den
+        assert w.tolist() == [Q(0), Q(0), Q(1)]
 
 
 class TestSplit:
@@ -89,6 +135,14 @@ class TestSplit:
         L = n10(2, q=[[2, 1], [1, 3]])
         assert L.is_exact
         split = split_two_step(L)
+        assert split.z_index is None and split.v_index is None
+        assert not split.is_exact
+
+    def test_no_indices_when_center_is_off_the_basis(self, off_basis_heisenberg):
+        L = off_basis_heisenberg
+        assert L.is_exact and nilpotency_class(L) == 2
+        split = split_two_step(L)
+        assert (split.m, split.n) == (1, L.dim - 1) and split.derived_equals_center
         assert split.z_index is None and split.v_index is None
         assert not split.is_exact
 
@@ -155,6 +209,15 @@ class TestNonsingularity:
         assert r.status == "no"
         assert r.witness is not None
 
+    def test_singular_basis_generator_is_exact_for_large_center(self):
+        # m = 3 with J_{Z_1} of rank 2 on R^4: the swept witness Z_1 is confirmed by exact rank
+        J1 = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+        J2 = [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]]
+        J3 = [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
+        r = is_nonsingular(algebra_from_jmaps([J1, J2, J3]))
+        assert r.status == "no" and r.exact
+        assert np.array_equal(r.witness, [1.0, 0.0, 0.0])
+
     def test_sampled_for_large_center(self):
         r = is_nonsingular(h_type_clifford(4, 1))
         assert r.status == "sampled_yes"
@@ -166,8 +229,8 @@ class TestJson:
         doc = algebra_to_dict(L)
         back = algebra_from_dict(doc)
         assert back.is_exact
-        assert back.structure_exact == L.structure_exact
-        assert back.gram_exact == L.gram_exact
+        for b, a in ((back.structure_exact, L.structure_exact), (back.gram_exact, L.gram_exact)):
+            assert np.array_equal(b[0], a[0]) and b[1] == a[1]
 
     def test_fraction_strings(self):
         doc = {
@@ -177,8 +240,9 @@ class TestJson:
         }
         L = algebra_from_dict(doc)
         assert L.is_exact
-        assert L.structure_exact[0][1][2] == Q(1, 2)
-        assert L.structure_exact[1][0][2] == Q(-1, 2)
+        c, den = L.structure_exact
+        assert Q(c[0, 1, 2], den) == Q(1, 2)
+        assert Q(c[1, 0, 2], den) == Q(-1, 2)
 
     def test_float_breaks_exactness(self):
         doc = {

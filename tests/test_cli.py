@@ -142,6 +142,19 @@ class TestErrors:
         code, _ = run(capsys, "family", "n10", "--t", "1/2")
         assert code == 64
 
+    def test_internal_error_exit_70_with_traceback(self, capsys, tmp_path, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("nilgo.cli.cmd_validate", broken)
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps({"dim": 1, "brackets": [], "gram": [[1]]}))
+        code = main(["validate", str(path)])
+        captured = capsys.readouterr()
+        assert code == 70
+        assert captured.out == ""
+        assert "Traceback" in captured.err and "RuntimeError: boom" in captured.err
+
     def test_stdin_input(self, capsys, tmp_path, monkeypatch):
         import io
 
@@ -251,6 +264,21 @@ class TestDocumentContract:
         assert code == 64
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"dim": 3, "brackets": 5, "gram": HEIS_GRAM},
+            {"dim": 3, "brackets": [], "gram": [1, 0, 0]},
+        ],
+        ids=["brackets_not_a_list", "gram_rows_not_lists"],
+    )
+    def test_malformed_arrays_exit_64(self, capsys, tmp_path, doc):
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "validate", str(path))
+        assert code == 64
+        assert out == ""
+
     def test_integer_string_indices_still_accepted(self, capsys, tmp_path):
         path = tmp_path / "alg.json"
         path.write_text(json.dumps({"dim": 3, "brackets": [{"i": "0", "j": 1, "coeffs": {"2": 1}}], "gram": HEIS_GRAM}))
@@ -279,6 +307,30 @@ class TestNonFiniteCertificates:
         code, out = run(capsys, "tnc", str(path), "--nprime", "self", "--samples", "5")
         assert code == 64
         assert out == ""
+
+
+class TestOverflowingCoefficients:
+    """Coefficients whose float view or products overflow exit 64, never 1."""
+
+    def test_validate_huge_bracket_exit_64(self, capsys, tmp_path):
+        path = tmp_path / "alg.json"
+        doc = {"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": {"2": 1e308}}], "gram": HEIS_GRAM}
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "validate", str(path))
+        assert code == 64
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["validate", "go-check", "pfaffian", "derivations"])
+    @pytest.mark.parametrize("value", [10**400, f"{10**400}/3"], ids=["integer", "fraction"])
+    def test_coefficient_past_float_range_exit_64(self, capsys, tmp_path, command, value):
+        path = tmp_path / "alg.json"
+        doc = {"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": {"2": value}}], "gram": HEIS_GRAM}
+        path.write_text(json.dumps(doc))
+        code = main([command, str(path)])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert "too large for a float" in captured.err
 
 
 class TestGeodesicCompareContract:

@@ -227,7 +227,8 @@ class TestStructureOps:
 
         L = build_nilalgebra_from_subspace(vt_generators(2))
         assert L.is_exact
-        assert L.structure_exact == n10(2).structure_exact
+        assert np.array_equal(L.structure_exact[0], n10(2).structure_exact[0])
+        assert L.structure_exact[1] == n10(2).structure_exact[1]
 
     def test_semisimple_projection_of_subalgebra_center(self):
         # center element projects to zero, so(3) part projects to itself
@@ -401,7 +402,8 @@ def _indefinite_n10():
     g = [[int(i == j) for j in range(10)] for i in range(10)]
     g[0][0] = g[1][1] = 0
     g[0][1] = g[1][0] = 1
-    return make_algebra(n10(2).structure_exact, g)
+    c, den = n10(2).structure_exact
+    return make_algebra(c * Q(1, den), g)
 
 
 class TestGramGate:
@@ -446,7 +448,7 @@ def _heisenberg2_shaped(top):
 class TestExactRecheck:
     def test_rescaled_h_type_witness_refuted_exactly(self):
         L = _h_type_over_3()
-        assert L.is_exact and max(x.denominator for p in L.structure_exact for r in p for x in r) == 3
+        assert L.is_exact and L.structure_exact[1] == 3
         cert = gordon_go_check(L, config=SamplerConfig(samples=0))
         assert cert.status == "refuted" and cert.witness["from_sweep"]
         assert cert.exact_refutation
@@ -455,6 +457,19 @@ class TestExactRecheck:
     def test_feasible_sweep_pair_not_refuted(self):
         L = _h_type_over_3()
         assert not gordon_refute_exact(L, split_two_step(L), np.eye(4)[0], np.eye(8)[0])
+
+    def test_center_off_the_basis_verified_without_recheck(self, off_basis_heisenberg):
+        cert = gordon_go_check(off_basis_heisenberg, config=SamplerConfig(samples=30, seed=3))
+        assert cert.status == "verified_sampled" and cert.witness is None
+        assert cert.max_residual < 1e-12
+        assert not cert.exact_refutation
+
+    def test_center_off_the_basis_refuted_without_recheck(self, off_basis_h_type):
+        # an exact algebra with the identity Gram, but no exact split: the sweep witness stands alone
+        assert off_basis_h_type.is_exact and not split_two_step(off_basis_h_type).is_exact
+        cert = gordon_go_check(off_basis_h_type, config=SamplerConfig(samples=30, seed=3))
+        assert cert.status == "refuted" and cert.witness["from_sweep"]
+        assert not cert.exact_refutation
 
     def test_int64_overflow_matches_unscaled_twin(self):
         # 3 * 2**70 (the scaled entry) is past int64, so the re-check runs on Python ints

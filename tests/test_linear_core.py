@@ -144,6 +144,26 @@ class TestPfaffian:
         dense = np.array([[float(x) for x in row] for row in S])
         assert np.isclose(float(pf), lc.pfaffian_numeric(dense))
 
+    def test_exact_matches_expansion(self):
+        # fraction-free elimination vs expansion along the first row, in Fractions
+        def expand(a):
+            if not a:
+                return Q(1)
+            minor = lambda j: [[r[c] for c in range(1, len(a)) if c != j] for k, r in enumerate(a) if k not in (0, j)]
+            return sum((-1) ** (j - 1) * a[0][j] * expand(minor(j)) for j in range(1, len(a)))
+
+        rng = np.random.default_rng(7)
+        for n in (2, 4, 6, 8):
+            for _ in range(10):
+                S = [[Q(0)] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        # zeros force pivot swaps; mixed denominators force scaling
+                        v = Q(int(rng.integers(-5, 6)), int(rng.choice([1, 1, 2, 3]))) * int(rng.random() < 0.6)
+                        S[i][j], S[j][i] = v, -v
+                assert lc.pfaffian_exact(S) == expand(S)
+                assert lc.pfaffian_exact([[int(x * 6) for x in r] for r in S]) == expand(S) * 6 ** (n // 2)
+
     def test_exact_singular(self):
         S = [[Q(0), Q(0)], [Q(0), Q(0)]]
         assert lc.pfaffian_exact(S) == 0
@@ -154,16 +174,8 @@ class TestRationalKernels:
         M = lc.rational_matrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
         assert lc.rat_rank(M) == 2
 
-    def test_nullspace_exact(self):
-        M = lc.rational_matrix([[1, 2, 3], [0, 1, 1]])
-        ns = lc.rat_nullspace(M)
-        assert len(ns) == 1
-        v = ns[0]
-        assert all(sum(r[j] * v[j] for j in range(3)) == 0 for r in M)
-
-    def test_det_inv_solve(self):
+    def test_inv_solve(self):
         M = lc.rational_matrix([[2, 1], [1, 1]])
-        assert lc.rat_det(M) == 1
         inv = lc.rat_inv(M)
         prod = [[sum(M[i][k] * inv[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
         assert prod == [[1, 0], [0, 1]]
