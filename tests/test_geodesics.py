@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy import linalg as sla
 
 from nilgo import (
     MetricParameter,
@@ -14,7 +14,7 @@ from nilgo import (
     orbit_integrate,
 )
 from nilgo.errors import InputError, PreconditionError
-from nilgo.geodesics import _bracket_tensor, _euler_arnold_tensor, connection
+from nilgo.geodesics import _bracket_tensor, _euler_arnold_tensor, connection, expm
 from nilgo.go_checker import apply_center_metric, isometry_decomposition
 
 # a non-identity Gram and a non-GO metric
@@ -22,6 +22,28 @@ KERNEL_ALGEBRAS = {
     "n10_center_metric": lambda: apply_center_metric(n10(2), MetricParameter(np.array([[2.0, 0.5], [0.5, 1.0]]))),
     "h_type_clifford_4": lambda: h_type_clifford(4),
 }
+
+
+class TestExpm:
+    # one norm in the range of each Pade degree, then two that need squaring
+    @pytest.mark.parametrize("norm", [1e-9, 1e-3, 0.2, 0.9, 2.0, 5.0, 40.0])
+    def test_matches_scipy(self, norm, rng):
+        for n in (1, 2, 10, 12):
+            A = rng.standard_normal((n, n))
+            for M in (A, A - A.T) if n > 1 else (A,):  # a 1 x 1 skew matrix is 0
+                M = M * (norm / np.linalg.norm(M, 1))
+                ref = sla.expm(M)
+                assert np.max(np.abs(expm(M) - ref)) <= 1e-11 * max(1.0, np.max(np.abs(ref)))
+
+    def test_skew_input_gives_orthogonal_output(self, rng):
+        A = rng.standard_normal((10, 10)) * 1e-3
+        R = expm(A - A.T)
+        assert np.max(np.abs(R.T @ R - np.eye(10))) <= 1e-15
+
+    def test_edge_inputs(self):
+        assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))
+        assert expm(np.zeros((0, 0))).shape == (0, 0)
+        assert np.all(np.isnan(expm(np.full((2, 2), np.inf))))
 
 
 class TestGroupMult:
@@ -164,7 +186,7 @@ class TestKernels:
         coeffs, _ = kv_solve(decomp, X0)
         D = sum(c * H for c, H in zip(coeffs, decomp.h_basis))
         traj = orbit_integrate(L, X0, D, 1.0, 2e-3)
-        reference = np.array([expm(t * D) @ X0 for t in traj.times])
+        reference = np.array([sla.expm(t * D) @ X0 for t in traj.times])
         assert np.max(np.abs(traj.velocities - reference)) <= 1e-12
 
 

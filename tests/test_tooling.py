@@ -2,11 +2,16 @@
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+SRC = str(ROOT / "src")
 
 
 def _tracer_targets() -> dict:
@@ -21,3 +26,10 @@ def test_tracer_target_resolves(name, target):
     # a renamed library function would otherwise only break `perfbench/run.py --trace 1`
     module, attr = target
     assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+def test_library_import_loads_no_scipy():
+    # scipy is a test dependency only: the CLI must start without it
+    code = "import sys, nilgo.cli; sys.exit(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
