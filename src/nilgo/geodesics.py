@@ -44,7 +44,7 @@ def expm(A) -> np.ndarray:
     once per orbit.  A non-finite input gives a non-finite result.
     """
     A = np.asarray(A, dtype=float)
-    norm = float(np.linalg.norm(A, 1)) if A.size else 0.0
+    norm = float(np.linalg.norm(A, 1))
     if not np.isfinite(norm):
         return np.full(A.shape, np.nan)
     theta, b = next((p for p in _PADE if norm <= p[0]), _PADE[-1])

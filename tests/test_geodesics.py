@@ -42,7 +42,6 @@ class TestExpm:
 
     def test_edge_inputs(self):
         assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))
-        assert expm(np.zeros((0, 0))).shape == (0, 0)
         assert np.all(np.isnan(expm(np.full((2, 2), np.inf))))
 
 
