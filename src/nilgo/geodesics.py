@@ -20,43 +20,32 @@ from .operator_subspaces import derivation_defect
 # the largest number of RK4 steps one integration may take
 MAX_STEPS = 10**6
 
-# Pade [m/m] coefficients for exp, each with the largest 1-norm for which
-# it is accurate to double precision (Higham 2005, SIAM J. Matrix Anal.
-# Appl. 26, Table 2.3 and eq. 2.11)
-_PADE = (
-    (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
-    (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
-    (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0)),
-    (2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-                           2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
-    (5.371920351148152e0, (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-                           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-                           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)),
-)
+# the [13/13] Pade approximant of exp and the largest 1-norm at which it is
+# accurate to double precision (Higham 2005, SIAM J. Matrix Anal. Appl. 26)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+           129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+           40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
 
 
 def expm(A) -> np.ndarray:
-    """Matrix exponential by scaling and squaring of a Pade approximant.
+    """Matrix exponential by scaling and squaring of the [13/13] Pade approximant.
 
-    The lowest degree accurate at the 1-norm of ``A`` is taken, and
-    ``A`` is halved until degree 13 is when none is.  numpy only: its
-    small solve is single-threaded, so no BLAS worker thread is woken
-    once per orbit.  A non-finite input gives a non-finite result.
+    numpy only: its small solve is single-threaded, so no BLAS worker
+    thread is woken once per orbit.  A non-finite input gives NaNs.
     """
     A = np.asarray(A, dtype=float)
     norm = float(np.linalg.norm(A, 1))
     if not np.isfinite(norm):
         return np.full(A.shape, np.nan)
-    theta, b = next((p for p in _PADE if norm <= p[0]), _PADE[-1])
-    s = int(np.ceil(np.log2(norm / theta))) if norm > theta else 0
+    s = int(np.ceil(np.log2(norm / _THETA13))) if norm > _THETA13 else 0
     A = A / 2.0**s
-    # even powers I, A^2, A^4, ...; U collects the odd terms, V the even ones
-    A2 = A @ A
-    powers = [np.eye(A.shape[0])]
-    for _ in range(len(b) // 2 - 1):
-        powers.append(powers[-1] @ A2)
-    U = A @ sum(b[2 * k + 1] * P for k, P in enumerate(powers))
-    V = sum(b[2 * k] * P for k, P in enumerate(powers))
+    # even powers I, A^2, ..., A^12; U collects the odd terms, V the even ones
+    powers = [np.eye(len(A)), A @ A]
+    for _ in range(5):
+        powers.append(powers[-1] @ powers[1])
+    U = A @ sum(c * P for c, P in zip(_PADE13[1::2], powers))
+    V = sum(c * P for c, P in zip(_PADE13[::2], powers))
     # (V - U)^-1 (V + U) as I + 2 (V - U)^-1 U, which rounds once near the identity
     R = powers[0] + 2.0 * np.linalg.solve(V - U, U)
     for _ in range(s):

@@ -25,7 +25,7 @@ KERNEL_ALGEBRAS = {
 
 
 class TestExpm:
-    # one norm in the range of each Pade degree, then two that need squaring
+    # norms below the approximant's range, then two that need squaring
     @pytest.mark.parametrize("norm", [1e-9, 1e-3, 0.2, 0.9, 2.0, 5.0, 40.0])
     def test_matches_scipy(self, norm, rng):
         for n in (1, 2, 10, 12):
