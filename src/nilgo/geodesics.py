@@ -19,6 +19,8 @@ from .operator_subspaces import derivation_defect
 
 # the largest number of RK4 steps one integration may take
 MAX_STEPS = 10**6
+# RK4 steps per block of the position sums: bounds the (block, d^2) bracket temporaries
+BLOCK = 256
 
 # the [13/13] Pade approximant of exp and the largest 1-norm at which it is
 # accurate to double precision (Higham 2005, SIAM J. Matrix Anal. Appl. 26)
@@ -100,6 +102,8 @@ def _schedule(L: MetricLieAlgebra, X0, T: float, h: float) -> tuple[np.ndarray, 
     steps = int(round(T / h))
     if steps < 1:
         raise InputError(f"horizon {T} is shorter than half a step {h}")
+    if abs(T / h - steps) > 1e-9 * steps:
+        raise InputError(f"horizon {T} is not a whole number of steps {h}")
     X0 = np.asarray(X0, dtype=float)
     if X0.shape != (L.dim,):
         raise InputError(f"initial velocity has {X0.size} entries, need {L.dim}")
@@ -123,33 +127,76 @@ class Trajectory:
     velocities: np.ndarray  # body velocities, same shape
 
 
+def _powers(M: np.ndarray, x0: np.ndarray, count: int) -> np.ndarray:
+    """Rows x0, M x0, ..., M^(count - 1) x0 by block doubling: rows [k, 2k) are rows [0, k) times (M^k)^T."""
+    out = np.empty((count, len(x0)))
+    out[0] = x0
+    k, P = 1, M
+    while k < count:
+        n = min(k, count - k)
+        np.matmul(out[:n], P.T, out=out[k:k + n])
+        P = P @ P
+        k *= 2
+    return out
+
+
+def _rk4_positions(L: MetricLieAlgebra, stages, steps: int, h: float) -> np.ndarray:
+    """RK4 positions for x' = u - [x, u] / 2 from x = 0, given the stage velocities.
+
+    ``stages(lo, hi)`` returns the stage velocities (u1, u2, u3, u4) of
+    steps lo, ..., hi - 1 as four (hi - lo, d) arrays.  In class 2 the
+    bracket is central and vanishes on the center, so one step is
+    x_{i+1} = x_i + a_i - (h/12) [x_i, w_i] with w_i = u1 + 2 u2 + 2 u3 + u4
+    and a_i = (h/6) w_i - (h^2/12) ([u1, u2] + [u2, u3] + [u3, u4]); x_i
+    modulo the center is the sum of the a_j for j < i, so the positions
+    of a block are two cumulative sums.
+    """
+    d = L.dim
+    C = _bracket_tensor(L)
+
+    def bracket(x, y):
+        return (x[:, :, None] * y[:, None, :]).reshape(len(x), d * d) @ C.T
+
+    pos = np.empty((steps + 1, d))
+    pos[0] = 0.0
+    for lo in range(0, steps, BLOCK):
+        hi = min(lo + BLOCK, steps)
+        u1, u2, u3, u4 = stages(lo, hi)
+        w = u1 + 2.0 * (u2 + u3) + u4
+        # [u1, u2] + [u2, u3] = [u1 - u3, u2]
+        a = (h / 6.0) * w - (h * h / 12.0) * (bracket(u1 - u3, u2) + bracket(u3, u4))
+        sums = np.cumsum(a, axis=0)
+        x = np.empty_like(a)  # x_i up to a central term, which every bracket ignores
+        x[0] = pos[lo]
+        x[1:] = pos[lo] + sums[:-1]
+        pos[lo + 1:hi + 1] = pos[lo] + sums - (h / 12.0) * np.cumsum(bracket(x, w), axis=0)
+    return pos
+
+
 def geodesic_integrate(L: MetricLieAlgebra, X0, T: float, h: float) -> Trajectory:
-    """Fixed-step RK4 for the geodesic through the identity with gamma'(0) = X0."""
+    """Fixed-step RK4 for the geodesic through the identity with gamma'(0) = X0.
+
+    In class 2 the central part of the velocity is constant, so the
+    Euler-Arnold equation v' = Q kron(v, v) is v' = A v with
+    A u = Q kron(u, X0), and one RK4 step is v -> R v with
+    R = I + hA + ... + (hA)^4 / 4! (Eberlein 1994, Ann. Sci. ENS 27).
+    """
     X0, steps = _schedule(L, X0, T, h)
     _require_metric_two_step(L)
     d = L.dim
-    # (x', v') = (v, 0) + K @ kron((x, v), v): the kinematic bracket on
-    # kron(x, v) and the Euler-Arnold tensor on kron(v, v)
-    K = np.zeros((2 * d, 2 * d * d))
-    K[:d, : d * d] = -0.5 * _bracket_tensor(L)
-    K[d:, d * d:] = _euler_arnold_tensor(L)
+    hA = h * (_euler_arnold_tensor(L).reshape(d, d, d) @ X0)
+    eye = np.eye(d)
+    # the stage velocities u_s = S_s v of one step from v
+    S2 = eye + 0.5 * hA
+    S3 = eye + 0.5 * hA @ S2
+    S4 = eye + hA @ S3
+    vel = _powers(eye + (hA / 6.0) @ (eye + 2.0 * (S2 + S3) + S4), X0, steps + 1)
 
-    def rate(state):
-        out = K @ np.outer(state, state[d:]).ravel()
-        out[:d] += state[d:]
-        return out
+    def stages(lo, hi):
+        v = vel[lo:hi]
+        return v, v @ S2.T, v @ S3.T, v @ S4.T
 
-    state = np.concatenate([np.zeros(d), X0])
-    out = np.empty((steps + 1, 2 * d))
-    out[0] = state
-    for i in range(steps):
-        k1 = rate(state)
-        k2 = rate(state + 0.5 * h * k1)
-        k3 = rate(state + 0.5 * h * k2)
-        k4 = rate(state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[i + 1] = state
-    return Trajectory(np.arange(steps + 1) * h, out[:, :d], out[:, d:])
+    return Trajectory(np.arange(steps + 1) * h, _rk4_positions(L, stages, steps, h), vel)
 
 
 def orbit_integrate(L: MetricLieAlgebra, X0, D, T: float, h: float) -> Trajectory:
@@ -161,35 +208,19 @@ def orbit_integrate(L: MetricLieAlgebra, X0, D, T: float, h: float) -> Trajector
     X0, steps = _schedule(L, X0, T, h)
     _require_metric_two_step(L)
     D = np.asarray(D, dtype=float)
-    d = L.dim
     skew_res = np.max(np.abs(L.gram @ D + D.T @ L.gram))
     der_res = np.max(np.abs(derivation_defect(L.structure, D)))
     tol = 1e-8 * max(1.0, float(np.max(np.abs(D))))
     if skew_res > tol or der_res > tol:
         raise PreconditionError("D is not a metric-skew derivation")
     # v at every half step: powers of the half-step propagator applied to X0
-    half = expm(0.5 * h * D)
-    vel = np.empty((2 * steps + 1, d))
-    vel[0] = X0
-    for k in range(2 * steps):
-        vel[k + 1] = half @ vel[k]
-    C = -0.5 * _bracket_tensor(L)
+    vel = _powers(expm(0.5 * h * D), X0, 2 * steps + 1)
 
-    def xrate(x, v):
-        return v + C @ np.outer(x, v).ravel()
+    def stages(lo, hi):
+        vm = vel[2 * lo + 1:2 * hi:2]
+        return vel[2 * lo:2 * hi:2], vm, vm, vel[2 * lo + 2:2 * hi + 1:2]
 
-    x = np.zeros(d)
-    pos = np.empty((steps + 1, d))
-    pos[0] = x
-    for i in range(steps):
-        v0, vm, v1 = vel[2 * i], vel[2 * i + 1], vel[2 * i + 2]
-        k1 = xrate(x, v0)
-        k2 = xrate(x + 0.5 * h * k1, vm)
-        k3 = xrate(x + 0.5 * h * k2, vm)
-        k4 = xrate(x + h * k3, v1)
-        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        pos[i + 1] = x
-    return Trajectory(np.arange(steps + 1) * h, pos, vel[::2])
+    return Trajectory(np.arange(steps + 1) * h, _rk4_positions(L, stages, steps, h), vel[::2])
 
 
 @dataclass(frozen=True)

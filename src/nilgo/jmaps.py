@@ -36,18 +36,14 @@ class JMapFamily:
 
 def build_jmap_family(split: TwoStepSplit) -> JMapFamily:
     L = split.parent
-    z, v = split.z_basis, split.v_basis
-    n = split.n
-    gens = []
-    for i in range(split.m):
-        J = np.zeros((n, n))
-        for a in range(n):
-            for b in range(a + 1, n):
-                w = L.bracket(v[a], v[b])
-                val = float(w @ L.gram @ z[i])
-                J[b, a] = val
-                J[a, b] = -val
-        gens.append(J)
+    d, n, v = L.dim, split.n, split.v_basis
+    # (J_k)_{ba} = ([v_a, v_b], z_k), kept below the diagonal and mirrored so
+    # every generator is exactly skew.  Each bracket is one row times the Gram,
+    # which rounds as L.bracket(v_a, v_b) @ L.gram does.
+    brackets = np.einsum("ai,bj,ijk->abk", v, v, L.structure).reshape(n * n, 1, d)
+    pairings = (brackets @ L.gram).reshape(n, n, d) @ split.z_basis.T
+    lower = np.tril(pairings.transpose(2, 1, 0), -1)
+    gens = list(lower - lower.transpose(0, 2, 1))
     gens_exact = None
     if split.is_exact:
         c, den = L.structure_exact

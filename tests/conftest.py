@@ -67,12 +67,13 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def change_basis(L, P):
-    """The exact algebra L in the basis b_i = sum_a P[i][a] e_a, with the identity Gram on the b_i."""
+def change_basis(L, P, gram=None):
+    """The exact algebra L in the basis b_i = sum_a P[i][a] e_a, with the given Gram on the b_i
+    (the identity by default)."""
     c, den = L.structure_exact
     P = np.array(P, dtype=object)
     c_new = np.einsum("ia,jb,abk,kl->ijl", P, P, c, np.array(rat_inv(P.tolist()), dtype=object), optimize=True)
-    return make_algebra(c_new * Fraction(1, den), np.eye(len(P), dtype=int))
+    return make_algebra(c_new * Fraction(1, den), np.eye(len(P), dtype=int) if gram is None else gram)
 
 
 @pytest.fixture(params=["heisenberg1", "heisenberg2"])

@@ -355,6 +355,14 @@ class TestGeodesicCompareContract:
         assert code == 64
         assert out == ""
 
+    def test_horizon_not_whole_steps_exit_64(self, capsys, heis):
+        # three steps of 0.3 would cover [0, 0.9], not the horizon
+        code = main(["geodesic-compare", heis, "--x0", "1,1,1", "--horizon", "1", "--step", "0.3"])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert "whole number of steps" in captured.err
+
     def test_non_finite_deviation_exit_64(self, capsys, heis):
         code, out = run(capsys, "geodesic-compare", heis, "--x0=1e200,1e200,1e200", "--step", "0.25")
         assert code == 64

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import change_basis
 from scipy import linalg as sla
 
 from nilgo import (
@@ -13,9 +14,11 @@ from nilgo import (
     n10,
     orbit_integrate,
 )
+from nilgo import geodesics
 from nilgo.errors import InputError, PreconditionError
 from nilgo.geodesics import _bracket_tensor, _euler_arnold_tensor, connection, expm
 from nilgo.go_checker import apply_center_metric, isometry_decomposition
+from nilgo.operator_subspaces import skew_derivations
 
 # a non-identity Gram and a non-GO metric
 KERNEL_ALGEBRAS = {
@@ -119,6 +122,11 @@ class TestGeodesicIntegrate:
         e2 = np.linalg.norm(geodesic_integrate(L, X0, 1.0, 0.025).positions[-1] - fine)
         assert e1 / e2 > 12.0
 
+    def test_accepts_horizon_a_rounded_multiple(self):
+        # 0.5 / 1e-3 is 500.00000000000006 in floating point
+        traj = geodesic_integrate(heisenberg(1), np.ones(3), 0.5, 1e-3)
+        assert len(traj.times) == 501
+
     def test_rejects_bad_step(self):
         with pytest.raises(InputError):
             geodesic_integrate(heisenberg(1), np.zeros(3), 1.0, 0.0)
@@ -216,6 +224,17 @@ class TestGates:
             with pytest.raises(InputError, match="steps"):
                 call()
 
+    def test_integrators_reject_horizon_not_whole_steps(self):
+        # round(1.0 / 0.4) = 2 steps would stop at t = 0.8
+        L, X0 = heisenberg(1), np.ones(3)
+        for call in (
+            lambda: geodesic_integrate(L, X0, 1.0, 0.4),
+            lambda: orbit_integrate(L, X0, np.zeros((3, 3)), 1.0, 0.4),
+            lambda: compare_geodesic_orbit(L, X0, T=1.0, h=0.4),
+        ):
+            with pytest.raises(InputError, match="whole number of steps"):
+                call()
+
     def test_compare_rejects_wrong_length(self):
         with pytest.raises(InputError):
             compare_geodesic_orbit(heisenberg(1), np.ones(2), T=0.5, h=0.1)
@@ -223,3 +242,119 @@ class TestGates:
     def test_compare_rejects_non_finite_deviation(self):
         with pytest.raises(InputError, match="not finite"):
             compare_geodesic_orbit(heisenberg(1), np.full(3, 1e200), T=0.5, h=0.1)
+
+
+def _reference_geodesic(L, X0, T, h):
+    """The per-step RK4 loop on the state (x, v) that the collapsed integrator replaces."""
+    d, steps = L.dim, int(round(T / h))
+    K = np.zeros((2 * d, 2 * d * d))
+    K[:d, : d * d] = -0.5 * _bracket_tensor(L)
+    K[d:, d * d:] = _euler_arnold_tensor(L)
+
+    def rate(state):
+        out = K @ np.outer(state, state[d:]).ravel()
+        out[:d] += state[d:]
+        return out
+
+    state = np.concatenate([np.zeros(d), X0])
+    out = [state]
+    for _ in range(steps):
+        k1 = rate(state)
+        k2 = rate(state + 0.5 * h * k1)
+        k3 = rate(state + 0.5 * h * k2)
+        k4 = rate(state + h * k3)
+        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out.append(state)
+    out = np.array(out)
+    return out[:, :d], out[:, d:]
+
+
+def _reference_orbit(L, X0, D, T, h):
+    """The per-step RK4 loop for the positions of the orbit with velocity exp(tD) X0."""
+    steps = int(round(T / h))
+    half = sla.expm(0.5 * h * D)
+    vel = [X0]
+    for _ in range(2 * steps):
+        vel.append(half @ vel[-1])
+    C = -0.5 * _bracket_tensor(L)
+
+    def xrate(x, v):
+        return v + C @ np.outer(x, v).ravel()
+
+    x, pos = np.zeros(L.dim), [np.zeros(L.dim)]
+    for i in range(steps):
+        v0, vm, v1 = vel[2 * i], vel[2 * i + 1], vel[2 * i + 2]
+        k1 = xrate(x, v0)
+        k2 = xrate(x + 0.5 * h * k1, vm)
+        k3 = xrate(x + 0.5 * h * k2, vm)
+        k4 = xrate(x + h * k3, v1)
+        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        pos.append(x)
+    return np.array(pos), np.array(vel[::2])
+
+
+def _rebased(L, P):
+    # the copy in the basis P with the Gram that makes it isometric to L
+    P = np.array(P, dtype=int)
+    return change_basis(L, P, P @ P.T)
+
+
+def _rebased_h_type():
+    P = np.eye(12, dtype=int)
+    P[0, 4], P[3, 9], P[7, 2] = 1, -2, 1
+    return _rebased(h_type_clifford(4), P)
+
+
+# class 2 in a non-orthonormal basis, with a flat factor, and abelian
+ORACLE_ALGEBRAS = {
+    "n10_center_metric": KERNEL_ALGEBRAS["n10_center_metric"],
+    "n10_rebased": lambda: _rebased(n10(2), np.eye(10, dtype=int) + np.eye(10, k=1, dtype=int)),
+    "h_type_clifford_4_rebased": _rebased_h_type,
+    "heisenberg_2_rebased": lambda: _rebased(heisenberg(2), [[1, 0, 0, 0, 0], [2, 1, 0, 0, 0], [0, 1, 1, 0, 0],
+                                                             [0, 0, -1, 1, 1], [1, 0, 0, 0, 1]]),
+    "heisenberg_plus_flat": "heisenberg_plus_flat",
+    "abelian": "abelian",
+}
+
+
+def _relative_gap(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+class TestCollapsedRK4:
+    """The blocked cumulative-sum integrators against the per-step RK4 loops."""
+
+    @pytest.fixture(params=sorted(ORACLE_ALGEBRAS))
+    def case(self, request, rng):
+        make = ORACLE_ALGEBRAS[request.param]
+        L = request.getfixturevalue(make) if isinstance(make, str) else make()
+        X0 = rng.standard_normal(L.dim)
+        # a random skew derivation, so the orbit is an isometry orbit but not a geodesic
+        D = sum(rng.standard_normal() * H for H in skew_derivations(L).basis)
+        return L, X0 / np.linalg.norm(X0), D
+
+    def test_geodesic_matches_reference_loop(self, case):
+        L, X0, _ = case
+        traj = geodesic_integrate(L, X0, 0.5, 2e-3)
+        pos, vel = _reference_geodesic(L, X0, 0.5, 2e-3)
+        assert _relative_gap(traj.positions, pos) <= 1e-12
+        assert _relative_gap(traj.velocities, vel) <= 1e-12
+
+    def test_orbit_matches_reference_loop(self, case):
+        L, X0, D = case
+        traj = orbit_integrate(L, X0, D, 0.5, 2e-3)
+        pos, vel = _reference_orbit(L, X0, D, 0.5, 2e-3)
+        assert _relative_gap(traj.positions, pos) <= 1e-12
+        assert _relative_gap(traj.velocities, vel) <= 1e-12
+
+    def test_block_size_does_not_change_the_result(self, monkeypatch, rng):
+        L = KERNEL_ALGEBRAS["n10_center_metric"]()
+        X0 = rng.standard_normal(L.dim)
+        D = sum(rng.standard_normal() * H for H in skew_derivations(L).basis)
+        default = geodesic_integrate(L, X0, 0.5, 0.01), orbit_integrate(L, X0, D, 0.5, 0.01)
+        monkeypatch.setattr(geodesics, "BLOCK", 7)  # 50 steps: seven full blocks and one of one step
+        blocked = geodesic_integrate(L, X0, 0.5, 0.01), orbit_integrate(L, X0, D, 0.5, 0.01)
+        assert len(default[0].times) - 1 > 3 * geodesics.BLOCK
+        for a, b in zip(blocked, default):
+            assert _relative_gap(a.positions, b.positions) <= 1e-12
+            assert _relative_gap(a.velocities, b.velocities) <= 1e-12

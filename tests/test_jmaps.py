@@ -2,6 +2,7 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+from conftest import change_basis
 
 from nilgo import (
     build_jmap,
@@ -19,6 +20,32 @@ from nilgo import (
 )
 from nilgo.errors import InputError, PreconditionError
 from nilgo.jmaps import build_jmap_family, center_bound_check, split_family
+
+
+def _pair_loop_generators(split):
+    """The loop over pairs v_a, v_b that build_jmap_family replaces."""
+    L, v, n = split.parent, split.v_basis, split.n
+    gens = []
+    for z in split.z_basis:
+        J = np.zeros((n, n))
+        for a in range(n):
+            for b in range(a + 1, n):
+                J[b, a] = L.bracket(v[a], v[b]) @ L.gram @ z
+                J[a, b] = -J[b, a]
+        gens.append(J)
+    return gens
+
+
+# exact splits, a rational center metric (as `family n10 --metric 2,1/3,1`) and an off-basis center
+LOOP_ALGEBRAS = {
+    "n10": lambda: n10(2),
+    "n10_rational_metric": lambda: n10(2, q=[[Q(2), Q(1, 3)], [Q(1, 3), Q(1)]]),
+    "h_type_clifford_4": lambda: h_type_clifford(4),
+    "thm2_dim22": lambda: family_thm2([2, 3, 5, 7]),
+    "h_type_clifford_4_rebased": lambda: change_basis(
+        h_type_clifford(4), np.eye(12, dtype=int) + 2 * np.eye(12, k=4, dtype=int)
+    ),
+}
 
 
 class TestJmapDefinition:
@@ -45,6 +72,13 @@ class TestJmapDefinition:
             rhs = L.bracket(X, Y) @ L.gram @ Z
             assert np.isclose(lhs, rhs)
         assert fam.is_exact
+
+    @pytest.mark.parametrize("name", sorted(LOOP_ALGEBRAS))
+    def test_generators_equal_pair_loop(self, name):
+        # the same products summed in the same order: equal to the last bit
+        split = split_two_step(LOOP_ALGEBRAS[name]())
+        for G, ref in zip(build_jmap_family(split).generators, _pair_loop_generators(split), strict=True):
+            assert np.array_equal(G, ref)
 
     def test_generators_skew(self):
         split = split_two_step(family_thm2([2, 3]))

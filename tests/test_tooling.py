@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -26,6 +27,13 @@ def test_tracer_target_resolves(name, target):
     # a renamed library function would otherwise only break `perfbench/run.py --trace 1`
     module, attr = target
     assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+@pytest.mark.parametrize("attr", ["geodesic_integrate", "orbit_integrate"])
+def test_integrators_keep_the_parameter_names_the_tracer_binds(attr):
+    # the tracer counts RK4 steps as round(T / h) from the bound arguments
+    params = inspect.signature(getattr(importlib.import_module("nilgo.geodesics"), attr)).parameters
+    assert {"T", "h"} <= set(params)
 
 
 def test_library_import_loads_no_scipy():
