@@ -451,20 +451,18 @@ def _format_value(v):
 
 
 def algebra_to_dict(L: MetricLieAlgebra) -> dict:
-    c, den = L.structure_exact if L.is_exact else (None, None)
-    brackets = []
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            coeffs = {}
-            for k in range(L.dim):
-                v = Fraction(c[i, j, k], den) if L.is_exact else L.structure[i, j, k]
-                if v != 0:
-                    coeffs[str(k)] = _format_value(v)
-            if coeffs:
-                brackets.append({"i": i, "j": j, "coeffs": coeffs})
     if L.is_exact:
+        c, den = L.structure_exact
         g, gden = L.gram_exact
         gram = [[_format_value(Fraction(x, gden)) for x in row] for row in g]
     else:
+        c, den = L.structure, None
         gram = [[float(x) for x in row] for row in L.gram]
+    brackets = []
+    for i, j, k in zip(*np.nonzero(c)):  # in index order, so grouped by (i, j)
+        if i < j:
+            if not brackets or (brackets[-1]["i"], brackets[-1]["j"]) != (i, j):
+                brackets.append({"i": int(i), "j": int(j), "coeffs": {}})
+            v = c[i, j, k]
+            brackets[-1]["coeffs"][str(k)] = _format_value(Fraction(v, den) if den else v)
     return {"dim": L.dim, "brackets": brackets, "gram": gram}

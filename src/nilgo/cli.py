@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import traceback
@@ -56,19 +57,20 @@ def _emit_json(args, obj) -> None:
 
 def _parse_number(s: str):
     s = s.strip()
-    if any(ch in s for ch in ".eE") and "/" not in s:
-        return float(s)
     try:
+        if any(ch in s for ch in ".eE") and "/" not in s:
+            return float(s)
         return Fraction(s)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"cannot parse number {s!r}") from None
 
 
-def _parse_metric(spec: str, m: int):
-    """Upper-triangle entries q11,q12,...,row by row; m(m+1)/2 values."""
+def _parse_metric(spec: str):
+    """Upper-triangle entries q11,q12,...,row by row; their count m(m+1)/2 fixes m."""
     vals = [_parse_number(tok) for tok in spec.split(",")]
+    m = (math.isqrt(8 * len(vals) + 1) - 1) // 2
     if len(vals) != m * (m + 1) // 2:
-        raise InputError(f"metric needs {m * (m + 1) // 2} upper-triangle entries for m={m}")
+        raise InputError(f"metric needs m(m+1)/2 upper-triangle entries, got {len(vals)}")
     q = [[None] * m for _ in range(m)]
     it = iter(vals)
     for i in range(m):
@@ -146,23 +148,13 @@ def cmd_validate(args) -> int:
 
 
 def cmd_family(args) -> int:
-    params = {}
-    if args.k is not None:
-        params["k"] = args.k
-    if args.m is not None:
-        params["m"] = args.m
-    if args.copies is not None:
-        params["copies"] = args.copies
+    params = {name: getattr(args, name) for name in ("k", "m", "copies") if getattr(args, name) is not None}
     if args.t is not None:
         params["t"] = _parse_number(args.t)
     if args.ts is not None:
         params["ts"] = [_parse_number(tok) for tok in args.ts.split(",")]
-    L = families.build_family(args.kind, params)
-    if args.metric is not None:
-        split = algebra.split_two_step(L)
-        q = _parse_metric(args.metric, split.m)
-        L = families.build_family(args.kind, params, metric=q)
-    _emit_json(args, algebra.algebra_to_dict(L))
+    metric = None if args.metric is None else _parse_metric(args.metric)
+    _emit_json(args, algebra.algebra_to_dict(families.build_family(args.kind, params, metric)))
     return EXIT_PASS
 
 

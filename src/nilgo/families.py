@@ -9,64 +9,61 @@ transport machinery.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import linear_core as lc
-from .algebra import MetricLieAlgebra, make_algebra
+from .algebra import MetricLieAlgebra, _over_common_denominator, make_algebra, require_spd
 from .errors import InputError
 from .operator_subspaces import SkewOperatorSubspace
 
 Q = Fraction
 
 
-def _as_metric(q, m: int):
-    """Normalize the z-block metric to an m x m nested list; None = identity."""
+def _as_metric(q, m: int) -> np.ndarray:
+    """Normalize the z-block metric to an m x m object array; None = identity."""
     if q is None:
-        return [[Q(1) if i == j else Q(0) for j in range(m)] for i in range(m)]
+        return np.eye(m, dtype=int).astype(object)
     rows = [list(r) for r in (q.tolist() if isinstance(q, np.ndarray) else q)]
     if len(rows) != m or any(len(r) != m for r in rows):
         raise InputError(f"metric must be {m}x{m}")
-    g = np.array([[float(x) for x in r] for r in rows])
-    if np.max(np.abs(g - g.T)) > 1e-12 or np.min(np.linalg.eigvalsh((g + g.T) / 2)) <= 0:
-        raise InputError("metric must be symmetric positive definite")
-    return rows
+    require_spd(np.array(rows, dtype=float), "metric")
+    return np.array(rows, dtype=object)
 
 
 def algebra_from_jmaps(generators, q=None) -> MetricLieAlgebra:
     """Metric algebra on z + R^n with prescribed J-operators on the z-basis.
 
     Basis order (Z_1, ..., Z_m, v_1, ..., v_n); gram = diag(q, I_n).
-    Brackets of v-vectors are fixed by ([X, Y], Z_i)_q = (G_i X, Y).
+    Brackets of v-vectors are fixed by ([X, Y], Z_i)_q = (G_i X, Y), so
+    [v_a, v_b] = sum_i (q^-1 w)_i Z_i with w_j = (G_j v_a, v_b).  Rational
+    data is contracted as integers over common denominators; float data
+    takes the same products, summed in index order.
     """
     m = len(generators)
     n = len(generators[0]) if m else 0
     d = m + n
-    qrows = _as_metric(q, m)
-    exact = all(isinstance(x, (int, Fraction)) for G in generators for row in G for x in row) and all(
-        isinstance(x, (int, Fraction)) for r in qrows for x in r
-    )
+    qm = _as_metric(q, m)
+    W = np.array(generators, dtype=object).reshape(m, n, n).transpose(0, 2, 1)  # W[j, a, b] = (G_j v_a, v_b)
+    exact = all(issubclass(t, (int, Fraction)) for t in set(map(type, itertools.chain(W.flat, qm.flat))))
     if exact:
-        qinv = lc.rat_inv([[Q(x) for x in r] for r in qrows])
+        W, wden = _over_common_denominator(W)
+        qinv, qden = _over_common_denominator(np.array(lc.rat_inv(qm.tolist()), dtype=object))
     else:
-        qinv = np.linalg.inv(np.array([[float(x) for x in r] for r in qrows]))
-    structure = np.zeros((d, d, d), dtype=object)
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            w = [generators[i][b][a] for i in range(m)]  # (G_i v_a, v_b)
-            for i in range(m):
-                coeff = sum(qinv[i][j] * w[j] for j in range(m))
-                structure[m + a, m + b, i] = coeff
-    gram = np.zeros((d, d), dtype=object)
-    for i in range(m):
-        for j in range(m):
-            gram[i, j] = qrows[i][j] if exact else float(qrows[i][j])
-    for a in range(n):
-        gram[m + a, m + a] = 1 if exact else 1.0
+        W, qinv = W.astype(float), np.linalg.inv(qm.astype(float))
+    w = sum((qinv[:, j, None, None] * W[j] for j in range(m)), np.zeros((m, n, n), dtype=W.dtype))
+    w[:, np.arange(n), np.arange(n)] = 0
+    structure = np.zeros((d, d, d), dtype=object if exact else float)
+    gram = np.zeros((d, d), dtype=structure.dtype)
+    if exact:
+        nz = np.flatnonzero(w)
+        w.flat[nz] = [Fraction(x, qden * wden) for x in w.flat[nz]]
+    structure[m:, m:, :m] = w.transpose(1, 2, 0)
+    gram[:m, :m] = qm
+    gram[range(m, d), range(m, d)] = 1
     return make_algebra(structure, gram)
 
 
@@ -226,14 +223,15 @@ def _oct_left(unit: int) -> list[list[int]]:
     return _left_mult_matrix(_octonion_mult, unit, 8)
 
 
-def _block_diag(block, copies: int):
-    size = len(block)
-    n = size * copies
+def _block_diag(blocks) -> list[list]:
+    """Nested-list block-diagonal matrix of square blocks, Fraction(0) off the blocks."""
+    n = sum(len(b) for b in blocks)
     out = [[Q(0)] * n for _ in range(n)]
-    for c in range(copies):
-        for i in range(size):
-            for j in range(size):
-                out[c * size + i][c * size + j] = Q(block[i][j])
+    off = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[off + i][off: off + len(row)] = row
+        off += len(b)
     return out
 
 
@@ -248,10 +246,10 @@ def clifford_generators(m: int, copies: int = 1) -> list[list[list[Fraction]]]:
     if copies < 1:
         raise InputError("copies must be >= 1")
     if m == 1:
-        return [_block_diag([[0, -1], [1, 0]], copies)]
-    if m <= 3:
-        return [_block_diag(_quat_left(i + 1), copies) for i in range(m)]
-    return [_block_diag(_oct_left(i + 1), copies) for i in range(m)]
+        units = [[[0, -1], [1, 0]]]
+    else:
+        units = [(_quat_left if m <= 3 else _oct_left)(i + 1) for i in range(m)]
+    return [_block_diag([[[Q(x) for x in row] for row in U]] * copies) for U in units]
 
 
 def h_type_clifford(m: int, copies: int = 1, q=None) -> MetricLieAlgebra:
@@ -280,29 +278,24 @@ def _c_block(tj, x, y):
     ]
 
 
-def _block_diag_list(blocks):
-    n = sum(len(b) for b in blocks)
-    out = [[Q(0)] * n for _ in range(n)]
-    off = 0
-    for b in blocks:
-        s = len(b)
-        for i in range(s):
-            for j in range(s):
-                out[off + i][off + j] = b[i][j]
-        off += s
-    return out
+def _pencil(ts) -> tuple[list, list[list[list[Fraction]]]]:
+    """``(t_0 = 1, t_1, ..., t_k)`` and the generators diag(C_0, ..., C_k) at (x, y) = (1, 0), (0, 1).
+
+    Each t_j stays a float or becomes a Fraction; one float makes the
+    whole pencil float.
+    """
+    ts = [float(t) if isinstance(t, float) else Q(t) for t in ts]
+    one, zero = (1.0, 0.0) if any(isinstance(t, float) for t in ts) else (Q(1), Q(0))
+    tall = [one, *ts]
+    return tall, [_block_diag([_c_block(tj, x, y) for tj in tall]) for x, y in ((one, zero), (zero, one))]
 
 
 def vt_generators(t) -> list[list[list[Fraction]]]:
     """Generators diag(C_1, C_2) of V_t at (x, y) = (1, 0) and (0, 1)."""
-    exact = not isinstance(t, float)
-    tv = Q(t) if exact else float(t)
+    (_, tv), G = _pencil([t])
     if tv < 1:
         raise InputError("t must be >= 1")
-    one, zero = (Q(1), Q(0)) if exact else (1.0, 0.0)
-    G1 = _block_diag_list([_c_block(one, one, zero), _c_block(tv, one, zero)])
-    G2 = _block_diag_list([_c_block(one, zero, one), _c_block(tv, zero, one)])
-    return [G1, G2]
+    return G
 
 
 def n10(t, q=None) -> MetricLieAlgebra:
@@ -310,9 +303,12 @@ def n10(t, q=None) -> MetricLieAlgebra:
     return algebra_from_jmaps(vt_generators(t), q)
 
 
+def _float_subspace(generators) -> SkewOperatorSubspace:
+    return SkewOperatorSubspace(len(generators[0]), [np.array(G, dtype=float) for G in generators])
+
+
 def vt_subspace(t) -> SkewOperatorSubspace:
-    G1, G2 = vt_generators(t)
-    return SkewOperatorSubspace(8, [np.array(G1, dtype=float), np.array(G2, dtype=float)])
+    return _float_subspace(vt_generators(t))
 
 
 def n10_second_generators() -> list[list[list[Fraction]]]:
@@ -324,13 +320,9 @@ def n10_second_generators() -> list[list[list[Fraction]]]:
             [0, 0, y, x],
             [-x, y, 0, x],
             [y, x, x, 0],
-        ]
-        J = [[Q(0)] * 8 for _ in range(8)]
-        for i in range(4):
-            for j in range(4):
-                J[i][4 + j] = Q(A[i][j])
-                J[4 + j][i] = Q(-A[j][i])
-        return J
+        ]  # symmetric, so -A' = -A
+        zero = [Q(0)] * 4
+        return [zero + [Q(a) for a in row] for row in A] + [[Q(-a) for a in row] + zero for row in A]
 
     return [build(1, 0), build(0, 1)]
 
@@ -399,15 +391,10 @@ def d_matrix_exact(a1, a2, a3) -> list[list[Fraction]]:
 
 
 def thm2_generators(ts) -> list[list[list[Fraction]]]:
-    ts = [Q(t) if not isinstance(t, float) else t for t in ts]
-    if any(ts[i] >= ts[i + 1] for i in range(len(ts) - 1)) or (ts and ts[0] <= 1):
+    tall, G = _pencil(ts)
+    if any(a >= b for a, b in zip(tall, tall[1:])):
         raise InputError("parameters must satisfy 1 < t_1 < ... < t_k")
-    exact = all(not isinstance(t, float) for t in ts)
-    one, zero = (Q(1), Q(0)) if exact else (1.0, 0.0)
-    tall = [one] + list(ts)
-    G1 = _block_diag_list([_c_block(tj, one, zero) for tj in tall])
-    G2 = _block_diag_list([_c_block(tj, zero, one) for tj in tall])
-    return [G1, G2]
+    return G
 
 
 def family_thm2(ts, q=None) -> MetricLieAlgebra:
@@ -416,9 +403,7 @@ def family_thm2(ts, q=None) -> MetricLieAlgebra:
 
 
 def thm2_subspace(ts) -> SkewOperatorSubspace:
-    G1, G2 = thm2_generators(ts)
-    n = len(G1)
-    return SkewOperatorSubspace(n, [np.array(G1, dtype=float), np.array(G2, dtype=float)])
+    return _float_subspace(thm2_generators(ts))
 
 
 def thm2_diagonal_centralizer(k: int) -> SkewOperatorSubspace:
@@ -438,20 +423,25 @@ def thm2_diagonal_centralizer(k: int) -> SkewOperatorSubspace:
 # CLI dispatcher
 # ---------------------------------------------------------------------------
 
-FAMILY_KINDS = ("heisenberg", "quaternionic_heisenberg", "h_type_clifford", "n10", "n10_second", "thm2")
+# family kind -> (the parameters it needs, each one a CLI flag; builder from params and metric)
+_BUILDERS = {
+    "heisenberg": (("k",), lambda p, q: heisenberg(int(p["k"]))),
+    "quaternionic_heisenberg": (("k",), lambda p, q: quaternionic_heisenberg(int(p["k"]), q=q)),
+    "h_type_clifford": (("m",), lambda p, q: h_type_clifford(int(p["m"]), int(p.get("copies", 1)), q=q)),
+    "n10": (("t",), lambda p, q: n10(p["t"], q=q)),
+    "n10_second": ((), lambda p, q: n10_second(q=q)),
+    "thm2": (("ts",), lambda p, q: family_thm2(list(p["ts"]), q=q)),
+}
+FAMILY_KINDS = tuple(_BUILDERS)
 
 
 def build_family(kind: str, params: dict, metric=None) -> MetricLieAlgebra:
-    if kind == "heisenberg":
-        return heisenberg(int(params["k"]))
-    if kind == "quaternionic_heisenberg":
-        return quaternionic_heisenberg(int(params["k"]), q=metric)
-    if kind == "h_type_clifford":
-        return h_type_clifford(int(params["m"]), int(params.get("copies", 1)), q=metric)
-    if kind == "n10":
-        return n10(params["t"], q=metric)
-    if kind == "n10_second":
-        return n10_second(q=metric)
-    if kind == "thm2":
-        return family_thm2(list(params["ts"]), q=metric)
-    raise InputError(f"unknown family kind {kind!r}; known: {', '.join(FAMILY_KINDS)}")
+    if kind not in _BUILDERS:
+        raise InputError(f"unknown family kind {kind!r}; known: {', '.join(FAMILY_KINDS)}")
+    required, build = _BUILDERS[kind]
+    missing = [f"--{p}" for p in required if params.get(p) is None]
+    if missing:
+        raise InputError(f"family {kind} needs {' and '.join(missing)}")
+    if kind == "heisenberg" and metric is not None:
+        raise InputError("family heisenberg takes no metric")
+    return build(params, metric)

@@ -426,7 +426,7 @@ def build_nilalgebra_from_subspace(V, q=None) -> MetricLieAlgebra:
     ``V`` may be a SkewOperatorSubspace (float path) or a list of exact
     rational matrices (nested lists); ``q`` is the inner product on V.
     """
-    return algebra_from_jmaps([B.tolist() for B in V.basis] if isinstance(V, SkewOperatorSubspace) else V, q)
+    return algebra_from_jmaps(V.basis if isinstance(V, SkewOperatorSubspace) else V, q)
 
 
 # ---------------------------------------------------------------------------

@@ -407,13 +407,15 @@ def interpolate_homogeneous2(evals, degree: int) -> HomogeneousPolynomial2:
         for x, y, v in pts
     )
     if exact:
-        rows = [[Fraction(x) ** a * Fraction(y) ** (degree - a) for a in range(degree + 1)] for x, y, v in pts]
-        if rat_rank(rows) < degree + 1:
+        # one elimination of the augmented Vandermonde rows gives the rank and the consistency
+        aug = [[Fraction(x) ** a * Fraction(y) ** (degree - a) for a in range(degree + 1)] + [Fraction(v)]
+               for x, y, v in pts]
+        rref, pivots = rat_rref(aug)
+        if pivots[: degree + 1] != list(range(degree + 1)):
             raise InterpolationError("evaluation points do not determine the polynomial")
-        sol = rat_solve(rows, [Fraction(v) for _, _, v in pts])
-        if sol is None:
+        if len(pivots) > degree + 1:
             raise InterpolationError("inconsistent evaluations")
-        return HomogeneousPolynomial2(degree, tuple(sol))
+        return HomogeneousPolynomial2(degree, tuple(row[degree + 1] for row in rref[: degree + 1]))
     A = np.array([[float(x) ** a * float(y) ** (degree - a) for a in range(degree + 1)] for x, y, v in pts])
     b = np.array([float(v) for _, _, v in pts])
     if np.linalg.matrix_rank(A, tol=1e-12 * max(1.0, np.linalg.norm(A))) < degree + 1:

@@ -403,3 +403,101 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["go-check", heis, "--criterion", "bogus"])
         assert exc.value.code == 64
+
+
+class TestMalformedNumbers:
+    """A token that looks like a decimal but is not one is bad input, not an internal error."""
+
+    @pytest.fixture
+    def heis(self, capsys, tmp_path):
+        path = tmp_path / "alg.json"
+        run(capsys, "family", "heisenberg", "--k", "1", "-o", str(path))
+        return str(path)
+
+    @pytest.mark.parametrize("x0", ["--x0=1.5.2,1,1", "--x0=1e5x,1,1"])
+    def test_geodesic_compare_x0_exit_64(self, capsys, heis, x0):
+        code = main(["geodesic-compare", heis, x0, "--step", "0.25"])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert "cannot parse number" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["n10", "--t", "1.5.2"],
+            ["thm2", "--ts", "2,1e5x"],
+            ["n10", "--t", "2", "--metric", "1.5.2,0,1"],
+        ],
+        ids=["t", "ts", "metric"],
+    )
+    def test_family_parameters_exit_64(self, capsys, argv):
+        code = main(["family", *argv])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert "cannot parse number" in captured.err
+
+
+class TestFamilyContract:
+    @pytest.mark.parametrize(
+        "kind,flag",
+        [
+            ("heisenberg", "--k"),
+            ("quaternionic_heisenberg", "--k"),
+            ("h_type_clifford", "--m"),
+            ("n10", "--t"),
+            ("thm2", "--ts"),
+        ],
+    )
+    def test_missing_parameter_exit_64(self, capsys, kind, flag):
+        code = main(["family", kind])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert flag in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("metric", ["2", "1/3", "0.7"])
+    def test_heisenberg_metric_exit_64(self, capsys, metric):
+        code = main(["family", "heisenberg", "--k", "1", "--metric", metric])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert "metric" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["n10", "--t", "2", "--metric", "1"],
+            ["n10", "--t", "2", "--metric", "1,0"],
+            ["n10", "--t", "2", "--metric", "1,0,0,1,0,1"],
+            ["h_type_clifford", "--m", "3", "--metric", "1,0,1"],
+            ["n10", "--t", "2", "--metric", "1,2,1"],
+        ],
+        ids=["too_small", "not_triangular", "too_large", "h_type_too_small", "not_spd"],
+    )
+    def test_bad_metric_exit_64(self, capsys, argv):
+        code = main(["family", *argv])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert "metric" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["n10", "--t", "2", "--metric", "2,1,3"],
+            ["h_type_clifford", "--m", "3", "--metric", "2,0,1/2,1,0,1"],
+            ["thm2", "--ts", "2,3", "--metric", "1.5,0.25,1"],
+        ],
+    )
+    def test_metric_builds_the_family_once(self, capsys, monkeypatch, argv):
+        import nilgo.cli as cli
+
+        calls = []
+        real = cli.families.build_family
+        monkeypatch.setattr(cli.families, "build_family", lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr(cli.algebra, "split_two_step", None)  # m comes from the metric itself
+        assert main(["family", *argv]) == 0
+        assert len(calls) == 1 and calls[0][2] is not None
+        capsys.readouterr()

@@ -1,12 +1,15 @@
+import json
 from fractions import Fraction as Q
 
 import numpy as np
 import pytest
 
 from nilgo import (
+    algebra_to_dict,
     build_family,
     family_thm2,
     h_type_clifford,
+    make_algebra,
     heisenberg,
     n10,
     n10_second,
@@ -14,22 +17,28 @@ from nilgo import (
     split_two_step,
     validate,
 )
+from nilgo import linear_core as lc
+from nilgo.algebra import _format_value
 from nilgo.errors import InputError
 from nilgo.families import (
+    algebra_from_jmaps,
     alpha_closed_form,
     centralizer_basis_n10,
     clifford_generators,
     d_matrix_exact,
     l_matrix,
+    n10_second_generators,
     r_matrix,
     so4_decompose,
     thm2_diagonal_centralizer,
+    thm2_generators,
     thm2_subspace,
     transport_solve,
     vt_generators,
     vt_subspace,
 )
-from nilgo.operator_subspaces import centralizer_in_so, subspace_contains, subspaces_equal
+from nilgo.go_checker import build_nilalgebra_from_subspace
+from nilgo.operator_subspaces import SkewOperatorSubspace, centralizer_in_so, subspace_contains, subspaces_equal
 
 
 class TestHeisenberg:
@@ -211,3 +220,125 @@ class TestBuildFamily:
     def test_unknown_kind(self):
         with pytest.raises(InputError):
             build_family("nope", {})
+
+
+# ---------------------------------------------------------------------------
+# oracles: the per-pair construction and the d^3 serializer the family layer
+# used before it worked on integer tensors
+# ---------------------------------------------------------------------------
+
+
+def _reference_algebra_from_jmaps(generators, q=None):
+    """[v_a, v_b] = sum_i (q^-1 w)_i Z_i, one pair (a, b) at a time."""
+    m = len(generators)
+    n = len(generators[0]) if m else 0
+    d = m + n
+    if q is None:
+        qrows = [[Q(int(i == j)) for j in range(m)] for i in range(m)]
+    else:
+        qrows = [list(r) for r in (q.tolist() if isinstance(q, np.ndarray) else q)]
+    exact = all(isinstance(x, (int, Q)) for G in generators for row in G for x in row) and all(
+        isinstance(x, (int, Q)) for r in qrows for x in r
+    )
+    qinv = lc.rat_inv(qrows) if exact else np.linalg.inv(np.array(qrows, dtype=float))
+    structure = np.zeros((d, d, d), dtype=object)
+    for a in range(n):
+        for b in range(n):
+            if a != b:
+                w = [generators[i][b][a] for i in range(m)]  # (G_i v_a, v_b)
+                for i in range(m):
+                    structure[m + a, m + b, i] = sum(qinv[i][j] * w[j] for j in range(m))
+    gram = np.zeros((d, d), dtype=object)
+    for i in range(m):
+        for j in range(m):
+            gram[i, j] = qrows[i][j] if exact else float(qrows[i][j])
+    for a in range(n):
+        gram[m + a, m + a] = 1 if exact else 1.0
+    return make_algebra(structure, gram)
+
+
+def _reference_algebra_to_dict(L):
+    """Every bracket coefficient of i < j visited, zeros skipped."""
+    c, den = L.structure_exact if L.is_exact else (None, None)
+    brackets = []
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            coeffs = {}
+            for k in range(L.dim):
+                v = Q(c[i, j, k], den) if L.is_exact else L.structure[i, j, k]
+                if v != 0:
+                    coeffs[str(k)] = _format_value(v)
+            if coeffs:
+                brackets.append({"i": i, "j": j, "coeffs": coeffs})
+    if L.is_exact:
+        g, gden = L.gram_exact
+        gram = [[_format_value(Q(x, gden)) for x in row] for row in g]
+    else:
+        gram = [[float(x) for x in row] for row in L.gram]
+    return {"dim": L.dim, "brackets": brackets, "gram": gram}
+
+
+def _skew_subspace():
+    rng = np.random.default_rng(7)
+    return SkewOperatorSubspace(6, [(lambda A: A - A.T)(rng.standard_normal((6, 6))) for _ in range(3)])
+
+
+ORACLE_GENERATORS = {
+    **{f"clifford_{m}_{c}": (lambda m=m, c=c: clifford_generators(m, c)) for m in range(1, 8) for c in (1, 2, 3)},
+    **{f"vt_{t}": (lambda t=t: vt_generators(t)) for t in (1, 2, Q(3, 2), 2.5)},
+    "thm2_2_3_5_7": lambda: thm2_generators([2, 3, 5, 7]),
+    "thm2_3/2_2_3": lambda: thm2_generators([Q(3, 2), 2, 3]),
+    "thm2_1.5_2.25": lambda: thm2_generators([1.5, 2.25]),
+    "n10_second": n10_second_generators,
+    "float_subspace": lambda: _skew_subspace().basis,
+}
+
+
+def _oracle_metric(kind, m):
+    if kind == "identity":
+        return None
+    if kind == "rational":  # I + the Hilbert matrix
+        return [[Q(int(i == j)) + Q(1, i + j + 1) for j in range(m)] for i in range(m)]
+    B = np.random.default_rng(m).standard_normal((m, m))
+    return B @ B.T + 0.5 * np.eye(m)
+
+
+def _assert_same_algebra(L, ref):
+    assert L.is_exact == ref.is_exact
+    if ref.is_exact:
+        for (a, den), (b, rden) in ((L.structure_exact, ref.structure_exact), (L.gram_exact, ref.gram_exact)):
+            assert den == rden and np.array_equal(a, b)
+    assert L.structure.tobytes() == ref.structure.tobytes()  # bitwise, signs of zeros included
+    assert L.gram.tobytes() == ref.gram.tobytes()
+    assert json.dumps(algebra_to_dict(L)) == json.dumps(_reference_algebra_to_dict(ref))
+
+
+class TestJmapsOracle:
+    @pytest.mark.parametrize("metric", ["identity", "rational", "float"])
+    @pytest.mark.parametrize("name", list(ORACLE_GENERATORS))
+    def test_matches_per_pair_loop(self, name, metric):
+        gens = ORACLE_GENERATORS[name]()
+        q = _oracle_metric(metric, len(gens))
+        _assert_same_algebra(algebra_from_jmaps(gens, q), _reference_algebra_from_jmaps(gens, q))
+
+    @pytest.mark.parametrize("metric", ["identity", "rational", "float"])
+    def test_subspace_algebra_matches(self, metric):
+        V = _skew_subspace()
+        q = _oracle_metric(metric, V.dim)
+        _assert_same_algebra(build_nilalgebra_from_subspace(V, q), _reference_algebra_from_jmaps(V.basis, q))
+
+    @pytest.mark.parametrize("L", [heisenberg(3), n10(Q(3, 2), q=[[2, Q(1, 3)], [Q(1, 3), 1]]), n10(2.5)],
+                             ids=["heisenberg", "n10_rational_metric", "n10_float"])
+    def test_to_dict_matches_reference(self, L):
+        assert json.dumps(algebra_to_dict(L)) == json.dumps(_reference_algebra_to_dict(L))
+
+    def test_generators_stay_fractions(self):
+        for gens in (clifford_generators(4, 2), vt_generators(2), thm2_generators([Q(3, 2), 2]), n10_second_generators()):
+            assert all(isinstance(x, (int, Q)) for G in gens for row in G for x in row)
+        assert all(isinstance(x, Q) for G in clifford_generators(3, 2) for row in G for x in row)
+
+    def test_wrong_size_metric(self):
+        with pytest.raises(InputError, match="2x2"):
+            n10(2, q=[[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        with pytest.raises(InputError, match="3x3"):
+            h_type_clifford(3, q=[[1, 0], [0, 1]])

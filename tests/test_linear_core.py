@@ -249,3 +249,24 @@ class TestHomogeneousPolynomial:
         pts = [((Q(1), Q(1)), Q(1))] * 4
         with pytest.raises(InterpolationError):
             lc.interpolate_homogeneous2(pts, 3)
+
+    def test_interpolate_inconsistent(self):
+        pts = [((Q(0), Q(1)), Q(1)), ((Q(1), Q(0)), Q(2)), ((Q(1), Q(1)), Q(3)), ((Q(1), Q(2)), Q(5))]
+        with pytest.raises(InterpolationError, match="inconsistent"):
+            lc.interpolate_homogeneous2(pts, 1)
+
+    def test_interpolate_degenerate_before_inconsistent(self):
+        # the points fix no quadratic, whatever the values
+        pts = [((Q(1), Q(1)), Q(1)), ((Q(2), Q(2)), Q(7)), ((Q(1), Q(1)), Q(2))]
+        with pytest.raises(InterpolationError, match="do not determine"):
+            lc.interpolate_homogeneous2(pts, 2)
+
+    def test_interpolate_matches_rank_then_solve(self, rng):
+        for degree in (2, 4, 6):
+            p = lc.HomogeneousPolynomial2(degree, tuple(Q(int(c), 7) for c in rng.integers(-9, 10, degree + 1)))
+            pts = [(Q(1), Q(int(s), 3)) for s in rng.permutation(40)[: degree + 4]]
+            evals = [((x, y), p(x, y)) for x, y in pts]
+            rows = [[x**a * y ** (degree - a) for a in range(degree + 1)] for x, y in pts]
+            assert lc.rat_rank(rows) == degree + 1
+            expected = lc.rat_solve(rows, [v for _, v in evals])
+            assert lc.interpolate_homogeneous2(evals, degree).coeffs == tuple(expected) == p.coeffs
