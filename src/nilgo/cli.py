@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -79,6 +80,15 @@ def _parse_metric(spec: str):
             q[i][j] = v
             q[j][i] = v
     return q
+
+
+def _env_seed() -> int:
+    """The default ``--seed``: ``NILGO_SEED`` when set, else 0."""
+    raw = os.environ.get("NILGO_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise InputError(f"NILGO_SEED must be an integer, got {raw!r}") from None
 
 
 def _config_from_args(args) -> go_checker.SamplerConfig:
@@ -251,7 +261,7 @@ def _add_io(p):
 
 
 def _add_sampling(p):
-    p.add_argument("--seed", type=int, default=int(os.environ.get("NILGO_SEED", "0")))
+    p.add_argument("--seed", type=int, default=None, help="sampling seed (default: NILGO_SEED, else 0)")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--tol-feas", type=float, default=1e-8)
     p.add_argument("--tol-refute", type=float, default=1e-4)
@@ -275,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="structural diagnostics of an algebra document")
     p.add_argument("algebra", help="algebra JSON path ('-' for stdin)")
     _add_io(p)
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("family", help="emit a built-in family as an algebra document")
     p.add_argument("kind", choices=families.FAMILY_KINDS)
@@ -286,37 +295,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ts", default=None, help="comma-separated increasing parameters t_1,...,t_k")
     p.add_argument("--metric", default=None, help="upper-triangle center metric entries q11,q12,...")
     _add_io(p)
-    p.set_defaults(func=cmd_family)
 
     p = sub.add_parser("go-check", help="geodesic-orbit certificate")
     p.add_argument("algebra")
     p.add_argument("--criterion", choices=("gordon", "kv"), default="gordon")
     _add_sampling(p)
     _add_io(p)
-    p.set_defaults(func=cmd_go_check)
 
     p = sub.add_parser("derivations", help="basis of the skew derivation algebra")
     p.add_argument("algebra")
     _add_io(p)
-    p.set_defaults(func=cmd_derivations)
 
     p = sub.add_parser("pfaffian", help="determinant form of a two-dimensional center")
     p.add_argument("algebra")
     _add_io(p)
-    p.set_defaults(func=cmd_pfaffian)
 
     p = sub.add_parser("invariant", help="compare two algebras by root invariants")
     p.add_argument("algebra_a")
     p.add_argument("algebra_b")
     _add_io(p)
-    p.set_defaults(func=cmd_invariant)
 
     p = sub.add_parser("tnc", help="transitive normalizer condition for an operator subspace")
     p.add_argument("subspace", help="subspace JSON {n, basis} or an algebra document")
     p.add_argument("--nprime", choices=("normalizer", "centralizer", "self"), default="normalizer")
     _add_sampling(p)
     _add_io(p)
-    p.set_defaults(func=cmd_tnc)
 
     p = sub.add_parser("geodesic-compare", help="geodesic vs isometry-orbit deviation")
     p.add_argument("algebra")
@@ -327,14 +330,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_io(p)
-    p.set_defaults(func=cmd_geodesic_compare)
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser unchanged, so one serves the whole process
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        env_seed = _env_seed()  # read per call: a malformed value exits 64 from every command
+        if "seed" in vars(args) and args.seed is None:
+            args.seed = env_seed
+        # cmd_<subcommand>, looked up per call rather than bound into the cached parser
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT

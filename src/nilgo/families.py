@@ -423,14 +423,15 @@ def thm2_diagonal_centralizer(k: int) -> SkewOperatorSubspace:
 # CLI dispatcher
 # ---------------------------------------------------------------------------
 
-# family kind -> (the parameters it needs, each one a CLI flag; builder from params and metric)
+# family kind -> (the parameters it needs and those it may take, each one a
+# CLI flag; builder from params and metric)
 _BUILDERS = {
-    "heisenberg": (("k",), lambda p, q: heisenberg(int(p["k"]))),
-    "quaternionic_heisenberg": (("k",), lambda p, q: quaternionic_heisenberg(int(p["k"]), q=q)),
-    "h_type_clifford": (("m",), lambda p, q: h_type_clifford(int(p["m"]), int(p.get("copies", 1)), q=q)),
-    "n10": (("t",), lambda p, q: n10(p["t"], q=q)),
-    "n10_second": ((), lambda p, q: n10_second(q=q)),
-    "thm2": (("ts",), lambda p, q: family_thm2(list(p["ts"]), q=q)),
+    "heisenberg": (("k",), (), lambda p, q: heisenberg(int(p["k"]))),
+    "quaternionic_heisenberg": (("k",), (), lambda p, q: quaternionic_heisenberg(int(p["k"]), q=q)),
+    "h_type_clifford": (("m",), ("copies",), lambda p, q: h_type_clifford(int(p["m"]), int(p.get("copies", 1)), q=q)),
+    "n10": (("t",), (), lambda p, q: n10(p["t"], q=q)),
+    "n10_second": ((), (), lambda p, q: n10_second(q=q)),
+    "thm2": (("ts",), (), lambda p, q: family_thm2(list(p["ts"]), q=q)),
 }
 FAMILY_KINDS = tuple(_BUILDERS)
 
@@ -438,10 +439,13 @@ FAMILY_KINDS = tuple(_BUILDERS)
 def build_family(kind: str, params: dict, metric=None) -> MetricLieAlgebra:
     if kind not in _BUILDERS:
         raise InputError(f"unknown family kind {kind!r}; known: {', '.join(FAMILY_KINDS)}")
-    required, build = _BUILDERS[kind]
+    required, optional, build = _BUILDERS[kind]
     missing = [f"--{p}" for p in required if params.get(p) is None]
     if missing:
         raise InputError(f"family {kind} needs {' and '.join(missing)}")
+    extra = [f"--{p}" for p, v in params.items() if v is not None and p not in required + optional]
+    if extra:
+        raise InputError(f"family {kind} takes no {' or '.join(extra)}")
     if kind == "heisenberg" and metric is not None:
         raise InputError("family heisenberg takes no metric")
     return build(params, metric)

@@ -54,10 +54,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.samples < 0:
             raise InputError(f"samples must be non-negative, got {self.samples}")
-
-    def rng(self, index: int) -> np.random.Generator:
-        # per-sample generator: reproducible and parallelism-independent
-        return np.random.default_rng((self.seed, index))
+        if self.seed < 0:  # default_rng takes no negative seed
+            raise InputError(f"seed must be non-negative, got {self.seed}")
 
     def tolerances(self) -> dict:
         return {
@@ -141,14 +139,16 @@ def _sample_plan(config: SamplerConfig, dims, sums: bool = True) -> tuple[tuple,
 
     The sweep (all combinations of the per-factor sweeps, the first factor
     outermost) comes first, then ``config.samples`` seeded unit vectors
-    per factor, drawn factor by factor from one generator per sample.
+    per factor: row i of one ``default_rng(seed)`` block of
+    ``samples x sum(dims)`` normals, split by factor and normalised, so
+    the first k random rows do not depend on ``samples``.
     """
     sweeps = [_sweep(k, sums) for k in dims]
     combos = np.indices([len(s) for s in sweeps]).reshape(len(dims), -1)
-    draws = [[v / np.linalg.norm(v) for v in map(config.rng(i).standard_normal, dims)] for i in range(config.samples)]
+    block = np.random.default_rng(config.seed).standard_normal((config.samples, sum(dims)))
+    draws = np.split(block, np.cumsum(dims)[:-1], axis=1)
     plan = tuple(
-        np.vstack([s[c], np.reshape([t[f] for t in draws], (config.samples, k))])
-        for f, (s, c, k) in enumerate(zip(sweeps, combos, dims))
+        np.vstack([s[c], r / np.linalg.norm(r, axis=1, keepdims=True)]) for s, c, r in zip(sweeps, combos, draws)
     )
     return plan, combos.shape[1]
 
@@ -341,29 +341,37 @@ def gordon_refute_exact(L: MetricLieAlgebra, split: TwoStepSplit, X, Y, tau_rank
 # ---------------------------------------------------------------------------
 
 
-def _commutant(nprime_mats, Z_mat, tau_rank) -> np.ndarray:
-    """Basis of the commutant of Z inside span(nprime_mats), stacked."""
-    N = np.reshape(nprime_mats, (-1, *Z_mat.shape))
+def _nprime(nprime_mats, n: int) -> tuple[np.ndarray, float]:
+    """The basis of N' stacked as n x n matrices, with its largest norm
+    (the round-off scale of every commutant inside N')."""
+    N = np.reshape(nprime_mats, (-1, n, n))
+    return N, max((np.linalg.norm(M) for M in N), default=0.0)
+
+
+def _commutant(nprime, Z_mat, tau_rank) -> np.ndarray:
+    """Basis of the commutant of Z inside span(N), stacked, for ``nprime =
+    (N, max |N_i|)`` from :func:`_nprime`."""
+    N, nnorm = nprime
     if not len(N):
         return N
     K = (N @ Z_mat - Z_mat @ N).reshape(len(N), -1).T
     # suppress roundoff from the matrix products so that exactly
     # commuting elements are not ranked by noise singular values
-    kscale = max(np.linalg.norm(M) for M in N) * np.linalg.norm(Z_mat)
+    kscale = nnorm * np.linalg.norm(Z_mat)
     K[np.abs(K) <= 1e-12 * max(kscale, 1.0)] = 0.0
     return np.tensordot(np.reshape(lc.nullspace(K, tau_rank), (-1, len(N))), N, 1)
 
 
-def _tnc_blocks(V, nprime_mats, tau_rank, cache, zc, Y):
-    """Stacked systems X(Y) = Z(Y), X in the commutant of Z inside
-    span(nprime_mats), over rows of zc (Z in V's basis) and Y.  The
-    commutant is computed once per distinct Z (kept in ``cache``);
+def _tnc_blocks(V, nprime, tau_rank, cache, zc, Y):
+    """Stacked systems X(Y) = Z(Y), X in the commutant of Z inside N'
+    (``nprime`` from :func:`_nprime`), over rows of zc (Z in V's basis) and
+    Y.  The commutant is computed once per distinct Z (kept in ``cache``);
     consecutive samples with commutants of one dimension share a block."""
     systems = []
     for z, y in zip(zc, Y):
         if z.tobytes() not in cache:
             Z_mat = V.element(z)
-            cache[z.tobytes()] = Z_mat, _commutant(nprime_mats, Z_mat, tau_rank)
+            cache[z.tobytes()] = Z_mat, _commutant(nprime, Z_mat, tau_rank)
         Z_mat, mats = cache[z.tobytes()]
         b = Z_mat @ y
         systems.append(((mats @ y).T, b, np.linalg.norm(b) + np.linalg.norm(Z_mat) * np.linalg.norm(y)))
@@ -387,7 +395,7 @@ def tnc_check(
     return _adjudicate(
         config,
         (V.dim, V.ambient_dim),
-        functools.partial(_tnc_blocks, V, Nprime.basis, config.tau_rank, {}),
+        functools.partial(_tnc_blocks, V, _nprime(Nprime.basis, V.ambient_dim), config.tau_rank, {}),
         lambda s, rel, _: {"Z": s[0].tolist(), "Y": s[1].tolist(), "residual": rel},
     )
 
@@ -396,14 +404,14 @@ def normalizer_resolve_residual(V: SkewOperatorSubspace, config: SamplerConfig =
     """Re-solve the TNC samples against the full normalizer of V and
     report the worst relative centralizer residual max_i |[X, V_i]| of
     the minimum-norm solutions found."""
-    Nprime = normalizer_in_so(V, config.tau_rank)
+    nprime = _nprime(normalizer_in_so(V, config.tau_rank).basis, V.ambient_dim)
     plan, _ = _sample_plan(config, (V.dim, V.ambient_dim), sums=False)
     Bs = np.reshape(V.basis, (-1, V.ambient_dim, V.ambient_dim))
     bnorm = max(np.linalg.norm(B) for B in Bs)
     worst = 0.0
     for zc, Y in zip(*plan):
         Z_mat = V.element(zc)
-        mats = _commutant(Nprime.basis, Z_mat, config.tau_rank)
+        mats = _commutant(nprime, Z_mat, config.tau_rank)
         coeffs, _ = lc.least_squares((mats @ Y).T, Z_mat @ Y)
         X_mat = np.tensordot(coeffs, mats, 1)
         worst = max(worst, float(np.max(np.abs(X_mat @ Bs - Bs @ X_mat))) / max(np.linalg.norm(X_mat) * bnorm, 1.0))

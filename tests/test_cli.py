@@ -501,3 +501,96 @@ class TestFamilyContract:
         assert main(["family", *argv]) == 0
         assert len(calls) == 1 and calls[0][2] is not None
         capsys.readouterr()
+
+
+class TestFamilyFlags:
+    """Each kind takes its required parameters and its optional ones, nothing else."""
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["n10", "--t", "2", "--k", "5"], "--k"),
+            (["quaternionic_heisenberg", "--k", "1", "--copies", "3"], "--copies"),
+            (["heisenberg", "--k", "1", "--m", "3"], "--m"),
+            (["n10_second", "--t", "2"], "--t"),
+            (["thm2", "--ts", "2,3", "--t", "2"], "--t"),
+            (["h_type_clifford", "--m", "3", "--ts", "2,3"], "--ts"),
+        ],
+    )
+    def test_foreign_flag_exit_64(self, capsys, argv, flag):
+        code = main(["family", *argv])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert flag in captured.err and "Traceback" not in captured.err
+
+    def test_h_type_copies_is_optional(self, capsys):
+        one, out_one = run(capsys, "family", "h_type_clifford", "--m", "2")
+        two, out_two = run(capsys, "family", "h_type_clifford", "--m", "2", "--copies", "2")
+        assert one == two == 0
+        assert json.loads(out_two)["dim"] == json.loads(out_one)["dim"] + 4
+
+
+class TestSeedEnvironment:
+    @pytest.fixture
+    def heis(self, tmp_path):
+        path = tmp_path / "heis.json"
+        assert main(["family", "heisenberg", "--k", "1", "-o", str(path)]) == 0
+        return str(path)
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", ""])
+    @pytest.mark.parametrize("command", ["family", "validate", "go-check", "tnc", "geodesic-compare"])
+    def test_malformed_seed_exit_64(self, capsys, monkeypatch, heis, value, command):
+        argv = {
+            "family": ["family", "heisenberg", "--k", "1"],
+            "validate": ["validate", heis],
+            "go-check": ["go-check", heis, "--samples", "3"],
+            "tnc": ["tnc", heis, "--samples", "3"],
+            "geodesic-compare": ["geodesic-compare", heis, "--x0", "1,0,0", "--step", "0.1"],
+        }[command]
+        capsys.readouterr()
+        monkeypatch.setenv("NILGO_SEED", value)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert "NILGO_SEED" in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["go-check", "tnc"])
+    @pytest.mark.parametrize("from_env", [False, True])
+    def test_negative_seed_exit_64(self, capsys, monkeypatch, heis, command, from_env):
+        capsys.readouterr()
+        argv = [command, heis, "--samples", "3"]
+        if from_env:
+            monkeypatch.setenv("NILGO_SEED", "-1")
+        else:
+            argv += ["--seed", "-1"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert "seed" in captured.err and "Traceback" not in captured.err
+
+    def test_seed_read_when_the_arguments_are_parsed(self, capsys, monkeypatch, heis):
+        capsys.readouterr()
+        argv = ["go-check", heis, "--samples", "3"]
+        monkeypatch.delenv("NILGO_SEED", raising=False)
+        assert json.loads(run(capsys, *argv)[1])["seed"] == 0
+        monkeypatch.setenv("NILGO_SEED", "17")  # after the parser exists
+        assert json.loads(run(capsys, *argv)[1])["seed"] == 17
+        assert json.loads(run(capsys, *argv, "--seed", "4")[1])["seed"] == 4
+
+    def test_parser_built_once(self, capsys, monkeypatch, heis):
+        import nilgo.cli as cli
+
+        calls = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or real())
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert main(["validate", heis]) == 0
+        finally:
+            cli._parser.cache_clear()
+        capsys.readouterr()
+        assert len(calls) == 1

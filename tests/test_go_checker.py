@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as Q
 
 import numpy as np
@@ -21,9 +22,12 @@ from nilgo import (
     split_two_step,
     tnc_check,
 )
+from nilgo import linear_core as lc
 from nilgo.errors import InputError, NotTwoStepError, PreconditionError
-from nilgo.families import algebra_from_jmaps, clifford_generators, l_matrix, r_matrix, vt_subspace
+from nilgo.families import algebra_from_jmaps, clifford_generators, family_thm2, l_matrix, r_matrix, vt_subspace
 from nilgo.go_checker import (
+    _sample_plan,
+    _sweep,
     apply_center_metric,
     build_nilalgebra_from_subspace,
     center_shift,
@@ -35,6 +39,7 @@ from nilgo.go_checker import (
     normalizer_resolve_residual,
     semisimple_projection,
 )
+from nilgo.jmaps import split_family
 from nilgo.operator_subspaces import centralizer_in_so, normalizer_in_so, subspaces_equal
 
 FAST = SamplerConfig(samples=20)
@@ -478,3 +483,190 @@ class TestExactRecheck:
             split = split_two_step(L)
             verdicts.append([gordon_refute_exact(L, split, [1.0], Y) for Y in [*np.eye(4), np.ones(4)]])
         assert verdicts[0] == verdicts[1]
+
+
+# ---------------------------------------------------------------------------
+# the sample plan: one seeded block per certificate
+# ---------------------------------------------------------------------------
+
+
+def _per_sample_plan(config, dims, sums=True):
+    """Oracle: the plan drawn from one generator per random sample,
+    default_rng((seed, i)), normalised vector by vector."""
+    sweeps = [_sweep(k, sums) for k in dims]
+    combos = np.indices([len(s) for s in sweeps]).reshape(len(dims), -1)
+    draws = [
+        [v / np.linalg.norm(v) for v in map(np.random.default_rng((config.seed, i)).standard_normal, dims)]
+        for i in range(config.samples)
+    ]
+    plan = tuple(
+        np.vstack([s[c], np.reshape([t[f] for t in draws], (config.samples, k))])
+        for f, (s, c, k) in enumerate(zip(sweeps, combos, dims))
+    )
+    return plan, combos.shape[1]
+
+
+def _j_span(L):
+    """The J-span of a two-step algebra, as ``nilgo tnc`` reads an algebra document."""
+    split = split_two_step(L)
+    return SkewOperatorSubspace(split.n, [np.array(G, dtype=float) for G in split_family(split).generators])
+
+
+PLAN_DIMS = [(10,), (2, 8), (6, 8), (0, 4)]
+
+
+class TestSamplePlan:
+    @pytest.mark.parametrize("dims", PLAN_DIMS)
+    def test_one_generator_per_plan(self, monkeypatch, dims):
+        calls = []
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: calls.append(a) or real(*a))
+        _sample_plan(SamplerConfig(seed=5, samples=200), dims)
+        assert calls == [(5,)]
+
+    def test_one_generator_per_certificate(self, monkeypatch):
+        calls = []
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: calls.append(a) or real(*a))
+        gordon_go_check(n10(2), config=SamplerConfig(seed=4, samples=50))
+        kv_go_check(isometry_decomposition(n10(2)), SamplerConfig(seed=4, samples=50))
+        centralizer_type_check(vt_subspace(2), SamplerConfig(seed=4, samples=50))
+        assert calls == [(4,)] * 3
+
+    @pytest.mark.parametrize("dims", PLAN_DIMS)
+    def test_random_rows_are_unit_vectors(self, dims):
+        plan, n_sweep = _sample_plan(SamplerConfig(seed=2, samples=200), dims)
+        for f, k in zip(plan, dims):
+            assert f.shape == (n_sweep + 200, k)
+            if k:
+                assert np.allclose(np.linalg.norm(f[n_sweep:], axis=1), 1.0, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("dims", PLAN_DIMS)
+    def test_same_seed_same_plan(self, dims):
+        a, _ = _sample_plan(SamplerConfig(seed=9, samples=40), dims)
+        b, _ = _sample_plan(SamplerConfig(seed=9, samples=40), dims)
+        c, n_sweep = _sample_plan(SamplerConfig(seed=10, samples=40), dims)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert not np.array_equal(np.hstack(a)[n_sweep:], np.hstack(c)[n_sweep:])
+
+    @pytest.mark.parametrize("dims", PLAN_DIMS)
+    @pytest.mark.parametrize("k", [0, 1, 17, 199])
+    def test_fewer_samples_is_a_prefix(self, dims, k):
+        full, n_sweep = _sample_plan(SamplerConfig(seed=1, samples=200), dims)
+        part, n_part = _sample_plan(SamplerConfig(seed=1, samples=k), dims)
+        assert n_part == n_sweep
+        for f, p in zip(full, part):
+            assert np.array_equal(p, f[: n_sweep + k])
+
+    @pytest.mark.parametrize("dims", PLAN_DIMS)
+    @pytest.mark.parametrize("sums", [True, False])
+    def test_sweep_rows_unchanged(self, dims, sums):
+        config = SamplerConfig(seed=3, samples=20)
+        new, n_sweep = _sample_plan(config, dims, sums)
+        old, n_old = _per_sample_plan(config, dims, sums)
+        assert n_sweep == n_old
+        for f, g in zip(new, old):
+            assert f.shape == g.shape
+            assert np.array_equal(f[:n_sweep], g[:n_sweep])
+
+
+def _sweep_like(vector) -> bool:
+    return set(vector) <= {0.0, 1.0}
+
+
+def _same_verdict(new, old):
+    """Equal status, exact refutation and sweep witness; verified ones stay tight."""
+    assert new.status == old.status
+    assert new.exact_refutation == old.exact_refutation
+    assert (new.witness is None) == (old.witness is None)
+    if new.witness is not None:
+        vectors = {k: v for k, v in new.witness.items() if k not in ("residual", "from_sweep")}
+        # every refutation on this grid comes from the sweep, where the plans agree
+        assert all(_sweep_like(v) for v in vectors.values())
+        assert vectors == {k: v for k, v in old.witness.items() if k not in ("residual", "from_sweep")}
+        assert new.witness.get("from_sweep", True) and old.witness.get("from_sweep", True)
+    if new.verified:
+        assert new.max_residual <= 1e-9 and old.max_residual <= 1e-9
+
+
+H_TYPE_TABLE = [(1, 1), (1, 2), (1, 3), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (7, 1)]
+GO_GRID = {
+    **{f"h_type_clifford({m}, {c})": (lambda m=m, c=c: h_type_clifford(m, c)) for m, c in H_TYPE_TABLE},
+    **{f"n10({t})": (lambda t=t: n10(t)) for t in (1, 2, 5)},
+    "thm2 2,3": lambda: family_thm2([2, 3]),
+    "thm2 2,3,5,7": lambda: family_thm2([2, 3, 5, 7]),
+}
+
+
+class TestBlockPlanAgainstPerSamplePlan:
+    """The block plan reaches the verdicts of the per-sample plan it replaced."""
+
+    CONFIG = SamplerConfig(seed=0, samples=200)
+
+    def _both(self, monkeypatch, certify):
+        import nilgo.go_checker as gc
+
+        new = certify()
+        monkeypatch.setattr(gc, "_sample_plan", _per_sample_plan)
+        return new, certify()
+
+    @pytest.mark.parametrize("name", sorted(GO_GRID))
+    def test_gordon(self, monkeypatch, name):
+        L = GO_GRID[name]()
+        _same_verdict(*self._both(monkeypatch, lambda: gordon_go_check(L, config=self.CONFIG)))
+
+    @pytest.mark.parametrize("name", sorted(GO_GRID))
+    def test_kv(self, monkeypatch, name):
+        decomp = isometry_decomposition(GO_GRID[name]())
+        _same_verdict(*self._both(monkeypatch, lambda: kv_go_check(decomp, self.CONFIG)))
+
+    @pytest.mark.parametrize("name", ["n10(2)", "thm2 2,3"])
+    def test_tnc_centralizer(self, monkeypatch, name):
+        V = _j_span(GO_GRID[name]())
+        _same_verdict(*self._both(monkeypatch, lambda: centralizer_type_check(V, self.CONFIG)))
+
+
+def _commutant_scaled_per_z(nprime, Z_mat, tau_rank):
+    """Oracle: the commutant with its round-off scale recomputed from N' for every Z."""
+    N = nprime[0]
+    if not len(N):
+        return N
+    K = (N @ Z_mat - Z_mat @ N).reshape(len(N), -1).T
+    kscale = max(np.linalg.norm(M) for M in N) * np.linalg.norm(Z_mat)
+    K[np.abs(K) <= 1e-12 * max(kscale, 1.0)] = 0.0
+    return np.tensordot(np.reshape(lc.nullspace(K, tau_rank), (-1, len(N))), N, 1)
+
+
+class TestTncScale:
+    """The N' norm computed once per check gives the bytes of the per-Z scale."""
+
+    CASES = {
+        "centralizer vt(2)": lambda c: centralizer_type_check(vt_subspace(2), c),
+        "centralizer thm2 2,3": lambda c: centralizer_type_check(_j_span(family_thm2([2, 3])), c),
+        "centralizer clifford(4)": lambda c: centralizer_type_check(_j_span(h_type_clifford(4, 1)), c),
+        "normalizer vt(2)": lambda c: tnc_check(vt_subspace(2), normalizer_in_so(vt_subspace(2)), c),
+        "resolve vt(2)": lambda c: normalizer_resolve_residual(vt_subspace(2), c),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_byte_identical(self, monkeypatch, name):
+        import nilgo.go_checker as gc
+
+        config = SamplerConfig(seed=6, samples=40)
+
+        def dump(result):
+            return json.dumps(result if isinstance(result, float) else result.to_dict(), sort_keys=True)
+
+        hoisted = dump(self.CASES[name](config))
+        monkeypatch.setattr(gc, "_commutant", _commutant_scaled_per_z)
+        assert hoisted == dump(self.CASES[name](config))
+
+    def test_norm_of_nprime_once_per_check(self, monkeypatch):
+        import nilgo.go_checker as gc
+
+        calls = []
+        real = gc._nprime
+        monkeypatch.setattr(gc, "_nprime", lambda *a: calls.append(1) or real(*a))
+        centralizer_type_check(vt_subspace(2), SamplerConfig(samples=30))
+        normalizer_resolve_residual(vt_subspace(2), SamplerConfig(samples=30))
+        assert len(calls) == 2
