@@ -122,12 +122,14 @@ def _load_algebra(path: str) -> algebra.MetricLieAlgebra:
 def _load_subspace(path: str) -> SkewOperatorSubspace:
     """A subspace document {n, basis} or an algebra document (take J(z))."""
     data = _read_json(path)
-    if "basis" in data:
+    if isinstance(data, dict) and "basis" in data:
         try:
-            n = int(data["n"])
+            n = algebra._parse_index(data["n"], "n")
             basis = [np.array(B, dtype=float) for B in data["basis"]]
         except (KeyError, TypeError, ValueError) as e:
             raise InputError(f"bad subspace document: {e}") from None
+        if not 1 <= n <= algebra.MAX_DIM:
+            raise InputError(f"n {n} outside [1, {algebra.MAX_DIM}]")
         return SkewOperatorSubspace(n, basis)
     split = algebra.split_two_step(_metric_algebra(data))
     fam = jmaps.build_jmap_family(split)

@@ -113,52 +113,6 @@ def r_matrix(g1, g2, g3) -> np.ndarray:
     )
 
 
-def so4_decompose(U) -> tuple[np.ndarray, np.ndarray]:
-    """Unique U = L(beta) + R(gamma) for skew U in so(4)."""
-    U = np.asarray(U, dtype=float)
-    if U.shape != (4, 4) or np.max(np.abs(U + U.T)) > 1e-10 * max(1.0, np.max(np.abs(U))):
-        raise InputError("need a skew 4x4 matrix")
-    beta = np.array(
-        [
-            -(U[0, 1] + U[2, 3]) / 2,
-            (U[1, 3] - U[0, 2]) / 2,
-            -(U[0, 3] + U[1, 2]) / 2,
-        ]
-    )
-    gamma = np.array(
-        [
-            (U[2, 3] - U[0, 1]) / 2,
-            -(U[0, 2] + U[1, 3]) / 2,
-            (U[1, 2] - U[0, 3]) / 2,
-        ]
-    )
-    return beta, gamma
-
-
-def transport_solve(U, V, side: str = "L") -> np.ndarray:
-    """Parameter triple with L(beta) U = V (or R(gamma) U = V).
-
-    U must be nonzero and V tangent at U, i.e. (U, V) = 0; a solution
-    always exists in that case.
-    """
-    U = np.asarray(U, dtype=float)
-    V = np.asarray(V, dtype=float)
-    if U.shape != (4,) or V.shape != (4,):
-        raise InputError("U, V must be vectors in R^4")
-    if np.linalg.norm(U) == 0.0:
-        raise InputError("U must be nonzero")
-    if abs(U @ V) > 1e-10 * max(1.0, np.linalg.norm(U) * np.linalg.norm(V)):
-        raise InputError("V is not tangent: (U, V) != 0")
-    make = l_matrix if side == "L" else r_matrix if side == "R" else None
-    if make is None:
-        raise InputError("side must be 'L' or 'R'")
-    cols = [make(*e) @ U for e in np.eye(3)]
-    x, residual = lc.least_squares(np.array(cols).T, V)
-    if residual > 1e-10 * max(1.0, np.linalg.norm(V)):
-        raise InputError("transport system unexpectedly inconsistent")
-    return x
-
-
 # ---------------------------------------------------------------------------
 # Clifford-module generators (quaternions and octonions)
 # ---------------------------------------------------------------------------

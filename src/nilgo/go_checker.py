@@ -1,6 +1,5 @@
 """Geodesic-orbit criteria: the Kowalski--Vanhecke equation, Gordon's
-nilmanifold criterion, transitive normalizer conditions and the
-centralizer-type structure theory.
+nilmanifold criterion and transitive normalizer conditions.
 
 Universal quantifiers over continua are certified by a deterministic
 sweep plus seeded random sampling; verification is reported as
@@ -12,7 +11,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -21,19 +21,15 @@ import numpy as np
 from . import jmaps, linear_core as lc
 from .algebra import MetricLieAlgebra, TwoStepSplit, make_algebra, nilpotency_class, require_spd, split_two_step
 from .errors import InputError, PreconditionError
-from .families import algebra_from_jmaps
 from .linear_core import bareiss_pivots as _bareiss_pivots  # perfbench/tracer.py times the re-check under this name
 from .operator_subspaces import (
     SkewOperatorSubspace,
     centralizer_in_so,
-    compact_split,
     derivation_system,
-    generated_subalgebra,
     is_subalgebra,
     normalizer_in_so,
     skew_basis,
     skew_derivations,
-    span_matrices,
     subspace_contains,
 )
 
@@ -301,13 +297,16 @@ def gordon_refute_exact(L: MetricLieAlgebra, split: TwoStepSplit, X, Y, tau_rank
     """Exact infeasibility check of the Gordon system for rational X, Y.
 
     Builds the combined linear system {skew derivation identity,
-    D(X) = 0, D(Y) = J_X(Y)} over the rationals and tests whether the
+    D(X) = 0, D(Y) = J_X(Y)} over the integers and tests whether the
     augmented rank exceeds the plain rank (Farkas-style refutation).
     An exact split has the identity Gram, so the skew derivations are
     parametrized by the skew basis itself; the derivation rows come from
     :func:`derivation_system` on the stored integer tensor ``c = den *
-    structure``, which scales each row by ``den`` and leaves the pivots
-    unchanged.
+    structure``.  X and Y enter as the integer vectors ``lx * X`` and
+    ``ly * Y`` (lx, ly the lcm of their denominators), and the rows of
+    D(Y) = J_X(Y) are multiplied through by ``den * lx * ly``.  Every row
+    is a rational row times a nonzero integer, so the pivots are those of
+    the rational system.
     """
     if not (L.is_exact and split.is_exact):
         raise PreconditionError("exact re-check needs rational data")
@@ -324,13 +323,13 @@ def gordon_refute_exact(L: MetricLieAlgebra, split: TwoStepSplit, X, Y, tau_rank
     exact_dtype = np.int64 if 3 * max(map(abs, c.flat)) <= np.iinfo(np.int64).max else object
     S = np.array(skew_basis(d), dtype=np.int64)
     A = derivation_system(c.astype(exact_dtype), S.astype(exact_dtype))
-    # witness rows over the same skew basis, in ambient coordinates
-    Xa = np.full(d, Fraction(0), dtype=object)
-    Xa[list(split.z_index)] = Xq
-    Ya = np.full(d, Fraction(0), dtype=object)
-    Ya[list(split.v_index)] = Yq
-    JXY = np.einsum("b,bak,k->a", Ya, c, Xa) / den  # (J_X Y, e_a) = ([Y, e_a], X)
-    lhs = np.vstack([A, np.einsum("pkm,m->kp", S, Xa), np.einsum("pkm,m->kp", S, Ya)])
+    # lx * X and ly * Y in ambient coordinates, as Python ints
+    lx, ly = math.lcm(*(v.denominator for v in Xq)), math.lcm(*(v.denominator for v in Yq))
+    Xi, Yi = np.zeros(d, dtype=object), np.zeros(d, dtype=object)
+    Xi[list(split.z_index)] = [int(v * lx) for v in Xq]
+    Yi[list(split.v_index)] = [int(v * ly) for v in Yq]
+    JXY = np.einsum("b,bak,k->a", Yi, c, Xi)  # den * lx * ly * (J_X Y, e_a), as ([Y, e_a], X)
+    lhs = np.vstack([A, np.einsum("pkm,m->kp", S, Xi), den * lx * np.einsum("pkm,m->kp", S, Yi)])
     rhs = np.concatenate([np.zeros(A.shape[0] + d, dtype=object), JXY])
     pivots = _bareiss_pivots(np.column_stack([lhs, rhs]).tolist())
     return len(S) in pivots  # pivot in the rhs column <=> infeasible
@@ -426,183 +425,6 @@ def centralizer_type_check(V: SkewOperatorSubspace, config: SamplerConfig = Samp
 def naturally_reductive_flag(V: SkewOperatorSubspace, tau_rank: float = lc.DEFAULT_TAU_RANK) -> bool:
     """V generates a naturally reductive GO-nilmanifold iff V is a subalgebra."""
     return is_subalgebra(V, tau_rank)
-
-
-def build_nilalgebra_from_subspace(V, q=None) -> MetricLieAlgebra:
-    """Metric algebra on V + R^n with ([X, Y], Z)_1 = (Z(X), Y)_2.
-
-    ``V`` may be a SkewOperatorSubspace (float path) or a list of exact
-    rational matrices (nested lists); ``q`` is the inner product on V.
-    """
-    return algebra_from_jmaps(V.basis if isinstance(V, SkewOperatorSubspace) else V, q)
-
-
-# ---------------------------------------------------------------------------
-# centralizer-type structure operations
-# ---------------------------------------------------------------------------
-
-
-def semisimple_projection(V: SkewOperatorSubspace, tau_rank: float = lc.DEFAULT_TAU_RANK) -> SkewOperatorSubspace:
-    """Project V onto the semisimple part of the subalgebra it generates."""
-    A = generated_subalgebra(V, tau_rank)
-    if A.dim == 0:
-        return SkewOperatorSubspace(V.ambient_dim, [])
-    center_part, derived_part = compact_split(A, tau_rank)
-    basis_mats = center_part.basis + derived_part.basis
-    M = np.array([B.ravel() for B in basis_mats]).T
-    projected = []
-    for B in V.basis:
-        coords, res = lc.least_squares(M, B.ravel())
-        if res > 1e-8 * max(1.0, np.linalg.norm(B)):
-            raise PreconditionError("V does not lie in the generated subalgebra")
-        s = np.zeros((V.ambient_dim, V.ambient_dim))
-        for c, D in zip(coords[center_part.dim:], derived_part.basis):
-            s += c * D
-        projected.append(s)
-    return span_matrices(projected, V.ambient_dim, tau_rank)
-
-
-def center_of_centralizer(V: SkewOperatorSubspace, tau_rank: float = lc.DEFAULT_TAU_RANK) -> SkewOperatorSubspace:
-    Zc = centralizer_in_so(V, tau_rank)
-    return compact_split(Zc, tau_rank)[0]
-
-
-def center_shift(V: SkewOperatorSubspace, psi: list, tau_rank: float = lc.DEFAULT_TAU_RANK) -> SkewOperatorSubspace:
-    """The shifted subspace {Z + psi(Z)}; psi given by images of the V basis.
-
-    Requires V inside the semisimple part of its generated subalgebra and
-    psi mapping into the center of the centralizer.
-    """
-    if len(psi) != V.dim:
-        raise InputError("psi must give one image per basis element of V")
-    A = generated_subalgebra(V, tau_rank)
-    _, derived_part = compact_split(A, tau_rank)
-    if not subspace_contains(derived_part, V, 1e-7):
-        raise PreconditionError("V must lie in the semisimple part of its generated subalgebra")
-    cz = center_of_centralizer(V, tau_rank)
-    P = cz.projector()
-    for img in psi:
-        w = np.asarray(img, dtype=float).ravel()
-        if np.linalg.norm(w - P @ w) > 1e-8 * max(1.0, np.linalg.norm(w)):
-            raise InputError("psi image lies outside the center of the centralizer")
-    shifted = [B + np.asarray(img, dtype=float) for B, img in zip(V.basis, psi)]
-    return span_matrices(shifted, V.ambient_dim, tau_rank)
-
-
-# ---------------------------------------------------------------------------
-# spectral lemmas
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EigenComponent:
-    eigenvalue: float  # eigenvalue of U^2 (non-positive)
-    in_subspace: bool
-    v2_residual: float
-
-
-@dataclass(frozen=True)
-class CommonEigenspaceReport:
-    subspace_dim: int
-    invariant_under_u: bool
-    invariant_under_v: bool
-    components: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.invariant_under_u
-            and self.invariant_under_v
-            and all(c.in_subspace and c.v2_residual <= 1e-8 for c in self.components)
-        )
-
-
-def common_eigenspace_check(U, V, Z=None, tau_rank: float = lc.DEFAULT_TAU_RANK) -> CommonEigenspaceReport:
-    """Analyze L = {Z : U(Z) = V(Z)} for commuting skew U, V.
-
-    Verifies invariance of L under both operators and, if Z in L is
-    supplied, that its U^2-eigencomponents stay in L and are
-    V^2-eigenvectors with the same eigenvalue.
-    """
-    U = np.asarray(U, dtype=float)
-    V = np.asarray(V, dtype=float)
-    scale = max(np.linalg.norm(U) * np.linalg.norm(V), 1.0)
-    if np.max(np.abs(U @ V - V @ U)) > 1e-10 * scale:
-        raise PreconditionError("U and V must commute")
-    basis = lc.nullspace(U - V, tau_rank)
-    if basis:
-        B = np.array(basis)
-        P = B.T @ B  # orthogonal projector onto L
-    else:
-        B = np.zeros((0, U.shape[0]))
-        P = np.zeros(U.shape)
-
-    def invariant(W):
-        for v in basis:
-            w = W @ v
-            if np.linalg.norm(w - P @ w) > 1e-8 * max(1.0, np.linalg.norm(w)):
-                return False
-        return True
-
-    report_components = []
-    if Z is not None:
-        Z = np.asarray(Z, dtype=float)
-        if np.linalg.norm(Z - P @ Z) > 1e-8 * max(1.0, np.linalg.norm(Z)):
-            raise PreconditionError("Z must lie in the common subspace L")
-        U2 = U @ U
-        w, E = np.linalg.eigh((U2 + U2.T) / 2)
-        # cluster eigenvalues and project Z on each eigenspace
-        order = np.argsort(w)
-        w, E = w[order], E[:, order]
-        i = 0
-        tol = 1e-8 * max(1.0, abs(w).max())
-        while i < len(w):
-            j = i
-            while j + 1 < len(w) and abs(w[j + 1] - w[i]) <= tol:
-                j += 1
-            Evs = E[:, i: j + 1]
-            Zi = Evs @ (Evs.T @ Z)
-            if np.linalg.norm(Zi) > 1e-10 * max(1.0, np.linalg.norm(Z)):
-                in_l = np.linalg.norm(Zi - P @ Zi) <= 1e-8 * np.linalg.norm(Zi)
-                v2r = float(
-                    np.linalg.norm(V @ (V @ Zi) - w[i] * Zi) / max(np.linalg.norm(Zi), 1e-300)
-                ) / max(1.0, np.linalg.norm(V) ** 2)
-                report_components.append(EigenComponent(float(w[i]), bool(in_l), v2r))
-            i = j + 1
-    return CommonEigenspaceReport(len(basis), invariant(U), invariant(V), report_components)
-
-
-def commuting_triple_check(U, V, W, tol: float = 1e-9) -> bool:
-    """Under [U,V]=[U,W]=0 and a simple-spectrum condition on U, test [V,W]=0.
-
-    Preconditions (checked): U has no repeated nonzero eigenvalue pair and
-    a zero eigenvalue of multiplicity at most 2.
-    """
-    U = np.asarray(U, dtype=float)
-    V = np.asarray(V, dtype=float)
-    W = np.asarray(W, dtype=float)
-    su = max(np.linalg.norm(U), 1.0)
-    if np.max(np.abs(U @ V - V @ U)) > 1e-10 * su * max(np.linalg.norm(V), 1.0):
-        raise PreconditionError("[U, V] != 0")
-    if np.max(np.abs(U @ W - W @ U)) > 1e-10 * su * max(np.linalg.norm(W), 1.0):
-        raise PreconditionError("[U, W] != 0")
-    U2 = U @ U
-    w = np.linalg.eigvalsh((U2 + U2.T) / 2)
-    tol_sep = 1e-8 * max(1.0, abs(w).max())
-    clusters: list[list[float]] = []
-    for val in sorted(w):
-        if clusters and abs(val - clusters[-1][0]) <= tol_sep:
-            clusters[-1].append(val)
-        else:
-            clusters.append([val])
-    for cl in clusters:
-        if abs(cl[0]) <= tol_sep:
-            if len(cl) > 2:
-                raise PreconditionError("zero eigenvalue of multiplicity > 2")
-        elif len(cl) != 2:
-            raise PreconditionError("repeated nonzero eigenvalue pair")
-    scale = max(np.linalg.norm(V) * np.linalg.norm(W), 1.0)
-    return bool(np.max(np.abs(V @ W - W @ V)) <= tol * scale)
 
 
 def riehm_predict(m: int, n: int, isotypic: Optional[str] = None) -> bool:

@@ -124,11 +124,6 @@ def radon_hurwitz(n: int) -> int:
     return 8 * b + 2**c
 
 
-def center_bound_check(split: TwoStepSplit) -> bool:
-    """Strict Radon--Hurwitz bound m < rho(n) for non-singular algebras."""
-    return split.m < radon_hurwitz(split.n)
-
-
 def isotypic_test(split: TwoStepSplit, tol: float = 1e-10) -> str:
     """Classify J_{Z_1} J_{Z_2} ... J_{Z_7} as 'plus_id', 'minus_id' or 'neither'."""
     if split.m != 7:

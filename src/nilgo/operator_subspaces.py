@@ -28,6 +28,8 @@ class SkewOperatorSubspace:
         for B in self.basis:
             if B.shape != (n, n):
                 raise InputError("basis matrix shape mismatch")
+            if not np.all(np.isfinite(B)):
+                raise InputError("basis matrix has non-finite entries")
             if np.max(np.abs(B + B.T)) > 1e-12 * max(1.0, np.max(np.abs(B))):
                 raise InputError("basis matrix is not skew-symmetric")
         if self.basis:
@@ -260,14 +262,14 @@ def generated_subalgebra(V: SkewOperatorSubspace, tau_rank: float = lc.DEFAULT_T
 
 
 def compact_split(
-    A: SkewOperatorSubspace, tau_rank: float = lc.DEFAULT_TAU_RANK, require_subalgebra: bool = True
+    A: SkewOperatorSubspace, tau_rank: float = lc.DEFAULT_TAU_RANK
 ) -> tuple[SkewOperatorSubspace, SkewOperatorSubspace]:
     """Center and derived (semisimple) part of a subalgebra of so(n).
 
     For subalgebras of the compact so(n) the derived subspace is the
     semisimple part and the sum is direct.
     """
-    if require_subalgebra and not is_subalgebra(A, tau_rank):
+    if not is_subalgebra(A, tau_rank):
         raise PreconditionError("compact_split needs a Lie subalgebra")
     n = A.ambient_dim
     if A.dim == 0:

@@ -309,6 +309,29 @@ class TestNonFiniteCertificates:
         assert out == ""
 
 
+class TestSubspaceDocumentContract:
+    """Malformed {n, basis} documents for ``nilgo tnc`` exit 64, never 0 or 70."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 2.5, "basis": [[[0, 1], [-1, 0]]]}',
+            '{"n": 0, "basis": []}',
+            '{"n": -1, "basis": []}',
+            '{"n": 65, "basis": []}',
+            '{"n": 2, "basis": [[[0, NaN], [-1, 0]]]}',
+            "5",
+        ],
+        ids=["fractional_n", "zero_n", "negative_n", "n_past_max_dim", "nan_entry", "non_object_document"],
+    )
+    def test_malformed_subspace_exit_64(self, capsys, tmp_path, text):
+        path = tmp_path / "sub.json"
+        path.write_text(text)
+        code, out = run(capsys, "tnc", str(path), "--nprime", "self", "--samples", "3")
+        assert code == 64
+        assert out == ""
+
+
 class TestOverflowingCoefficients:
     """Coefficients whose float view or products overflow exit 64, never 1."""
 

@@ -22,25 +22,26 @@ from nilgo import (
     split_two_step,
     tnc_check,
 )
-from nilgo import linear_core as lc
+from nilgo import go_checker, linear_core as lc
 from nilgo.errors import InputError, NotTwoStepError, PreconditionError
-from nilgo.families import algebra_from_jmaps, clifford_generators, family_thm2, l_matrix, r_matrix, vt_subspace
+from nilgo.families import algebra_from_jmaps, clifford_generators, family_thm2, l_matrix, vt_subspace
 from nilgo.go_checker import (
     _sample_plan,
     _sweep,
     apply_center_metric,
-    build_nilalgebra_from_subspace,
-    center_shift,
     centralizer_type_check,
-    common_eigenspace_check,
-    commuting_triple_check,
     gordon_refute_exact,
     isometry_decomposition,
     normalizer_resolve_residual,
-    semisimple_projection,
 )
 from nilgo.jmaps import split_family
-from nilgo.operator_subspaces import centralizer_in_so, normalizer_in_so, subspaces_equal
+from nilgo.operator_subspaces import (
+    centralizer_in_so,
+    derivation_system,
+    normalizer_in_so,
+    skew_basis,
+    subspaces_equal,
+)
 
 FAST = SamplerConfig(samples=20)
 
@@ -230,78 +231,10 @@ class TestStructureOps:
     def test_build_from_subspace_round_trip(self):
         from nilgo.families import vt_generators
 
-        L = build_nilalgebra_from_subspace(vt_generators(2))
+        L = algebra_from_jmaps(vt_generators(2))
         assert L.is_exact
         assert np.array_equal(L.structure_exact[0], n10(2).structure_exact[0])
         assert L.structure_exact[1] == n10(2).structure_exact[1]
-
-    def test_semisimple_projection_of_subalgebra_center(self):
-        # center element projects to zero, so(3) part projects to itself
-        mats = [l_matrix(*e) for e in np.eye(3)]
-        V = SkewOperatorSubspace(4, [mats[0] + r_matrix(1, 0, 0), mats[1]])
-        S = semisimple_projection(V)
-        expected = SkewOperatorSubspace(4, [mats[0], mats[1]])
-        assert subspaces_equal(S, expected)
-
-    @staticmethod
-    def _so3_on_r4_plus_r2():
-        # so(3) acting on the first R^4, trivial on an extra R^2; the
-        # centralizer then has an so(2) center on the trivial block
-        mats = []
-        for e in np.eye(3):
-            M = np.zeros((6, 6))
-            M[:4, :4] = l_matrix(*e)
-            mats.append(M)
-        return SkewOperatorSubspace(6, mats)
-
-    def test_center_shift(self):
-        V = self._so3_on_r4_plus_r2()
-        rot = np.zeros((6, 6))
-        rot[4, 5], rot[5, 4] = 1.0, -1.0
-        shifted = center_shift(V, [rot, np.zeros((6, 6)), np.zeros((6, 6))])
-        assert shifted.dim == 3
-        assert np.allclose(shifted.projector() @ (V.basis[0] + rot).ravel(), (V.basis[0] + rot).ravel())
-
-    def test_center_shift_rejects_bad_image(self):
-        V = self._so3_on_r4_plus_r2()
-        psi = [V.basis[0], np.zeros((6, 6)), np.zeros((6, 6))]
-        with pytest.raises((InputError, PreconditionError)):
-            center_shift(V, psi)
-
-
-class TestSpectralLemmas:
-    def test_common_eigenspace_equal_operators(self):
-        U = np.kron(np.eye(2), l_matrix(1, 0, 0))
-        rep = common_eigenspace_check(U, U, Z=np.eye(8)[0])
-        assert rep.subspace_dim == 8
-        assert rep.passed
-
-    def test_common_eigenspace_component_split(self):
-        U = np.zeros((4, 4))
-        U[0, 1], U[1, 0], U[2, 3], U[3, 2] = 1.0, -1.0, 2.0, -2.0
-        rep = common_eigenspace_check(U, U, Z=np.array([1.0, 0.0, 1.0, 0.0]))
-        assert rep.subspace_dim == 4
-        assert len(rep.components) == 2
-        assert rep.passed
-
-    def test_common_eigenspace_needs_commuting(self):
-        with pytest.raises(PreconditionError):
-            common_eigenspace_check(l_matrix(1, 0, 0), l_matrix(0, 1, 0))
-
-    def test_commuting_triple_true(self):
-        U = np.zeros((6, 6))
-        U[0, 1], U[1, 0], U[2, 3], U[3, 2], U[4, 5], U[5, 4] = 1, -1, 2, -2, 3, -3
-        V = np.zeros((6, 6))
-        V[0, 1], V[1, 0] = 5, -5
-        W = np.zeros((6, 6))
-        W[2, 3], W[3, 2] = 1, -1
-        assert commuting_triple_check(U, V, W)
-
-    def test_commuting_triple_spectrum_precondition(self):
-        U = np.kron(np.eye(2), l_matrix(1, 0, 0))  # repeated eigenvalue pair
-        Z = np.zeros((8, 8))
-        with pytest.raises(PreconditionError):
-            commuting_triple_check(U, Z, Z)
 
 
 class TestRiehm:
@@ -483,6 +416,63 @@ class TestExactRecheck:
             split = split_two_step(L)
             verdicts.append([gordon_refute_exact(L, split, [1.0], Y) for Y in [*np.eye(4), np.ones(4)]])
         assert verdicts[0] == verdicts[1]
+
+
+def _fraction_refute_exact(L, split, X, Y):
+    """Oracle: the exact re-check on witness rows of Fraction objects, with
+    the rational X, Y and J_X(Y) entered unscaled."""
+    d = L.dim
+    c, den = L.structure_exact
+    S = np.array(skew_basis(d), dtype=np.int64)
+    A = derivation_system(c.astype(object), S.astype(object))
+    Xa = np.full(d, Q(0), dtype=object)
+    Xa[list(split.z_index)] = [Q(v).limit_denominator(10**6) for v in X]
+    Ya = np.full(d, Q(0), dtype=object)
+    Ya[list(split.v_index)] = [Q(v).limit_denominator(10**6) for v in Y]
+    JXY = np.einsum("b,bak,k->a", Ya, c, Xa) / den
+    lhs = np.vstack([A, np.einsum("pkm,m->kp", S, Xa), np.einsum("pkm,m->kp", S, Ya)])
+    rhs = np.concatenate([np.zeros(A.shape[0] + d, dtype=object), JXY])
+    return len(S) in lc.bareiss_pivots(np.column_stack([lhs, rhs]).tolist())
+
+
+def _sweep_witness(L):
+    cert = gordon_go_check(L, config=SamplerConfig(samples=0))
+    assert cert.status == "refuted" and cert.witness["from_sweep"]
+    return cert.witness["X"], cert.witness["Y"]
+
+
+def _recheck_cases():
+    e = np.eye
+    yield "h4_sweep_witness", h_type_clifford(4), *_sweep_witness(h_type_clifford(4)), True
+    for i, (X, Y) in enumerate([(e(2)[0], e(8)[0]), (e(2)[1], e(8)[3] + e(8)[6]), (e(2)[0] + e(2)[1], e(8)[7])]):
+        yield f"n10_feasible_{i}", n10(2), X, Y, False
+    for i, (X, Y) in enumerate([(e(2)[0], e(12)[0]), (e(2)[0] + e(2)[1], e(12)[2] + e(12)[9])]):
+        yield f"thm2_feasible_{i}", family_thm2([2, 3]), X, Y, False
+    X, Y = [Q(1, 2), 0, 0, Q(1, 3)], [Q(2, 3), 0, 0, 0, Q(5, 7), 0, 0, 0]
+    yield "h4_rational_witness", h_type_clifford(4), [float(v) for v in X], [float(v) for v in Y], True
+
+
+RECHECK_CASES = {name: case for name, *case in _recheck_cases()}
+
+
+class TestIntegerRecheck:
+    """The re-check builds integer rows and answers as the Fraction-row oracle does."""
+
+    @pytest.mark.parametrize("name", list(RECHECK_CASES))
+    def test_matches_fraction_rows(self, monkeypatch, name):
+        L, X, Y, expected = RECHECK_CASES[name]
+        split = split_two_step(L)
+        assert L.is_exact and split.is_exact
+        rows = []
+
+        def spy(M):
+            rows.extend(M)
+            return lc.bareiss_pivots(M)
+
+        monkeypatch.setattr(go_checker, "_bareiss_pivots", spy)
+        verdict = gordon_refute_exact(L, split, X, Y)
+        assert verdict is _fraction_refute_exact(L, split, X, Y) is expected
+        assert rows and all(type(x) is int for row in rows for x in row)
 
 
 # ---------------------------------------------------------------------------

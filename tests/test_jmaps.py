@@ -19,7 +19,7 @@ from nilgo import (
     split_two_step,
 )
 from nilgo.errors import InputError, PreconditionError
-from nilgo.jmaps import build_jmap_family, center_bound_check, split_family
+from nilgo.jmaps import build_jmap_family, split_family
 
 
 def _pair_loop_generators(split):
@@ -170,7 +170,3 @@ class TestRadonHurwitz:
     def test_rejects_nonpositive(self):
         with pytest.raises(InputError):
             radon_hurwitz(0)
-
-    def test_center_bound(self):
-        assert center_bound_check(split_two_step(n10(2)))
-        assert center_bound_check(split_two_step(h_type_clifford(7, 1)))

@@ -1,5 +1,6 @@
 """Checks on the repository's tooling that the library itself cannot see."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -13,6 +14,18 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 SRC = str(ROOT / "src")
+
+# test oracles and paper objects that only the unit tests call, on purpose:
+# the exact reference kernels of linear_core, the diagonal centralizer of the
+# 4k+6 family and the Levi-Civita connection the geodesic equation comes from
+ORACLES = (
+    "pfaffian_combinatorial",
+    "rational_matrix",
+    "rat_rank",
+    "rat_solve",
+    "thm2_diagonal_centralizer",
+    "connection",
+)
 
 
 def _tracer_targets() -> dict:
@@ -41,3 +54,51 @@ def test_library_import_loads_no_scipy():
     code = "import sys, nilgo.cli; sys.exit(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def _identifiers(tree) -> set:
+    """Names, attributes, imported names and string constants in an AST."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def _uses(node) -> set:
+    """Names and attributes read inside one top-level statement (imports excluded)."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_definition_is_reachable():
+    # a public definition that no live root reaches is code only its own unit tests keep alive
+    import nilgo
+
+    statements = [
+        (path.stem, node)
+        for path in sorted((ROOT / "src" / "nilgo").glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+    ]
+    roots = [*(ROOT / "perfbench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    external = set().union(*(_identifiers(ast.parse(p.read_text())) for p in roots))
+    unreached = []
+    for module, node in statements:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        name = node.name
+        internal = any(name in _uses(other) for _, other in statements if other is not node)
+        if not (
+            name in nilgo.__all__
+            or (module == "cli" and name.startswith("cmd_"))
+            or internal
+            or name in external
+            or name in ORACLES
+        ):
+            unreached.append(f"{module}.{name}")
+    assert not unreached, f"public definitions no live root reaches: {unreached}"
