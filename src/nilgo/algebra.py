@@ -54,10 +54,6 @@ class MetricLieAlgebra:
         Y = np.asarray(Y, dtype=float)
         return np.einsum("i,j,ijk->k", X, Y, self.structure)
 
-    def ad_matrix(self, X) -> np.ndarray:
-        """Matrix of ad(X): Y -> [X, Y]."""
-        return np.einsum("i,ijk->kj", np.asarray(X, dtype=float), self.structure)
-
     def inner(self, X, Y) -> float:
         return float(np.asarray(X) @ self.gram @ np.asarray(Y))
 
@@ -157,17 +153,14 @@ def _gram_orthonormalize(vectors: np.ndarray, gram: np.ndarray) -> np.ndarray:
 def _gram_complement(vectors: np.ndarray, gram: np.ndarray, dim: int) -> np.ndarray:
     if vectors.shape[0] == 0:
         return np.eye(dim)
-    basis = lc.nullspace(vectors @ gram, 1e-12)
-    return np.array(basis) if basis else np.zeros((0, dim))
+    return lc.nullspace(vectors @ gram, 1e-12)
 
 
 def center(L: MetricLieAlgebra, tau_rank: float = lc.DEFAULT_TAU_RANK) -> np.ndarray:
     """Gram-orthonormal basis (rows) of {X : [X, Y] = 0 for all Y}."""
     d = L.dim
     A = L.structure.reshape(d, d * d).T  # rows (j, k), columns i
-    basis = lc.nullspace(A, tau_rank)
-    vecs = np.array(basis) if basis else np.zeros((0, d))
-    return _gram_orthonormalize(vecs, L.gram)
+    return _gram_orthonormalize(lc.nullspace(A, tau_rank), L.gram)
 
 
 def derived(L: MetricLieAlgebra, tau_rank: float = lc.DEFAULT_TAU_RANK) -> np.ndarray:
@@ -350,22 +343,17 @@ def is_nonsingular(
                 Z = np.array([1.0, float(r.real)])
                 return NonsingularityResult("no", Z / np.linalg.norm(Z))
         return NonsingularityResult("yes", exact=poly.is_exact)
-    # m >= 3: sampled decision
-    rng = np.random.default_rng(seed)
-    candidates = [np.eye(m)[i] for i in range(m)]
-    for k in range(samples):
-        Z = rng.standard_normal(m)
-        candidates.append(Z / np.linalg.norm(Z))
-    for idx, Z in enumerate(candidates):
-        J = jmaps.build_jmap(split, Z)
-        smax = np.linalg.norm(J, 2)
-        smin = np.linalg.svd(J, compute_uv=False)[-1]
-        if smin <= tau_rank * max(smax, 1.0):
-            exact = False
-            if fam.is_exact and idx < m:
-                exact = lc.bareiss_rank(fam.generators_exact[0][idx].tolist()) < n
-            return NonsingularityResult("no", Z, exact=exact)
-    return NonsingularityResult("sampled_yes")
+    # m >= 3: sampled decision, the basis vectors first, on one stacked SVD
+    draws = np.random.default_rng(seed).standard_normal((samples, m))
+    candidates = np.vstack([np.eye(m), draws / np.linalg.norm(draws, axis=1, keepdims=True)])
+    pencils = (candidates @ fam.generators.reshape(m, n * n)).reshape(-1, n, n)
+    s = np.linalg.svd(pencils, compute_uv=False)
+    singular = np.flatnonzero(s[:, -1] <= tau_rank * np.maximum(s[:, 0], 1.0))
+    if not singular.size:
+        return NonsingularityResult("sampled_yes")
+    idx = singular[0]
+    exact = bool(fam.is_exact and idx < m and lc.bareiss_rank(fam.generators_exact[0][idx].tolist()) < n)
+    return NonsingularityResult("no", candidates[idx], exact=exact)
 
 
 # ---------------------------------------------------------------------------

@@ -125,15 +125,13 @@ def _load_subspace(path: str) -> SkewOperatorSubspace:
     if isinstance(data, dict) and "basis" in data:
         try:
             n = algebra._parse_index(data["n"], "n")
-            basis = [np.array(B, dtype=float) for B in data["basis"]]
-        except (KeyError, TypeError, ValueError) as e:
+        except KeyError as e:
             raise InputError(f"bad subspace document: {e}") from None
         if not 1 <= n <= algebra.MAX_DIM:
             raise InputError(f"n {n} outside [1, {algebra.MAX_DIM}]")
-        return SkewOperatorSubspace(n, basis)
+        return SkewOperatorSubspace(n, data["basis"])
     split = algebra.split_two_step(_metric_algebra(data))
-    fam = jmaps.build_jmap_family(split)
-    return SkewOperatorSubspace(split.n, [np.array(G, dtype=float) for G in fam.generators])
+    return SkewOperatorSubspace(split.n, jmaps.build_jmap_family(split).generators)
 
 
 def cmd_validate(args) -> int:
@@ -186,7 +184,7 @@ def cmd_derivations(args) -> int:
     from .operator_subspaces import skew_derivations
 
     ders = skew_derivations(L)
-    _emit_json(args, {"dim": ders.dim, "basis": [D.tolist() for D in ders.basis]})
+    _emit_json(args, {"dim": ders.dim, "basis": ders.basis.tolist()})
     return EXIT_PASS
 
 

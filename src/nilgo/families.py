@@ -4,7 +4,7 @@ Heisenberg and quaternionic Heisenberg groups, H-type algebras from
 Clifford-module generators (hard-coded octonion left multiplication),
 the 10-dimensional non-singular families with two-dimensional center,
 their 4k+6-dimensional generalization, and the so(4) = so(3) + so(3)
-transport machinery.
+blocks of their centralizers.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linear_core as lc
-from .algebra import MetricLieAlgebra, _over_common_denominator, make_algebra, require_spd
+from .algebra import MAX_DIM, MetricLieAlgebra, _over_common_denominator, make_algebra, require_spd
 from .errors import InputError
 from .operator_subspaces import SkewOperatorSubspace
 
@@ -32,6 +32,12 @@ def _as_metric(q, m: int) -> np.ndarray:
         raise InputError(f"metric must be {m}x{m}")
     require_spd(np.array(rows, dtype=float), "metric")
     return np.array(rows, dtype=object)
+
+
+def _require_dim(d: int) -> None:
+    """Reject a family larger than MAX_DIM before any of its tensors is built."""
+    if d > MAX_DIM:
+        raise InputError(f"dimension {d} outside supported envelope [0, {MAX_DIM}]")
 
 
 def algebra_from_jmaps(generators, q=None) -> MetricLieAlgebra:
@@ -77,6 +83,7 @@ def heisenberg(k: int) -> MetricLieAlgebra:
     if k < 1:
         raise InputError("k must be >= 1")
     d = 2 * k + 1
+    _require_dim(d)
     structure = np.zeros((d, d, d), dtype=int)
     for i in range(k):
         structure[2 * i, 2 * i + 1, d - 1] = 1
@@ -199,6 +206,7 @@ def clifford_generators(m: int, copies: int = 1) -> list[list[list[Fraction]]]:
         raise InputError("m must be in 1..7")
     if copies < 1:
         raise InputError("copies must be >= 1")
+    _require_dim(m + (2 if m == 1 else 4 if m <= 3 else 8) * copies)
     if m == 1:
         units = [[[0, -1], [1, 0]]]
     else:
@@ -258,7 +266,7 @@ def n10(t, q=None) -> MetricLieAlgebra:
 
 
 def _float_subspace(generators) -> SkewOperatorSubspace:
-    return SkewOperatorSubspace(len(generators[0]), [np.array(G, dtype=float) for G in generators])
+    return SkewOperatorSubspace(len(generators[0]), generators)
 
 
 def vt_subspace(t) -> SkewOperatorSubspace:
@@ -345,6 +353,7 @@ def d_matrix_exact(a1, a2, a3) -> list[list[Fraction]]:
 
 
 def thm2_generators(ts) -> list[list[list[Fraction]]]:
+    _require_dim(4 * len(ts) + 6)
     tall, G = _pencil(ts)
     if any(a >= b for a, b in zip(tall, tall[1:])):
         raise InputError("parameters must satisfy 1 < t_1 < ... < t_k")

@@ -23,6 +23,7 @@ from .algebra import MetricLieAlgebra, TwoStepSplit, make_algebra, nilpotency_cl
 from .errors import InputError, PreconditionError
 from .linear_core import bareiss_pivots as _bareiss_pivots  # perfbench/tracer.py times the re-check under this name
 from .operator_subspaces import (
+    DerivationAlgebra,
     SkewOperatorSubspace,
     centralizer_in_so,
     derivation_system,
@@ -102,26 +103,11 @@ class MetricParameter:
         object.__setattr__(self, "q", q)
 
 
-@dataclass(frozen=True)
-class ReductiveDecomposition:
-    """g = h + p with h acting on p; only the data the KV criterion needs."""
-
-    p_dim: int
-    h_basis: list  # matrices acting on p
-    structure: np.ndarray  # [p, p] with p-projection, c[i][j][k]
-    gram: np.ndarray
-
-    def ad_p(self, X: np.ndarray) -> np.ndarray:
-        """ad(X) on p; X may be a stack of vectors (last axis)."""
-        return np.einsum("...i,ijk->...kj", X, self.structure)
-
-
-def isometry_decomposition(L: MetricLieAlgebra, tau_rank: float = lc.DEFAULT_TAU_RANK) -> ReductiveDecomposition:
-    """The full-isometry decomposition (D(n), n) of a nilmanifold."""
+def isometry_decomposition(L: MetricLieAlgebra, tau_rank: float = lc.DEFAULT_TAU_RANK) -> DerivationAlgebra:
+    """The isotropy algebra D(n) of the full-isometry decomposition (D(n), n) of a nilmanifold."""
     require_spd(L.gram, "gram matrix")
     nilpotency_class(L, tau_rank)  # raises InputError unless L is nilpotent
-    ders = skew_derivations(L, tau_rank)
-    return ReductiveDecomposition(L.dim, ders.basis, L.structure, L.gram)
+    return skew_derivations(L, tau_rank)
 
 
 def _sweep(k: int, sums: bool = True) -> np.ndarray:
@@ -191,29 +177,31 @@ def _adjudicate(config: SamplerConfig, dims, system, witness) -> GOCertificate:
     return GOCertificate(status, config.samples, max_res, config.tolerances(), config.seed)
 
 
-def _kv_system(decomp: ReductiveDecomposition, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked KV systems for the rows of X: column h of A[i] is H_h^T G X_i."""
-    gx = X @ decomp.gram.T
-    H = np.reshape(decomp.h_basis, (-1, decomp.p_dim, decomp.p_dim))
-    return np.einsum("hji,bj->bih", H, gx), -np.einsum("bkj,bk->bj", decomp.ad_p(X), gx)
+def _kv_system(ders: DerivationAlgebra, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked KV systems for the rows of X: column h of A[i] is H_h^T G X_i,
+    b[i] is -ad(X_i)^T G X_i."""
+    L = ders.parent
+    gx = X @ L.gram.T
+    ad = np.einsum("bi,ijk->bkj", X, L.structure)
+    return np.einsum("hji,bj->bih", ders.basis, gx), -np.einsum("bkj,bk->bj", ad, gx)
 
 
-def kv_solve(decomp: ReductiveDecomposition, X) -> tuple[np.ndarray, float]:
-    """Solve ([X+Z, Y]_p, X) = 0 for Z in h, minimum-norm least squares.
+def kv_solve(ders: DerivationAlgebra, X) -> tuple[np.ndarray, float]:
+    """Solve ([X+Z, Y], X) = 0 for Z in D(n), minimum-norm least squares.
 
-    Returns coefficients of Z over h_basis and the residual norm.
+    Returns coefficients of Z over ``ders.basis`` and the residual norm.
     """
-    A, b = _kv_system(decomp, np.asarray(X, dtype=float)[None])
+    A, b = _kv_system(ders, np.asarray(X, dtype=float)[None])
     return lc.least_squares(A[0], b[0])
 
 
-def kv_go_check(decomp: ReductiveDecomposition, config: SamplerConfig = SamplerConfig()) -> GOCertificate:
+def kv_go_check(ders: DerivationAlgebra, config: SamplerConfig = SamplerConfig()) -> GOCertificate:
     """Sampled KV GO-criterion over basis vectors, pairwise sums, and random unit X."""
-    cnorm = max(float(np.max(np.abs(decomp.structure))), 1.0)
+    cnorm = max(float(np.max(np.abs(ders.parent.structure))), 1.0)
     return _adjudicate(
         config,
-        (decomp.p_dim,),
-        lambda X: [(*_kv_system(decomp, X), cnorm * np.einsum("bi,bi->b", X, X))],
+        (ders.parent.dim,),
+        lambda X: [(*_kv_system(ders, X), cnorm * np.einsum("bi,bi->b", X, X))],
         lambda s, rel, _: {"X": s[0].tolist(), "residual": rel},
     )
 
@@ -229,7 +217,7 @@ def _gordon_blocks(split, maps, extra, X, Y):
     ``CX[p] X`` and ``AY[p] Y - TY J_X Y`` are D_p(X) and D_p(Y) - J_X(Y) in
     orthonormal coordinates of z and of v; the rows ``extra`` follow."""
     CX, AY, TY = maps
-    J = np.reshape(jmaps.split_family(split).generators, (split.m, split.n, split.n))
+    J = jmaps.split_family(split).generators
     JXY = np.einsum("bi,iac,bc->ba", X, J, Y)
     extra_rows = np.broadcast_to(extra, (len(X), *extra.shape))
     A = np.concatenate([np.einsum("pij,bj->bip", CX, X), np.einsum("pij,bj->bip", AY, Y), extra_rows], axis=1)
@@ -268,7 +256,7 @@ def gordon_go_check(
     split = split_two_step(L, config.tau_rank)
     if not split.derived_equals_center:
         raise PreconditionError("[n, n] = z is required (strip the flat factor first)")
-    Ds = np.reshape(skew_derivations(L, config.tau_rank, split).basis, (-1, L.dim, L.dim))
+    Ds = skew_derivations(L, config.tau_rank, split).basis
     extra = np.zeros((0, len(Ds)))
     if restrict_to is not None:
         if restrict_to.ambient_dim != split.n:
@@ -321,7 +309,7 @@ def gordon_refute_exact(L: MetricLieAlgebra, split: TwoStepSplit, X, Y, tau_rank
     # each defect entry sums three entries of c, up to sign; past int64
     # the same expression runs on Python ints
     exact_dtype = np.int64 if 3 * max(map(abs, c.flat)) <= np.iinfo(np.int64).max else object
-    S = np.array(skew_basis(d), dtype=np.int64)
+    S = skew_basis(d).astype(np.int64)
     A = derivation_system(c.astype(exact_dtype), S.astype(exact_dtype))
     # lx * X and ly * Y in ambient coordinates, as Python ints
     lx, ly = math.lcm(*(v.denominator for v in Xq)), math.lcm(*(v.denominator for v in Yq))
@@ -340,11 +328,10 @@ def gordon_refute_exact(L: MetricLieAlgebra, split: TwoStepSplit, X, Y, tau_rank
 # ---------------------------------------------------------------------------
 
 
-def _nprime(nprime_mats, n: int) -> tuple[np.ndarray, float]:
-    """The basis of N' stacked as n x n matrices, with its largest norm
-    (the round-off scale of every commutant inside N')."""
-    N = np.reshape(nprime_mats, (-1, n, n))
-    return N, max((np.linalg.norm(M) for M in N), default=0.0)
+def _nprime(Nprime: SkewOperatorSubspace) -> tuple[np.ndarray, float]:
+    """The basis of N' with its largest norm (the round-off scale of every
+    commutant inside N')."""
+    return Nprime.basis, max((np.linalg.norm(M) for M in Nprime.basis), default=0.0)
 
 
 def _commutant(nprime, Z_mat, tau_rank) -> np.ndarray:
@@ -358,7 +345,7 @@ def _commutant(nprime, Z_mat, tau_rank) -> np.ndarray:
     # commuting elements are not ranked by noise singular values
     kscale = nnorm * np.linalg.norm(Z_mat)
     K[np.abs(K) <= 1e-12 * max(kscale, 1.0)] = 0.0
-    return np.tensordot(np.reshape(lc.nullspace(K, tau_rank), (-1, len(N))), N, 1)
+    return np.tensordot(lc.nullspace(K, tau_rank), N, 1)
 
 
 def _tnc_blocks(V, nprime, tau_rank, cache, zc, Y):
@@ -394,7 +381,7 @@ def tnc_check(
     return _adjudicate(
         config,
         (V.dim, V.ambient_dim),
-        functools.partial(_tnc_blocks, V, _nprime(Nprime.basis, V.ambient_dim), config.tau_rank, {}),
+        functools.partial(_tnc_blocks, V, _nprime(Nprime), config.tau_rank, {}),
         lambda s, rel, _: {"Z": s[0].tolist(), "Y": s[1].tolist(), "residual": rel},
     )
 
@@ -403,9 +390,9 @@ def normalizer_resolve_residual(V: SkewOperatorSubspace, config: SamplerConfig =
     """Re-solve the TNC samples against the full normalizer of V and
     report the worst relative centralizer residual max_i |[X, V_i]| of
     the minimum-norm solutions found."""
-    nprime = _nprime(normalizer_in_so(V, config.tau_rank).basis, V.ambient_dim)
+    nprime = _nprime(normalizer_in_so(V, config.tau_rank))
     plan, _ = _sample_plan(config, (V.dim, V.ambient_dim), sums=False)
-    Bs = np.reshape(V.basis, (-1, V.ambient_dim, V.ambient_dim))
+    Bs = V.basis
     bnorm = max(np.linalg.norm(B) for B in Bs)
     worst = 0.0
     for zc, Y in zip(*plan):

@@ -20,7 +20,7 @@ from .errors import InputError, PreconditionError
 @dataclass(frozen=True)
 class JMapFamily:
     split: TwoStepSplit
-    generators: list  # m skew (n, n) float arrays
+    generators: np.ndarray  # (m, n, n) skew float array
     # (J_int, den): the generators are J_int[i] / den, J_int an (m, n, n)
     # integer object array
     generators_exact: Optional[tuple] = field(default=None, repr=False)
@@ -43,7 +43,7 @@ def build_jmap_family(split: TwoStepSplit) -> JMapFamily:
     brackets = np.einsum("ai,bj,ijk->abk", v, v, L.structure).reshape(n * n, 1, d)
     pairings = (brackets @ L.gram).reshape(n, n, d) @ split.z_basis.T
     lower = np.tril(pairings.transpose(2, 1, 0), -1)
-    gens = list(lower - lower.transpose(0, 2, 1))
+    gens = lower - lower.transpose(0, 2, 1)
     gens_exact = None
     if split.is_exact:
         c, den = L.structure_exact
@@ -58,10 +58,7 @@ def build_jmap(split: TwoStepSplit, Z) -> np.ndarray:
     Z = np.asarray(Z, dtype=float)
     if Z.shape != (split.m,):
         raise InputError(f"Z must have {split.m} coordinates")
-    out = np.zeros((split.n, split.n))
-    for zi, J in zip(Z, fam.generators):
-        out += zi * J
-    return out
+    return (Z[:, None, None] * fam.generators).sum(axis=0)
 
 
 def split_family(split: TwoStepSplit) -> JMapFamily:
@@ -72,16 +69,11 @@ def split_family(split: TwoStepSplit) -> JMapFamily:
 
 
 def is_h_type(split: TwoStepSplit, tol: float = 1e-10) -> bool:
-    fam = split_family(split)
-    n = split.n
-    eye = np.eye(n)
-    for i, Ji in enumerate(fam.generators):
-        if np.max(np.abs(Ji @ Ji + eye)) > tol:
-            return False
-        for Jj in fam.generators[i + 1:]:
-            if np.max(np.abs(Ji @ Jj + Jj @ Ji)) > tol:
-                return False
-    return True
+    """Whether J_i^2 = -I and J_i J_j + J_j J_i = 0 (i != j) for all generators, entrywise within tol."""
+    J = split_family(split).generators
+    anti = J[:, None] @ J + J @ J[:, None]  # [i, j] = J_i J_j + J_j J_i, exactly 2 J_i^2 for i = j
+    target = -2.0 * np.eye(len(J))[:, :, None, None] * np.eye(split.n)
+    return bool(np.max(np.abs(anti - target), initial=0.0) <= 2 * tol)
 
 
 def pfaffian_form(split: TwoStepSplit) -> lc.HomogeneousPolynomial2:

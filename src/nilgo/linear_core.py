@@ -32,8 +32,8 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def nullspace(A, tau_rank: float = DEFAULT_TAU_RANK) -> list[np.ndarray]:
-    """Orthonormal basis of the numerical nullspace of ``A``.
+def nullspace(A, tau_rank: float = DEFAULT_TAU_RANK) -> np.ndarray:
+    """Orthonormal basis (rows, ``(k, n)``) of the numerical nullspace of ``A``.
 
     Rank is decided by singular values relative to the largest one.
     """
@@ -41,12 +41,11 @@ def nullspace(A, tau_rank: float = DEFAULT_TAU_RANK) -> list[np.ndarray]:
         raise InputError("tau_rank must be positive")
     A = as_matrix(A)
     if A.size == 0 or not np.any(A):
-        return [e for e in np.eye(A.shape[1])]
+        return np.eye(A.shape[1])
     # U is never used; a wide A still needs the full V for its nullspace
     _, s, vt = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
-    cutoff = tau_rank * s[0]
-    rank = int(np.sum(s > cutoff))
-    return [vt[i] for i in range(rank, A.shape[1])]
+    rank = int(np.sum(s > tau_rank * s[0]))
+    return vt[rank:]
 
 
 def least_squares(A, b) -> tuple[np.ndarray, float]:

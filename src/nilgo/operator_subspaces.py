@@ -21,74 +21,86 @@ from .jmaps import split_family
 @dataclass(frozen=True)
 class SkewOperatorSubspace:
     ambient_dim: int
-    basis: list  # list of (n, n) skew float arrays
+    basis: np.ndarray  # (k, n, n) skew float array; any sequence of n x n matrices is stacked
 
     def __post_init__(self):
         n = self.ambient_dim
-        for B in self.basis:
-            if B.shape != (n, n):
-                raise InputError("basis matrix shape mismatch")
-            if not np.all(np.isfinite(B)):
-                raise InputError("basis matrix has non-finite entries")
-            if np.max(np.abs(B + B.T)) > 1e-12 * max(1.0, np.max(np.abs(B))):
-                raise InputError("basis matrix is not skew-symmetric")
-        if self.basis:
-            M = np.array([B.ravel() for B in self.basis])
-            if np.linalg.matrix_rank(M, tol=lc.DEFAULT_TAU_RANK * np.linalg.norm(M)) < len(self.basis):
+        try:
+            B = np.array(self.basis, dtype=float)
+        except (TypeError, ValueError) as e:  # ragged or non-numeric
+            raise InputError(f"basis is not a stack of matrices: {e}") from None
+        if B.shape == (0,):
+            B = B.reshape(0, n, n)
+        if B.shape[1:] != (n, n):
+            raise InputError("basis matrix shape mismatch")
+        if not np.all(np.isfinite(B)):
+            raise InputError("basis matrix has non-finite entries")
+        asym = np.abs(B + B.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+        if np.any(asym > 1e-12 * np.maximum(1.0, np.abs(B).max(axis=(1, 2), initial=0.0))):
+            raise InputError("basis matrix is not skew-symmetric")
+        if len(B):
+            M = B.reshape(len(B), -1)
+            if np.linalg.matrix_rank(M, tol=lc.DEFAULT_TAU_RANK * np.linalg.norm(M)) < len(B):
                 raise InputError("basis matrices are linearly dependent")
+        object.__setattr__(self, "basis", B)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def element(self, coeffs) -> np.ndarray:
-        out = np.zeros((self.ambient_dim, self.ambient_dim))
-        for c, B in zip(coeffs, self.basis):
-            out += c * B
-        return out
+        return (np.asarray(coeffs, dtype=float)[:, None, None] * self.basis).sum(axis=0)
 
     def projector(self) -> np.ndarray:
         """Orthogonal projector onto the span in vec space (Frobenius)."""
-        n2 = self.ambient_dim**2
-        if not self.basis:
-            return np.zeros((n2, n2))
-        Q, _ = np.linalg.qr(np.array([B.ravel() for B in self.basis]).T)
+        Q, _ = np.linalg.qr(self.basis.reshape(self.dim, self.ambient_dim**2).T)
         return Q @ Q.T
 
 
 @dataclass(frozen=True)
 class DerivationAlgebra:
     parent: MetricLieAlgebra
-    basis: list  # list of (d, d) float arrays
+    basis: np.ndarray  # (k, d, d) float array
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
 
-def skew_basis(n: int) -> list[np.ndarray]:
-    """Standard basis E_ij - E_ji (i < j) of so(n)."""
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            B = np.zeros((n, n))
-            B[i, j] = 1.0
-            B[j, i] = -1.0
-            out.append(B)
-    return out
+def skew_basis(n: int) -> np.ndarray:
+    """Standard basis E_ij - E_ji (i < j) of so(n), stacked."""
+    iu, ju = np.triu_indices(n, 1)
+    p = np.arange(len(iu))
+    S = np.zeros((len(iu), n, n))
+    S[p, iu, ju] = 1.0
+    S[p, ju, iu] = -1.0
+    return S
+
+
+def brackets(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Stacked commutators: ``brackets(A, B)[p, q] = A_p B_q - B_q A_p``."""
+    return A[:, None] @ B - B @ A[:, None]
 
 
 def span_matrices(mats, n: int, tau_rank: float = lc.DEFAULT_TAU_RANK) -> SkewOperatorSubspace:
-    """Orthonormal (Frobenius) spanning basis of a list of skew matrices."""
-    mats = [np.asarray(M, dtype=float) for M in mats]
-    if not mats:
-        return SkewOperatorSubspace(n, [])
-    A = np.array([M.ravel() for M in mats])
+    """Orthonormal (Frobenius) spanning basis of a stack of skew matrices."""
+    A = np.reshape(mats, (len(mats), n * n))
     if not np.any(A):
         return SkewOperatorSubspace(n, [])
     _, s, vt = np.linalg.svd(A)
     rank = int(np.sum(s > tau_rank * s[0]))
-    return SkewOperatorSubspace(n, [vt[i].reshape(n, n) for i in range(rank)])
+    return SkewOperatorSubspace(n, vt[:rank].reshape(rank, n, n))
+
+
+def _off_span(P: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The rows w of W minus their projections P w (one matrix-vector product each)."""
+    return W - (P @ W[..., None])[..., 0]
+
+
+def _in_span(P: np.ndarray, W: np.ndarray, tau_rank: float) -> bool:
+    """Whether every row w of W satisfies |w - P w| <= tau_rank max(1, |w|)."""
+    off = np.linalg.norm(_off_span(P, W), axis=1)
+    return not np.any(off > tau_rank * np.maximum(1.0, np.linalg.norm(W, axis=1)))
 
 
 def subspace_contains(
@@ -96,12 +108,7 @@ def subspace_contains(
 ) -> bool:
     if inner.dim == 0:
         return True
-    P = outer.projector()
-    for B in inner.basis:
-        v = B.ravel()
-        if np.linalg.norm(v - P @ v) > tau_rank * max(1.0, np.linalg.norm(v)):
-            return False
-    return True
+    return _in_span(outer.projector(), inner.basis.reshape(inner.dim, -1), tau_rank)
 
 
 def subspaces_equal(a: SkewOperatorSubspace, b: SkewOperatorSubspace, tau_rank: float = lc.DEFAULT_TAU_RANK) -> bool:
@@ -141,7 +148,7 @@ def skew_derivations(
     """
     d = L.dim
     if d <= 1:
-        return DerivationAlgebra(L, [])
+        return DerivationAlgebra(L, np.zeros((0, d, d)))
     if split is None:
         try:
             split = split_two_step(L, tau_rank)
@@ -149,12 +156,11 @@ def skew_derivations(
             pass
     ginv = np.linalg.inv(L.gram)
     if split is None:
-        params = ginv @ np.reshape(skew_basis(d), (-1, d, d))
-        coeffs = np.reshape(lc.nullspace(derivation_system(L.structure, params), tau_rank), (-1, len(params)))
+        coeffs = lc.nullspace(derivation_system(L.structure, ginv @ skew_basis(d)), tau_rank)
     else:
         iu, ju = np.triu_indices(d, 1)
         coeffs = np.linalg.qr(_split_derivation_forms(split, tau_rank)[:, iu, ju].T)[0].T
-    return DerivationAlgebra(L, list(ginv @ _skew_from_upper(coeffs, d)))
+    return DerivationAlgebra(L, ginv @ _skew_from_upper(coeffs, d))
 
 
 def _skew_from_upper(coeffs: np.ndarray, n: int) -> np.ndarray:
@@ -177,18 +183,17 @@ def split_derivation_system(J: np.ndarray) -> np.ndarray:
     """
     m, n = J.shape[0], J.shape[-1]
     iu, ju = np.triu_indices(n, 1)
-    E = np.reshape(skew_basis(n), (-1, n, n))
+    E = skew_basis(n)
     comm = np.einsum("iab,kbc->ikac", J, E) - np.einsum("kab,ibc->ikac", E, J)
     rows_a = comm[:, :, iu, ju].transpose(0, 2, 1).reshape(m * len(iu), len(E))
-    CJ = np.einsum("lij,jab->liab", np.reshape(skew_basis(m), (-1, m, m)), J)[:, :, iu, ju]
+    CJ = np.einsum("lij,jab->liab", skew_basis(m), J)[:, :, iu, ju]
     return np.hstack([rows_a, -CJ.transpose(1, 2, 0).reshape(m * len(iu), -1)])
 
 
 def _split_derivation_forms(split: TwoStepSplit, tau_rank: float) -> np.ndarray:
     """G D for a basis of the skew derivations of a two-step algebra, stacked."""
     m, n = split.m, split.n
-    J = np.reshape(split_family(split).generators, (m, n, n))
-    sol = np.reshape(lc.nullspace(split_derivation_system(J), tau_rank), (-1, n * (n - 1) // 2 + m * (m - 1) // 2))
+    sol = lc.nullspace(split_derivation_system(split_family(split).generators), tau_rank)
     k = n * (n - 1) // 2
     A, C = _skew_from_upper(sol[:, :k], n), _skew_from_upper(sol[:, k:], m)
     Pv, Pz = split.v_basis @ split.parent.gram, split.z_basis @ split.parent.gram
@@ -200,25 +205,14 @@ def _constrained_so_subspace(V: SkewOperatorSubspace, project_out_span: bool, ta
     sb = skew_basis(n)
     if V.dim == 0:
         return SkewOperatorSubspace(n, sb)
-    P = V.projector() if project_out_span else None
-    cols = []
-    for S in sb:
-        rows = []
-        for B in V.basis:
-            w = (S @ B - B @ S).ravel()
-            if P is not None:
-                w = w - P @ w
-            rows.append(w)
-        cols.append(np.concatenate(rows))
-    A = np.array(cols).T
-    coeff_vectors = lc.nullspace(A, tau_rank)
-    mats = []
-    for v in coeff_vectors:
-        X = np.zeros((n, n))
-        for a, S in zip(v, sb):
-            X += a * S
-        mats.append(X)
-    return span_matrices(mats, n, tau_rank)
+    W = brackets(sb, V.basis).reshape(len(sb), V.dim, n * n)  # [p, q] = [S_p, B_q]
+    if project_out_span:
+        W = _off_span(V.projector(), W)
+    coeffs = lc.nullspace(W.reshape(len(sb), -1).T, tau_rank)
+    # sum_p a_p S_p: the skew matrices with upper triangle a_p.  "+ 0.0" turns
+    # their negative zeros positive, as a sum from zero does: the SVD in
+    # span_matrices can depend on the sign of a zero
+    return span_matrices(_skew_from_upper(coeffs, n) + 0.0, n, tau_rank)
 
 
 def normalizer_in_so(V: SkewOperatorSubspace, tau_rank: float = lc.DEFAULT_TAU_RANK) -> SkewOperatorSubspace:
@@ -231,16 +225,17 @@ def centralizer_in_so(V: SkewOperatorSubspace, tau_rank: float = lc.DEFAULT_TAU_
     return _constrained_so_subspace(V, project_out_span=False, tau_rank=tau_rank)
 
 
+def _pair_brackets(V: SkewOperatorSubspace) -> np.ndarray:
+    """[B_p, B_q] for the basis pairs p < q, stacked."""
+    iu, ju = np.triu_indices(V.dim, 1)
+    return brackets(V.basis, V.basis)[iu, ju]
+
+
 def is_subalgebra(V: SkewOperatorSubspace, tau_rank: float = lc.DEFAULT_TAU_RANK) -> bool:
     if V.dim <= 1:
         return True
-    P = V.projector()
-    for i, A in enumerate(V.basis):
-        for B in V.basis[i + 1:]:
-            w = (A @ B - B @ A).ravel()
-            if np.linalg.norm(w - P @ w) > tau_rank * max(1.0, np.linalg.norm(w)):
-                return False
-    return True
+    W = _pair_brackets(V)
+    return _in_span(V.projector(), W.reshape(len(W), -1), tau_rank)
 
 
 def generated_subalgebra(V: SkewOperatorSubspace, tau_rank: float = lc.DEFAULT_TAU_RANK) -> SkewOperatorSubspace:
@@ -249,10 +244,7 @@ def generated_subalgebra(V: SkewOperatorSubspace, tau_rank: float = lc.DEFAULT_T
     current = span_matrices(V.basis, n, tau_rank)
     cap = n * (n - 1) // 2
     for _ in range(cap + 1):
-        brackets = [
-            A @ B - B @ A for i, A in enumerate(current.basis) for B in current.basis[i + 1:]
-        ]
-        grown = span_matrices(current.basis + brackets, n, tau_rank)
+        grown = span_matrices(np.concatenate([current.basis, _pair_brackets(current)]), n, tau_rank)
         if grown.dim == current.dim:
             return current
         if grown.dim > cap:
@@ -273,17 +265,10 @@ def compact_split(
         raise PreconditionError("compact_split needs a Lie subalgebra")
     n = A.ambient_dim
     if A.dim == 0:
-        empty = SkewOperatorSubspace(n, [])
-        return empty, empty
-    cols = []
-    for B in A.basis:
-        rows = [(B @ C - C @ B).ravel() for C in A.basis]
-        cols.append(np.concatenate(rows))
-    M = np.array(cols).T
-    coeffs = lc.nullspace(M, tau_rank)
+        return A, A
+    coeffs = lc.nullspace(brackets(A.basis, A.basis).reshape(A.dim, -1).T, tau_rank)
     center = span_matrices([A.element(v) for v in coeffs], n, tau_rank)
-    brackets = [B @ C - C @ B for i, B in enumerate(A.basis) for C in A.basis[i + 1:]]
-    der = span_matrices(brackets, n, tau_rank)
+    der = span_matrices(_pair_brackets(A), n, tau_rank)
     if center.dim + der.dim != A.dim:
         raise PreconditionError("center + derived is not a direct sum decomposition")
     return center, der

@@ -149,13 +149,52 @@ def _alpha_point_holds(t, x, y, X):
     return True
 
 
+# |entries| of the scaled blocks stay below this, so 4 * _ALPHA_BOUND**3 < 2**63
+# bounds every int64 product and sum in _alpha_points_hold
+_ALPHA_BOUND = 2**20
+
+
+def _over_lcm(entries):
+    """The integers ``l * v`` for the lcm ``l`` of the denominators of ``entries``
+    (ints and Fractions), then ``l``."""
+    den = math.lcm(*(v.denominator for v in entries))
+    return [v.numerator * (den // v.denominator) for v in entries] + [den]
+
+
+def _alpha_points_hold(points) -> np.ndarray:
+    """Per point, whether D X = C X and [D, C] = 0 hold on both blocks, in one int64 batch.
+
+    D and C (the closed-form centralizer block and J's block) and the block of
+    X are each scaled to integers by the lcm of their denominators, lD, lC and
+    lX; then D X = C X reads lC (D' X') = lD (C' X') and [D, C] = 0 reads
+    [D', C'] = 0.
+    """
+    rows = []
+    for t, x, y, X in points:
+        alphas = alpha_closed_form(t, x, y, X).alphas
+        for a, tj, off in ((alphas[:3], Q(1), 0), (alphas[3:], t, 4)):
+            D = _over_lcm(list(itertools.chain(*d_matrix_exact(*a))))
+            C = _over_lcm(list(itertools.chain(*_c_block(tj, x, y))))
+            rows.append(D + C + _over_lcm(X[off:off + 4]))
+    big = max(abs(v) for row in rows for v in row)
+    assert big < _ALPHA_BOUND
+    A = np.array(rows, dtype=np.int64)
+    D, dden = A[:, :16].reshape(-1, 4, 4), A[:, 16:17]
+    C, cden = A[:, 17:33].reshape(-1, 4, 4), A[:, 33:34]
+    Xb = A[:, 34:38, None]
+    moves = np.all(cden * (D @ Xb)[..., 0] == dden * (C @ Xb)[..., 0], axis=1)
+    commutes = ~np.any(D @ C - C @ D, axis=(1, 2))
+    return (moves & commutes).reshape(-1, 2).all(axis=1)
+
+
 def test_criterion_03_alpha_formula_exactness():
     rnd = random.Random(20240)
+    points = []
     for _ in range(10_000):
         t = 1 + Q(rnd.randint(0, 8), rnd.randint(1, 4))
         x, y = Q(rnd.randint(-5, 5)), Q(rnd.randint(-5, 5))
         X = [Q(rnd.randint(-4, 4)) for _ in range(8)]
-        assert _alpha_point_holds(t, x, y, X)
+        points.append((t, x, y, X))
 
     hand_picked = [
         (Q(1), Q(1), Q(0), [Q(1), Q(0), Q(0), Q(0), Q(1), Q(0), Q(0), Q(0)]),
@@ -181,7 +220,8 @@ def test_criterion_03_alpha_formula_exactness():
     ]
     for t, x, y, X in hand_picked:
         assert alpha_closed_form(t, x, y, X).alphas == _alpha_reference(t, x, y, X)
-        assert _alpha_point_holds(t, x, y, X)
+        assert _alpha_point_holds(t, x, y, X)  # the Fraction oracle
+    assert _alpha_points_hold(points + hand_picked).all()
     _report(3, "closed-form solution exact at 10^4 random rational points and 20 pinned points")
 
 

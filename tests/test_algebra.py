@@ -222,6 +222,48 @@ class TestNonsingularity:
         r = is_nonsingular(h_type_clifford(4, 1))
         assert r.status == "sampled_yes"
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: h_type_clifford(4),
+            lambda: h_type_clifford(7),
+            lambda: algebra_from_jmaps(
+                [
+                    [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+                    [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]],
+                    [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],
+                ]
+            ),
+        ],
+        ids=["h_type_clifford_4", "h_type_clifford_7", "rank_2_generator"],
+    )
+    def test_stacked_decision_matches_candidate_loop(self, build):
+        L = build()
+        r = is_nonsingular(L, samples=200, seed=5)
+        status, witness, exact = _nonsingular_loop(L, samples=200, seed=5)
+        assert (r.status, r.exact) == (status, exact)
+        assert (r.witness is None and witness is None) or np.array_equal(r.witness, witness)
+
+
+def _nonsingular_loop(L, tau_rank=1e-9, samples=1000, seed=0):
+    """Oracle for m >= 3: one J_Z and two SVDs per candidate, basis vectors first."""
+    from nilgo import jmaps, linear_core as lc
+
+    split = split_two_step(L, tau_rank)
+    fam = jmaps.split_family(split)
+    m, n = split.m, split.n
+    rng = np.random.default_rng(seed)
+    candidates = [np.eye(m)[i] for i in range(m)]
+    for _ in range(samples):
+        Z = rng.standard_normal(m)
+        candidates.append(Z / np.linalg.norm(Z))
+    for idx, Z in enumerate(candidates):
+        J = jmaps.build_jmap(split, Z)
+        if np.linalg.svd(J, compute_uv=False)[-1] <= tau_rank * max(np.linalg.norm(J, 2), 1.0):
+            exact = fam.is_exact and idx < m and lc.bareiss_rank(fam.generators_exact[0][idx].tolist()) < n
+            return "no", Z, exact
+    return "sampled_yes", None, False
+
 
 class TestJson:
     def test_round_trip_exact(self):

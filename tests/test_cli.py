@@ -321,8 +321,21 @@ class TestSubspaceDocumentContract:
             '{"n": 65, "basis": []}',
             '{"n": 2, "basis": [[[0, NaN], [-1, 0]]]}',
             "5",
+            '{"n": 2, "basis": [[[0, 1], [-1]]]}',
+            '{"n": 2, "basis": [[[0, 1], [-1, 0]], [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]]}',
+            '{"n": 2, "basis": [[[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]]}',
         ],
-        ids=["fractional_n", "zero_n", "negative_n", "n_past_max_dim", "nan_entry", "non_object_document"],
+        ids=[
+            "fractional_n",
+            "zero_n",
+            "negative_n",
+            "n_past_max_dim",
+            "nan_entry",
+            "non_object_document",
+            "ragged_rows",
+            "ragged_matrices",
+            "matrix_larger_than_n",
+        ],
     )
     def test_malformed_subspace_exit_64(self, capsys, tmp_path, text):
         path = tmp_path / "sub.json"
@@ -524,6 +537,50 @@ class TestFamilyContract:
         assert main(["family", *argv]) == 0
         assert len(calls) == 1 and calls[0][2] is not None
         capsys.readouterr()
+
+
+class TestFamilySize:
+    """A family past MAX_DIM exits 64 before any of its tensors is built."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["heisenberg", "--k", "1000000"],
+            ["heisenberg", "--k", "60"],
+            ["heisenberg", "--k", "32"],
+            ["quaternionic_heisenberg", "--k", "16"],
+            ["h_type_clifford", "--m", "7", "--copies", "9"],
+            ["h_type_clifford", "--m", "1", "--copies", "1000000"],
+            ["thm2", "--ts", ",".join(str(t) for t in range(2, 17))],
+        ],
+    )
+    def test_too_large_exit_64(self, capsys, argv):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            code = main(["family", *argv])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == "" and "outside supported envelope" in captured.err
+        assert peak < 5 * 2**20
+
+    @pytest.mark.parametrize(
+        "argv,dim",
+        [
+            (["heisenberg", "--k", "31"], 63),
+            (["quaternionic_heisenberg", "--k", "15"], 63),
+            (["h_type_clifford", "--m", "7", "--copies", "7"], 63),
+            (["thm2", "--ts", ",".join(str(t) for t in range(2, 16))], 62),
+        ],
+    )
+    def test_largest_families_still_built(self, capsys, argv, dim):
+        code, out = run(capsys, "family", *argv)
+        assert code == 0
+        assert json.loads(out)["dim"] == dim
 
 
 class TestFamilyFlags:

@@ -16,7 +16,7 @@ from nilgo import (
 )
 from nilgo import geodesics
 from nilgo.errors import InputError, PreconditionError
-from nilgo.geodesics import _bracket_tensor, _euler_arnold_tensor, connection, expm
+from nilgo.geodesics import _bracket_tensor, _euler_arnold_tensor, expm
 from nilgo.go_checker import apply_center_metric, isometry_decomposition
 from nilgo.operator_subspaces import skew_derivations
 
@@ -74,28 +74,6 @@ class TestGroupMult:
     def test_rejects_three_step(self, three_step):
         with pytest.raises(PreconditionError):
             group_mult(three_step, np.zeros(5), np.zeros(5))
-
-
-class TestConnection:
-    def test_heisenberg_values(self):
-        L = heisenberg(1)
-        e1, e2, e3 = np.eye(3)
-        assert np.allclose(connection(L, e1, e2), 0.5 * e3)
-        assert np.allclose(connection(L, e2, e1), -0.5 * e3)
-        assert np.allclose(connection(L, e1, e3), -0.5 * e2)
-
-    def test_metric_compatibility(self, rng):
-        L = n10(2)
-        for _ in range(5):
-            X, Y = rng.standard_normal(10), rng.standard_normal(10)
-            # (nabla_X Y, Y) = 0 guarantees geodesics preserve speed
-            assert abs(L.inner(connection(L, Y, Y), Y)) < 1e-10
-
-    def test_torsion_free(self, rng):
-        L = heisenberg(1)
-        X, Y = rng.standard_normal(3), rng.standard_normal(3)
-        diff = connection(L, X, Y) - connection(L, Y, X)
-        assert np.allclose(diff, L.bracket(X, Y))
 
 
 class TestGeodesicIntegrate:
@@ -191,7 +169,7 @@ class TestKernels:
         X0 /= np.linalg.norm(X0)
         decomp = isometry_decomposition(L)
         coeffs, _ = kv_solve(decomp, X0)
-        D = sum(c * H for c, H in zip(coeffs, decomp.h_basis))
+        D = sum(c * H for c, H in zip(coeffs, decomp.basis))
         traj = orbit_integrate(L, X0, D, 1.0, 2e-3)
         reference = np.array([sla.expm(t * D) @ X0 for t in traj.times])
         assert np.max(np.abs(traj.velocities - reference)) <= 1e-12

@@ -36,6 +36,7 @@ from nilgo.go_checker import (
 )
 from nilgo.jmaps import split_family
 from nilgo.operator_subspaces import (
+    DerivationAlgebra,
     centralizer_in_so,
     derivation_system,
     normalizer_in_so,
@@ -62,9 +63,7 @@ class TestKv:
     def test_refuted_without_isotropy(self):
         # clifford(4, 1) with an empty h cannot satisfy the criterion
         L = h_type_clifford(4, 1)
-        from nilgo.go_checker import ReductiveDecomposition
-
-        decomp = ReductiveDecomposition(L.dim, [], L.structure, L.gram)
+        decomp = DerivationAlgebra(L, np.zeros((0, 12, 12)))
         cert = kv_go_check(decomp, FAST)
         assert cert.status == "refuted"
         assert cert.witness is not None
@@ -140,10 +139,8 @@ class TestAdjudicator:
         assert cert.witness["from_sweep"] is True
 
     def test_kv_witness_is_first_refuting_sweep_vector(self):
-        from nilgo.go_checker import ReductiveDecomposition
-
         L = h_type_clifford(4, 1)
-        cert = kv_go_check(ReductiveDecomposition(L.dim, [], L.structure, L.gram), FAST)
+        cert = kv_go_check(DerivationAlgebra(L, np.zeros((0, 12, 12))), FAST)
         e = np.eye(12)
         assert cert.witness["X"] == list(e[0] + e[4])
 

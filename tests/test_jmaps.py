@@ -80,6 +80,15 @@ class TestJmapDefinition:
         for G, ref in zip(build_jmap_family(split).generators, _pair_loop_generators(split), strict=True):
             assert np.array_equal(G, ref)
 
+    def test_build_jmap_matches_accumulating_loop(self, rng):
+        split = split_two_step(family_thm2([2, 3]))
+        for _ in range(20):
+            Z = rng.standard_normal(split.m)
+            ref = np.zeros((split.n, split.n))
+            for z, J in zip(Z, split_family(split).generators):
+                ref += z * J
+            assert np.array_equal(build_jmap(split, Z), ref)
+
     def test_generators_skew(self):
         split = split_two_step(family_thm2([2, 3]))
         for G in build_jmap_family(split).generators:

@@ -9,6 +9,7 @@ from nilgo.families import family_thm2, h_type_clifford, l_matrix, r_matrix, vt_
 from nilgo.go_checker import apply_center_metric
 from nilgo.jmaps import split_family
 from nilgo.operator_subspaces import (
+    brackets,
     centralizer_in_so,
     compact_split,
     derivation_defect,
@@ -61,6 +62,96 @@ class TestSubspaceBasics:
     def test_projector_idempotent(self):
         P = so3_l_copy().projector()
         assert np.allclose(P @ P, P)
+
+
+def _j_span(L):
+    split = split_two_step(L)
+    return SkewOperatorSubspace(split.n, split_family(split).generators)
+
+
+def _constrained_pair_loop(V, project_out_span):
+    """The normalizer (projected) or centralizer of V in so(n) by one loop over
+    skew-basis/basis pairs, each solution summed from zero."""
+    n = V.ambient_dim
+    sb = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            S = np.zeros((n, n))
+            S[i, j], S[j, i] = 1.0, -1.0
+            sb.append(S)
+    P = V.projector()
+    cols = []
+    for S in sb:
+        rows = []
+        for B in V.basis:
+            w = (S @ B - B @ S).ravel()
+            rows.append(w - P @ w if project_out_span else w)
+        cols.append(np.concatenate(rows))
+    mats = []
+    for v in lc.nullspace(np.array(cols).T):
+        X = np.zeros((n, n))
+        for a, S in zip(v, sb):
+            X += a * S
+        mats.append(X)
+    return span_matrices(mats, n)
+
+
+class TestStackedFormat:
+    """Bases and families are (k, n, n) float arrays."""
+
+    def test_matrices_of_another_size_rejected(self, rng):
+        # two 8 x 8 matrices must not be re-cut into eight 4 x 4 blocks
+        A = rng.standard_normal((2, 8, 8))
+        with pytest.raises(InputError):
+            SkewOperatorSubspace(4, A - A.transpose(0, 2, 1))
+
+    def test_ragged_basis_rejected(self):
+        with pytest.raises(InputError):
+            SkewOperatorSubspace(2, [[[0.0, 1.0], [-1.0]]])
+
+    def test_empty_basis_shape(self):
+        assert SkewOperatorSubspace(5, []).basis.shape == (0, 5, 5)
+        assert span_matrices([], 3).basis.shape == (0, 3, 3)
+        assert SkewOperatorSubspace(5, []).projector().shape == (25, 25)
+
+    def test_sequences_are_stacked(self):
+        V = vt_subspace(2)
+        assert V.basis.shape == (2, 8, 8) and V.basis.dtype == float
+        assert np.array_equal(SkewOperatorSubspace(4, list(so3_l_copy().basis)).basis, so3_l_copy().basis)
+
+    def test_skew_basis_is_stacked_without_negative_zeros(self):
+        S = skew_basis(4)
+        assert S.shape == (6, 4, 4)
+        assert not np.signbit(S[S == 0]).any()
+        assert [tuple(np.argwhere(B == 1)[0]) for B in S] == [(i, j) for i in range(4) for j in range(i + 1, 4)]
+
+    def test_element_matches_accumulating_loop(self, rng):
+        V = vt_subspace(2)
+        for _ in range(20):
+            c = rng.standard_normal(V.dim)
+            ref = np.zeros((8, 8))
+            for a, B in zip(c, V.basis):
+                ref += a * B
+            assert np.array_equal(V.element(c), ref)
+
+    @pytest.mark.parametrize(
+        "build",
+        [so3_l_copy, lambda: vt_subspace(2), lambda: _j_span(h_type_clifford(4)), lambda: _j_span(family_thm2([2, 3]))],
+        ids=["so3_copy", "vt_2", "clifford_4", "thm2_2_3"],
+    )
+    def test_constrained_subspaces_match_pair_loop(self, build):
+        # the same products and sums as the loop over skew-basis/basis pairs: the same bytes
+        V = build()
+        for project, computed in ((True, normalizer_in_so(V)), (False, centralizer_in_so(V))):
+            assert computed.basis.tobytes() == _constrained_pair_loop(V, project).basis.tobytes()
+
+    def test_brackets(self, rng):
+        A, B = rng.standard_normal((3, 4, 4)), rng.standard_normal((2, 4, 4))
+        C = brackets(A, B)
+        assert C.shape == (3, 2, 4, 4)
+        for p in range(3):
+            for q in range(2):
+                assert np.array_equal(C[p, q], A[p] @ B[q] - B[q] @ A[p])
 
 
 class TestDerivations:

@@ -16,15 +16,14 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 SRC = str(ROOT / "src")
 
 # test oracles and paper objects that only the unit tests call, on purpose:
-# the exact reference kernels of linear_core, the diagonal centralizer of the
-# 4k+6 family and the Levi-Civita connection the geodesic equation comes from
+# the exact reference kernels of linear_core and the diagonal centralizer of
+# the 4k+6 family
 ORACLES = (
     "pfaffian_combinatorial",
     "rational_matrix",
     "rat_rank",
     "rat_solve",
     "thm2_diagonal_centralizer",
-    "connection",
 )
 
 
@@ -76,6 +75,20 @@ def _uses(node) -> set:
     return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
 
 
+def _public_definitions(statements):
+    """``(module, qualified name, node, top)`` for each public top-level function
+    or class and each public method or property of a public class, with the
+    top-level statement ``top`` that holds it."""
+    for module, node in statements:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield module, node.name, node, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield module, f"{node.name}.{member.name}", member, node
+
+
 def test_every_public_definition_is_reachable():
     # a public definition that no live root reaches is code only its own unit tests keep alive
     import nilgo
@@ -88,17 +101,18 @@ def test_every_public_definition_is_reachable():
     roots = [*(ROOT / "perfbench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
     external = set().union(*(_identifiers(ast.parse(p.read_text())) for p in roots))
     unreached = []
-    for module, node in statements:
-        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-            continue
+    for module, qualname, node, top in _public_definitions(statements):
+        # uses in the other top-level statements, and for a method in the other members of its class
+        others = [other for _, other in statements if other is not top]
+        if node is not top:
+            others += [member for member in top.body if member is not node]
         name = node.name
-        internal = any(name in _uses(other) for _, other in statements if other is not node)
         if not (
             name in nilgo.__all__
             or (module == "cli" and name.startswith("cmd_"))
-            or internal
+            or any(name in _uses(other) for other in others)
             or name in external
             or name in ORACLES
         ):
-            unreached.append(f"{module}.{name}")
+            unreached.append(f"{module}.{qualname}")
     assert not unreached, f"public definitions no live root reaches: {unreached}"
