@@ -156,25 +156,25 @@ def _gram_complement(vectors: np.ndarray, gram: np.ndarray, dim: int) -> np.ndar
     return lc.nullspace(vectors @ gram, 1e-12)
 
 
-def center(L: MetricLieAlgebra, tau_rank: float = lc.DEFAULT_TAU_RANK) -> np.ndarray:
+def center(L: MetricLieAlgebra) -> np.ndarray:
     """Gram-orthonormal basis (rows) of {X : [X, Y] = 0 for all Y}."""
     d = L.dim
     A = L.structure.reshape(d, d * d).T  # rows (j, k), columns i
-    return _gram_orthonormalize(lc.nullspace(A, tau_rank), L.gram)
+    return _gram_orthonormalize(lc.nullspace(A), L.gram)
 
 
-def derived(L: MetricLieAlgebra, tau_rank: float = lc.DEFAULT_TAU_RANK) -> np.ndarray:
+def derived(L: MetricLieAlgebra) -> np.ndarray:
     """Gram-orthonormal basis (rows) of span{[e_i, e_j]}."""
     d = L.dim
     vecs = L.structure.reshape(d * d, d)
     if not np.any(vecs):
         return np.zeros((0, d))
     _, s, vt = np.linalg.svd(vecs, full_matrices=False)
-    rank = int(np.sum(s > tau_rank * s[0]))
+    rank = int(np.sum(s > lc.TAU_RANK * s[0]))
     return _gram_orthonormalize(vt[:rank], L.gram)
 
 
-def nilpotency_class(L: MetricLieAlgebra, tau_rank: float = lc.DEFAULT_TAU_RANK) -> int:
+def nilpotency_class(L: MetricLieAlgebra) -> int:
     """Length of the lower central series n^1 = [n, n], n^(i+1) = [n, n^i]."""
     d = L.dim
     current = np.eye(d)
@@ -189,7 +189,7 @@ def nilpotency_class(L: MetricLieAlgebra, tau_rank: float = lc.DEFAULT_TAU_RANK)
         # orthonormal basis leaves brackets of size eps * |c| that a cut
         # relative to the term itself would count
         scale = s[0] if scale is None else scale
-        rank = int(np.sum(s > tau_rank * scale))
+        rank = int(np.sum(s > lc.TAU_RANK * scale))
         if rank == 0:
             return k
         current = vt[:rank]
@@ -222,13 +222,13 @@ class TwoStepSplit:
         return self.z_index is not None
 
 
-def split_two_step(L: MetricLieAlgebra, tau_rank: float = lc.DEFAULT_TAU_RANK) -> TwoStepSplit:
-    cls = nilpotency_class(L, tau_rank)
+def split_two_step(L: MetricLieAlgebra) -> TwoStepSplit:
+    cls = nilpotency_class(L)
     if cls != 2:
         raise NotTwoStepError(f"nilpotency class is {cls}, need 2")
-    z = center(L, tau_rank)
+    z = center(L)
     v = _gram_orthonormalize(_gram_complement(z, L.gram, L.dim), L.gram)
-    der = derived(L, tau_rank)
+    der = derived(L)
     # derived subset of center always holds for 2-step; equality is the flag
     flag = der.shape[0] == z.shape[0]
     zi = vi = None
@@ -245,18 +245,16 @@ def split_two_step(L: MetricLieAlgebra, tau_rank: float = lc.DEFAULT_TAU_RANK) -
     return TwoStepSplit(L, z, v, flag, zi, vi)
 
 
-def detect_flat_factor(
-    L: MetricLieAlgebra, tau_rank: float = lc.DEFAULT_TAU_RANK
-) -> tuple[int, MetricLieAlgebra]:
+def detect_flat_factor(L: MetricLieAlgebra) -> tuple[int, MetricLieAlgebra]:
     """Split off the Euclidean factor spanned by central directions orthogonal to [n, n].
 
     Returns the flat dimension and the reduced algebra on [n, n] + v.
     """
-    cls = nilpotency_class(L, tau_rank)
+    cls = nilpotency_class(L)
     if cls > 2:
         raise PreconditionError(f"nilpotency class {cls} > 2 unsupported")
-    z = center(L, tau_rank)
-    der = derived(L, tau_rank)
+    z = center(L)
+    der = derived(L)
     if z.shape[0] == 0:
         return 0, L
     # euclidean part: central vectors gram-orthogonal to the derived algebra
@@ -265,16 +263,16 @@ def detect_flat_factor(
     else:
         M = z @ L.gram @ der.T
         _, s, _ = np.linalg.svd(M) if M.size else (None, np.zeros(0), None)
-        rank = int(np.sum(s > tau_rank * max(s[0], 1.0))) if s.size else 0
+        rank = int(np.sum(s > lc.TAU_RANK * max(s[0], 1.0))) if s.size else 0
         flat = z.shape[0] - rank
     if flat == 0:
         return 0, L
     v = _gram_orthonormalize(_gram_complement(z, L.gram, L.dim), L.gram)
     new_rows = np.vstack([der, v]) if der.size or v.size else np.zeros((0, L.dim))
-    return flat, restrict_to_span(L, new_rows, tau_rank)
+    return flat, restrict_to_span(L, new_rows)
 
 
-def restrict_to_span(L: MetricLieAlgebra, rows: np.ndarray, tau_rank: float = lc.DEFAULT_TAU_RANK) -> MetricLieAlgebra:
+def restrict_to_span(L: MetricLieAlgebra, rows: np.ndarray) -> MetricLieAlgebra:
     """Metric subalgebra on the span of ``rows`` (must be bracket-closed)."""
     k = rows.shape[0]
     gram = rows @ L.gram @ rows.T
@@ -302,12 +300,7 @@ class NonsingularityResult:
         return self.status != "no"
 
 
-def is_nonsingular(
-    L: MetricLieAlgebra,
-    tau_rank: float = lc.DEFAULT_TAU_RANK,
-    samples: int = 1000,
-    seed: int = 0,
-) -> NonsingularityResult:
+def is_nonsingular(L: MetricLieAlgebra, samples: int = 1000, seed: int = 0) -> NonsingularityResult:
     """Decide whether every nonzero J_Z is invertible.
 
     Exact for m <= 2 via the Pfaffian form; sampled for m >= 3 with the
@@ -316,7 +309,7 @@ def is_nonsingular(
     """
     from . import jmaps
 
-    split = split_two_step(L, tau_rank)
+    split = split_two_step(L)
     if not split.derived_equals_center:
         raise PreconditionError("[n, n] = z is required for non-singularity analysis")
     fam = jmaps.split_family(split)
@@ -328,7 +321,7 @@ def is_nonsingular(
                 return NonsingularityResult("yes", exact=True)
             return NonsingularityResult("no", np.array([1.0]), exact=True)
         pf = lc.pfaffian_numeric(fam.generators[0])
-        if abs(pf) > tau_rank:
+        if abs(pf) > lc.TAU_RANK:
             return NonsingularityResult("yes")
         return NonsingularityResult("no", np.array([1.0]))
     if m == 2:
@@ -348,7 +341,7 @@ def is_nonsingular(
     candidates = np.vstack([np.eye(m), draws / np.linalg.norm(draws, axis=1, keepdims=True)])
     pencils = (candidates @ fam.generators.reshape(m, n * n)).reshape(-1, n, n)
     s = np.linalg.svd(pencils, compute_uv=False)
-    singular = np.flatnonzero(s[:, -1] <= tau_rank * np.maximum(s[:, 0], 1.0))
+    singular = np.flatnonzero(s[:, -1] <= lc.TAU_RANK * np.maximum(s[:, 0], 1.0))
     if not singular.size:
         return NonsingularityResult("sampled_yes")
     idx = singular[0]

@@ -25,13 +25,13 @@ from .linear_core import bareiss_pivots as _bareiss_pivots  # perfbench/tracer.p
 from .operator_subspaces import (
     DerivationAlgebra,
     SkewOperatorSubspace,
+    _normalizes,
     centralizer_in_so,
     derivation_system,
     is_subalgebra,
     normalizer_in_so,
     skew_basis,
     skew_derivations,
-    subspace_contains,
 )
 
 VERIFIED_SAMPLED = "verified_sampled"
@@ -46,7 +46,6 @@ class SamplerConfig:
     tau_feas: float = 1e-8
     tau_refute: float = 1e-4
     cond_limit: float = 1e10
-    tau_rank: float = lc.DEFAULT_TAU_RANK
 
     def __post_init__(self):
         if self.samples < 0:
@@ -59,7 +58,7 @@ class SamplerConfig:
             "tau_feas": self.tau_feas,
             "tau_refute": self.tau_refute,
             "cond_limit": self.cond_limit,
-            "tau_rank": self.tau_rank,
+            "tau_rank": lc.TAU_RANK,
         }
 
 
@@ -103,11 +102,11 @@ class MetricParameter:
         object.__setattr__(self, "q", q)
 
 
-def isometry_decomposition(L: MetricLieAlgebra, tau_rank: float = lc.DEFAULT_TAU_RANK) -> DerivationAlgebra:
+def isometry_decomposition(L: MetricLieAlgebra) -> DerivationAlgebra:
     """The isotropy algebra D(n) of the full-isometry decomposition (D(n), n) of a nilmanifold."""
     require_spd(L.gram, "gram matrix")
-    nilpotency_class(L, tau_rank)  # raises InputError unless L is nilpotent
-    return skew_derivations(L, tau_rank)
+    nilpotency_class(L)  # raises InputError unless L is nilpotent
+    return skew_derivations(L)
 
 
 def _sweep(k: int, sums: bool = True) -> np.ndarray:
@@ -160,7 +159,7 @@ def _adjudicate(config: SamplerConfig, dims, system, witness) -> GOCertificate:
             for A, b, scale in system(*chunk):
                 if not np.all(np.isfinite(scale)):
                     raise InputError("residual scale is not finite")
-                res, c = lc.batch_residuals(A, b, config.tau_rank)
+                res, c = lc.batch_residuals(A, b)
                 rel.append(res / np.maximum(scale, 1e-300))
                 cond.append(c)
         rel, cond = np.concatenate(rel), np.concatenate(cond)
@@ -211,17 +210,16 @@ def kv_go_check(ders: DerivationAlgebra, config: SamplerConfig = SamplerConfig()
 # ---------------------------------------------------------------------------
 
 
-def _gordon_blocks(split, maps, extra, X, Y):
+def _gordon_blocks(split, maps, X, Y):
     """Stacked systems for 'exists D: D(X) = 0, D(Y) = J_X(Y)' over rows of
     X and Y, one column per derivation.  With ``maps = (CX, AY, TY)``,
     ``CX[p] X`` and ``AY[p] Y - TY J_X Y`` are D_p(X) and D_p(Y) - J_X(Y) in
-    orthonormal coordinates of z and of v; the rows ``extra`` follow."""
+    orthonormal coordinates of z and of v."""
     CX, AY, TY = maps
     J = jmaps.split_family(split).generators
     JXY = np.einsum("bi,iac,bc->ba", X, J, Y)
-    extra_rows = np.broadcast_to(extra, (len(X), *extra.shape))
-    A = np.concatenate([np.einsum("pij,bj->bip", CX, X), np.einsum("pij,bj->bip", AY, Y), extra_rows], axis=1)
-    b = np.concatenate([np.zeros_like(X), JXY @ TY.T, np.zeros((len(X), len(extra)))], axis=1)
+    A = np.concatenate([np.einsum("pij,bj->bip", CX, X), np.einsum("pij,bj->bip", AY, Y)], axis=1)
+    b = np.concatenate([np.zeros_like(X), JXY @ TY.T], axis=1)
     scale = np.linalg.norm(JXY, axis=1) + np.linalg.norm(X, axis=1) * np.linalg.norm(Y, axis=1)
     return [(A, b, scale)]
 
@@ -244,7 +242,6 @@ def apply_center_metric(L: MetricLieAlgebra, metric: MetricParameter) -> MetricL
 
 def gordon_go_check(
     L: MetricLieAlgebra,
-    restrict_to: Optional[SkewOperatorSubspace] = None,
     metric: Optional[MetricParameter] = None,
     config: SamplerConfig = SamplerConfig(),
 ) -> GOCertificate:
@@ -253,17 +250,10 @@ def gordon_go_check(
     require_spd(L.gram, "gram matrix")
     if metric is not None:
         L = apply_center_metric(L, metric)
-    split = split_two_step(L, config.tau_rank)
+    split = split_two_step(L)
     if not split.derived_equals_center:
         raise PreconditionError("[n, n] = z is required (strip the flat factor first)")
-    Ds = skew_derivations(L, config.tau_rank, split).basis
-    extra = np.zeros((0, len(Ds)))
-    if restrict_to is not None:
-        if restrict_to.ambient_dim != split.n:
-            raise InputError("restrict_to must act on v")
-        # the restrictions of D to v must lie in restrict_to
-        phi = np.einsum("ai,pij,bj->pab", split.v_basis @ L.gram, Ds, split.v_basis).reshape(len(Ds), -1)
-        extra = (phi - phi @ restrict_to.projector().T).T
+    Ds = skew_derivations(L, split).basis
 
     # D keeps z and v, so the ambient residual is the one in orthonormal
     # coordinates of the two subspaces
@@ -272,16 +262,16 @@ def gordon_go_check(
     cert = _adjudicate(
         config,
         (split.m, split.n),
-        functools.partial(_gordon_blocks, split, maps, extra),
+        functools.partial(_gordon_blocks, split, maps),
         lambda s, rel, sweep: {"X": s[0].tolist(), "Y": s[1].tolist(), "residual": rel, "from_sweep": sweep},
     )
     w = cert.witness
-    if w is not None and w["from_sweep"] and L.is_exact and split.is_exact and restrict_to is None:
-        cert = replace(cert, exact_refutation=gordon_refute_exact(L, split, w["X"], w["Y"], config.tau_rank))
+    if w is not None and w["from_sweep"] and L.is_exact and split.is_exact:
+        cert = replace(cert, exact_refutation=gordon_refute_exact(L, split, w["X"], w["Y"]))
     return cert
 
 
-def gordon_refute_exact(L: MetricLieAlgebra, split: TwoStepSplit, X, Y, tau_rank: float = lc.DEFAULT_TAU_RANK) -> bool:
+def gordon_refute_exact(L: MetricLieAlgebra, split: TwoStepSplit, X, Y) -> bool:
     """Exact infeasibility check of the Gordon system for rational X, Y.
 
     Builds the combined linear system {skew derivation identity,
@@ -334,7 +324,7 @@ def _nprime(Nprime: SkewOperatorSubspace) -> tuple[np.ndarray, float]:
     return Nprime.basis, max((np.linalg.norm(M) for M in Nprime.basis), default=0.0)
 
 
-def _commutant(nprime, Z_mat, tau_rank) -> np.ndarray:
+def _commutant(nprime, Z_mat) -> np.ndarray:
     """Basis of the commutant of Z inside span(N), stacked, for ``nprime =
     (N, max |N_i|)`` from :func:`_nprime`."""
     N, nnorm = nprime
@@ -345,10 +335,10 @@ def _commutant(nprime, Z_mat, tau_rank) -> np.ndarray:
     # commuting elements are not ranked by noise singular values
     kscale = nnorm * np.linalg.norm(Z_mat)
     K[np.abs(K) <= 1e-12 * max(kscale, 1.0)] = 0.0
-    return np.tensordot(lc.nullspace(K, tau_rank), N, 1)
+    return np.tensordot(lc.nullspace(K), N, 1)
 
 
-def _tnc_blocks(V, nprime, tau_rank, cache, zc, Y):
+def _tnc_blocks(V, nprime, cache, zc, Y):
     """Stacked systems X(Y) = Z(Y), X in the commutant of Z inside N'
     (``nprime`` from :func:`_nprime`), over rows of zc (Z in V's basis) and
     Y.  The commutant is computed once per distinct Z (kept in ``cache``);
@@ -357,7 +347,7 @@ def _tnc_blocks(V, nprime, tau_rank, cache, zc, Y):
     for z, y in zip(zc, Y):
         if z.tobytes() not in cache:
             Z_mat = V.element(z)
-            cache[z.tobytes()] = Z_mat, _commutant(nprime, Z_mat, tau_rank)
+            cache[z.tobytes()] = Z_mat, _commutant(nprime, Z_mat)
         Z_mat, mats = cache[z.tobytes()]
         b = Z_mat @ y
         systems.append(((mats @ y).T, b, np.linalg.norm(b) + np.linalg.norm(Z_mat) * np.linalg.norm(y)))
@@ -376,12 +366,12 @@ def tnc_check(
     X(Y) = Z(Y).  Success is probabilistic; refutation is a concrete
     infeasible sample.
     """
-    if not subspace_contains(normalizer_in_so(V, config.tau_rank), Nprime, 1e-7):
+    if not _normalizes(Nprime.basis, V, 1e-7):
         raise InputError("Nprime is not contained in the normalizer of V")
     return _adjudicate(
         config,
         (V.dim, V.ambient_dim),
-        functools.partial(_tnc_blocks, V, _nprime(Nprime), config.tau_rank, {}),
+        functools.partial(_tnc_blocks, V, _nprime(Nprime), {}),
         lambda s, rel, _: {"Z": s[0].tolist(), "Y": s[1].tolist(), "residual": rel},
     )
 
@@ -390,14 +380,14 @@ def normalizer_resolve_residual(V: SkewOperatorSubspace, config: SamplerConfig =
     """Re-solve the TNC samples against the full normalizer of V and
     report the worst relative centralizer residual max_i |[X, V_i]| of
     the minimum-norm solutions found."""
-    nprime = _nprime(normalizer_in_so(V, config.tau_rank))
+    nprime = _nprime(normalizer_in_so(V))
     plan, _ = _sample_plan(config, (V.dim, V.ambient_dim), sums=False)
     Bs = V.basis
     bnorm = max(np.linalg.norm(B) for B in Bs)
     worst = 0.0
     for zc, Y in zip(*plan):
         Z_mat = V.element(zc)
-        mats = _commutant(nprime, Z_mat, config.tau_rank)
+        mats = _commutant(nprime, Z_mat)
         coeffs, _ = lc.least_squares((mats @ Y).T, Z_mat @ Y)
         X_mat = np.tensordot(coeffs, mats, 1)
         worst = max(worst, float(np.max(np.abs(X_mat @ Bs - Bs @ X_mat))) / max(np.linalg.norm(X_mat) * bnorm, 1.0))
@@ -406,12 +396,12 @@ def normalizer_resolve_residual(V: SkewOperatorSubspace, config: SamplerConfig =
 
 def centralizer_type_check(V: SkewOperatorSubspace, config: SamplerConfig = SamplerConfig()) -> GOCertificate:
     """TNC with Nprime = the centralizer of V in so(n)."""
-    return tnc_check(V, centralizer_in_so(V, config.tau_rank), config)
+    return tnc_check(V, centralizer_in_so(V), config)
 
 
-def naturally_reductive_flag(V: SkewOperatorSubspace, tau_rank: float = lc.DEFAULT_TAU_RANK) -> bool:
+def naturally_reductive_flag(V: SkewOperatorSubspace) -> bool:
     """V generates a naturally reductive GO-nilmanifold iff V is a subalgebra."""
-    return is_subalgebra(V, tau_rank)
+    return is_subalgebra(V)
 
 
 def riehm_predict(m: int, n: int, isotypic: Optional[str] = None) -> bool:

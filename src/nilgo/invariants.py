@@ -18,6 +18,11 @@ from .errors import PreconditionError
 from .linear_core import HomogeneousPolynomial2
 
 INFINITY = "inf"
+# relative tolerance under which pfaffian_roots drops a leading coefficient or
+# an imaginary part; roots within 1e3 times it are clustered
+ROOT_TOL = 1e-10
+# absolute tolerance of distinguish on the hyperbolic distances
+DISTANCE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -45,7 +50,7 @@ class ProjectiveRootSet:
         return out
 
 
-def pfaffian_roots(p: HomogeneousPolynomial2, cluster_tol: float = 1e-10) -> ProjectiveRootSet:
+def pfaffian_roots(p: HomogeneousPolynomial2) -> ProjectiveRootSet:
     """Root multiset of p(x, y) as a form in y at x = 1, plus infinity.
 
     Conjugate pairs are symmetrized and nearby roots are clustered so
@@ -57,13 +62,13 @@ def pfaffian_roots(p: HomogeneousPolynomial2, cluster_tol: float = 1e-10) -> Pro
     if scale == 0.0:
         raise PreconditionError("zero form has no root set")
     n_inf = 0
-    while lead and abs(lead[0]) <= cluster_tol * scale:
+    while lead and abs(lead[0]) <= ROOT_TOL * scale:
         lead.pop(0)
         n_inf += 1
     finite = np.roots(lead) if len(lead) > 1 else np.array([])
     cleaned = []
     for r in finite:
-        if abs(r.imag) <= cluster_tol * max(1.0, abs(r)):
+        if abs(r.imag) <= ROOT_TOL * max(1.0, abs(r)):
             r = complex(r.real, 0.0)
         cleaned.append(r)
     # cluster: snap each root to the mean of its tolerance-ball
@@ -75,11 +80,11 @@ def pfaffian_roots(p: HomogeneousPolynomial2, cluster_tol: float = 1e-10) -> Pro
         group = [r]
         used[i] = True
         for j in range(i + 1, len(cleaned)):
-            if not used[j] and abs(cleaned[j] - r) <= 1e3 * cluster_tol * max(1.0, abs(r)):
+            if not used[j] and abs(cleaned[j] - r) <= 1e3 * ROOT_TOL * max(1.0, abs(r)):
                 group.append(cleaned[j])
                 used[j] = True
         mean = sum(group) / len(group)
-        if abs(mean.imag) <= cluster_tol * max(1.0, abs(mean)):
+        if abs(mean.imag) <= ROOT_TOL * max(1.0, abs(mean)):
             mean = complex(mean.real, 0.0)
         snapped.extend([mean] * len(group))
     snapped.sort(key=lambda z: (z.real, z.imag))
@@ -111,7 +116,7 @@ EQUIVALENT = "equivalent_invariants"
 INCONCLUSIVE = "inconclusive"
 
 
-def distinguish(pa: HomogeneousPolynomial2, pb: HomogeneousPolynomial2, tol: float = 1e-8) -> str:
+def distinguish(pa: HomogeneousPolynomial2, pb: HomogeneousPolynomial2) -> str:
     """Compare two determinant forms up to center basis change.
 
     Returns ``distinct`` when a Moebius-invariant separates them,
@@ -132,6 +137,6 @@ def distinguish(pa: HomogeneousPolynomial2, pb: HomogeneousPolynomial2, tol: flo
         # empty and cannot separate
         return INCONCLUSIVE
     da, db = moebius_invariant(ra), moebius_invariant(rb)
-    if any(abs(x - y) > tol for x, y in zip(da, db)):
+    if any(abs(x - y) > DISTANCE_TOL for x, y in zip(da, db)):
         return DISTINCT
     return EQUIVALENT

@@ -16,6 +16,9 @@ from . import linear_core as lc
 from .algebra import TwoStepSplit
 from .errors import InputError, PreconditionError
 
+# entrywise tolerance of the Clifford relations in is_h_type and isotypic_test
+H_TYPE_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class JMapFamily:
@@ -68,12 +71,12 @@ def split_family(split: TwoStepSplit) -> JMapFamily:
     return split.jmap_family
 
 
-def is_h_type(split: TwoStepSplit, tol: float = 1e-10) -> bool:
-    """Whether J_i^2 = -I and J_i J_j + J_j J_i = 0 (i != j) for all generators, entrywise within tol."""
+def is_h_type(split: TwoStepSplit) -> bool:
+    """Whether J_i^2 = -I and J_i J_j + J_j J_i = 0 (i != j) for all generators, entrywise within H_TYPE_TOL."""
     J = split_family(split).generators
     anti = J[:, None] @ J + J @ J[:, None]  # [i, j] = J_i J_j + J_j J_i, exactly 2 J_i^2 for i = j
     target = -2.0 * np.eye(len(J))[:, :, None, None] * np.eye(split.n)
-    return bool(np.max(np.abs(anti - target), initial=0.0) <= 2 * tol)
+    return bool(np.max(np.abs(anti - target), initial=0.0) <= 2 * H_TYPE_TOL)
 
 
 def pfaffian_form(split: TwoStepSplit) -> lc.HomogeneousPolynomial2:
@@ -116,8 +119,8 @@ def radon_hurwitz(n: int) -> int:
     return 8 * b + 2**c
 
 
-def isotypic_test(split: TwoStepSplit, tol: float = 1e-10) -> str:
-    """Classify J_{Z_1} J_{Z_2} ... J_{Z_7} as 'plus_id', 'minus_id' or 'neither'."""
+def isotypic_test(split: TwoStepSplit) -> str:
+    """Classify J_{Z_1} J_{Z_2} ... J_{Z_7} as 'plus_id', 'minus_id' or 'neither', entrywise within H_TYPE_TOL."""
     if split.m != 7:
         raise PreconditionError(f"isotypic test needs m=7, got m={split.m}")
     if not is_h_type(split):
@@ -127,8 +130,8 @@ def isotypic_test(split: TwoStepSplit, tol: float = 1e-10) -> str:
     for J in fam.generators:
         T = T @ J
     eye = np.eye(split.n)
-    if np.max(np.abs(T - eye)) <= tol:
+    if np.max(np.abs(T - eye)) <= H_TYPE_TOL:
         return "plus_id"
-    if np.max(np.abs(T + eye)) <= tol:
+    if np.max(np.abs(T + eye)) <= H_TYPE_TOL:
         return "minus_id"
     return "neither"

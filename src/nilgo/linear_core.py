@@ -1,9 +1,9 @@
 """Dense real and exact-rational linear algebra kernels.
 
-Floating point paths are rank-revealing (SVD based) with an explicit
-relative threshold ``tau_rank`` that every caller passes, so certificates
-can record it.  The rational path works on nested lists of
-:class:`fractions.Fraction` and is the in-repo oracle for derived values.
+Floating point paths are rank-revealing (SVD based) with the relative
+threshold :data:`TAU_RANK`, which certificates record.  The rational
+path works on nested lists of :class:`fractions.Fraction` and is the
+in-repo oracle for derived values.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import InputError, InterpolationError
 
-DEFAULT_TAU_RANK = 1e-9
+# the one relative singular-value cut of every numerical rank decision
+TAU_RANK = 1e-9
 
 
 def as_matrix(a) -> np.ndarray:
@@ -32,10 +33,10 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def nullspace(A, tau_rank: float = DEFAULT_TAU_RANK) -> np.ndarray:
+def nullspace(A, tau_rank: float = TAU_RANK) -> np.ndarray:
     """Orthonormal basis (rows, ``(k, n)``) of the numerical nullspace of ``A``.
 
-    Rank is decided by singular values relative to the largest one.
+    Rank counts the singular values above ``tau_rank`` times the largest one.
     """
     if tau_rank <= 0:
         raise InputError("tau_rank must be positive")
@@ -59,7 +60,7 @@ def least_squares(A, b) -> tuple[np.ndarray, float]:
     return x, residual
 
 
-def batch_residuals(A, b, tau_rank: float = DEFAULT_TAU_RANK) -> tuple[np.ndarray, np.ndarray]:
+def batch_residuals(A, b) -> tuple[np.ndarray, np.ndarray]:
     """Residuals and effective condition numbers of the stacked systems ``A[i] x = b[i]``.
 
     One stacked SVD serves both.  The residual is the distance from
@@ -67,7 +68,7 @@ def batch_residuals(A, b, tau_rank: float = DEFAULT_TAU_RANK) -> tuple[np.ndarra
     cutoff of ``np.linalg.lstsq(rcond=None)`` (singular values above
     ``eps * max(rows, cols) * s_max``), i.e. the residual that
     :func:`least_squares` reports.  The effective condition number is
-    ``s_max`` over the smallest singular value above ``tau_rank * s_max``,
+    ``s_max`` over the smallest singular value above ``TAU_RANK * s_max``,
     and 1 for a zero matrix.  Non-finite data raises InputError.
     """
     A = np.asarray(A, dtype=float)
@@ -87,7 +88,7 @@ def batch_residuals(A, b, tau_rank: float = DEFAULT_TAU_RANK) -> tuple[np.ndarra
     residual = np.linalg.norm(b - np.einsum("brk,bk->br", u, coords), axis=1)
     if not np.all(np.isfinite(residual)):
         raise InputError("least-squares residual is not finite")
-    smallest = np.where(s > tau_rank * top, s, np.inf).min(axis=1)
+    smallest = np.where(s > TAU_RANK * top, s, np.inf).min(axis=1)
     cond = np.where(top[:, 0] > 0.0, top[:, 0] / smallest, 1.0)
     return residual, cond
 

@@ -7,7 +7,7 @@ the Frobenius inner product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -40,7 +40,7 @@ class SkewOperatorSubspace:
             raise InputError("basis matrix is not skew-symmetric")
         if len(B):
             M = B.reshape(len(B), -1)
-            if np.linalg.matrix_rank(M, tol=lc.DEFAULT_TAU_RANK * np.linalg.norm(M)) < len(B):
+            if np.linalg.matrix_rank(M, tol=lc.TAU_RANK * np.linalg.norm(M)) < len(B):
                 raise InputError("basis matrices are linearly dependent")
         object.__setattr__(self, "basis", B)
 
@@ -82,13 +82,13 @@ def brackets(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A[:, None] @ B - B @ A[:, None]
 
 
-def span_matrices(mats, n: int, tau_rank: float = lc.DEFAULT_TAU_RANK) -> SkewOperatorSubspace:
+def span_matrices(mats, n: int) -> SkewOperatorSubspace:
     """Orthonormal (Frobenius) spanning basis of a stack of skew matrices."""
     A = np.reshape(mats, (len(mats), n * n))
     if not np.any(A):
         return SkewOperatorSubspace(n, [])
     _, s, vt = np.linalg.svd(A)
-    rank = int(np.sum(s > tau_rank * s[0]))
+    rank = int(np.sum(s > lc.TAU_RANK * s[0]))
     return SkewOperatorSubspace(n, vt[:rank].reshape(rank, n, n))
 
 
@@ -97,22 +97,33 @@ def _off_span(P: np.ndarray, W: np.ndarray) -> np.ndarray:
     return W - (P @ W[..., None])[..., 0]
 
 
-def _in_span(P: np.ndarray, W: np.ndarray, tau_rank: float) -> bool:
-    """Whether every row w of W satisfies |w - P w| <= tau_rank max(1, |w|)."""
-    off = np.linalg.norm(_off_span(P, W), axis=1)
-    return not np.any(off > tau_rank * np.maximum(1.0, np.linalg.norm(W, axis=1)))
-
-
-def subspace_contains(
-    outer: SkewOperatorSubspace, inner: SkewOperatorSubspace, tau_rank: float = lc.DEFAULT_TAU_RANK
-) -> bool:
-    if inner.dim == 0:
+def _in_span(V: SkewOperatorSubspace, W: np.ndarray, tol: float) -> bool:
+    """Whether every matrix w of the stack W satisfies |w - P w| <= tol max(1, |w|), P projecting onto span(V)."""
+    W = W.reshape(-1, W.shape[-1] ** 2)
+    if not len(W):
         return True
-    return _in_span(outer.projector(), inner.basis.reshape(inner.dim, -1), tau_rank)
+    off = np.linalg.norm(_off_span(V.projector(), W), axis=1)
+    return not np.any(off > tol * np.maximum(1.0, np.linalg.norm(W, axis=1)))
 
 
-def subspaces_equal(a: SkewOperatorSubspace, b: SkewOperatorSubspace, tau_rank: float = lc.DEFAULT_TAU_RANK) -> bool:
-    return a.dim == b.dim and subspace_contains(a, b, tau_rank) and subspace_contains(b, a, tau_rank)
+def subspace_contains(outer: SkewOperatorSubspace, inner: SkewOperatorSubspace, tol: float = lc.TAU_RANK) -> bool:
+    return _in_span(outer, inner.basis, tol)
+
+
+def subspaces_equal(a: SkewOperatorSubspace, b: SkewOperatorSubspace) -> bool:
+    return a.dim == b.dim and subspace_contains(a, b) and subspace_contains(b, a)
+
+
+def _normalizes(N: np.ndarray, V: SkewOperatorSubspace, tol: float) -> bool:
+    """Whether every [N_p, B_q] (N_p in the stack N, B_q in V's basis) lies in
+    span(V) within ``tol`` as in :func:`subspace_contains`, i.e. N lies in the
+    normalizer of V, tested without building the normalizer.  The brackets
+    are taken of unit N_p and B_q, so the test does not depend on their scale."""
+
+    def unit(S):
+        return S / np.linalg.norm(S, axis=(1, 2))[:, None, None]
+
+    return _in_span(V, brackets(unit(N), unit(V.basis)), tol)
 
 
 def derivation_defect(c: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -133,9 +144,7 @@ def derivation_system(c: np.ndarray, params) -> np.ndarray:
     return np.array([derivation_defect(c, M)[iu, ju].ravel() for M in params]).T
 
 
-def skew_derivations(
-    L: MetricLieAlgebra, tau_rank: float = lc.DEFAULT_TAU_RANK, split: Optional[TwoStepSplit] = None
-) -> DerivationAlgebra:
+def skew_derivations(L: MetricLieAlgebra, split: Optional[TwoStepSplit] = None) -> DerivationAlgebra:
     """Basis of the gram-skew derivations D[X,Y] = [DX,Y] + [X,DY].
 
     Gram-skewness is built into the parametrization D = G^{-1} S with S
@@ -151,15 +160,15 @@ def skew_derivations(
         return DerivationAlgebra(L, np.zeros((0, d, d)))
     if split is None:
         try:
-            split = split_two_step(L, tau_rank)
+            split = split_two_step(L)
         except (NotTwoStepError, InputError):  # abelian, class >= 3 or not nilpotent
             pass
     ginv = np.linalg.inv(L.gram)
     if split is None:
-        coeffs = lc.nullspace(derivation_system(L.structure, ginv @ skew_basis(d)), tau_rank)
+        coeffs = lc.nullspace(derivation_system(L.structure, ginv @ skew_basis(d)))
     else:
         iu, ju = np.triu_indices(d, 1)
-        coeffs = np.linalg.qr(_split_derivation_forms(split, tau_rank)[:, iu, ju].T)[0].T
+        coeffs = np.linalg.qr(_split_derivation_forms(split)[:, iu, ju].T)[0].T
     return DerivationAlgebra(L, ginv @ _skew_from_upper(coeffs, d))
 
 
@@ -190,17 +199,17 @@ def split_derivation_system(J: np.ndarray) -> np.ndarray:
     return np.hstack([rows_a, -CJ.transpose(1, 2, 0).reshape(m * len(iu), -1)])
 
 
-def _split_derivation_forms(split: TwoStepSplit, tau_rank: float) -> np.ndarray:
+def _split_derivation_forms(split: TwoStepSplit) -> np.ndarray:
     """G D for a basis of the skew derivations of a two-step algebra, stacked."""
     m, n = split.m, split.n
-    sol = lc.nullspace(split_derivation_system(split_family(split).generators), tau_rank)
+    sol = lc.nullspace(split_derivation_system(split_family(split).generators))
     k = n * (n - 1) // 2
     A, C = _skew_from_upper(sol[:, :k], n), _skew_from_upper(sol[:, k:], m)
     Pv, Pz = split.v_basis @ split.parent.gram, split.z_basis @ split.parent.gram
     return np.einsum("ai,pab,bj->pij", Pv, A, Pv) + np.einsum("ai,pab,bj->pij", Pz, C, Pz)
 
 
-def _constrained_so_subspace(V: SkewOperatorSubspace, project_out_span: bool, tau_rank: float) -> SkewOperatorSubspace:
+def _constrained_so_subspace(V: SkewOperatorSubspace, project_out_span: bool) -> SkewOperatorSubspace:
     n = V.ambient_dim
     sb = skew_basis(n)
     if V.dim == 0:
@@ -208,21 +217,21 @@ def _constrained_so_subspace(V: SkewOperatorSubspace, project_out_span: bool, ta
     W = brackets(sb, V.basis).reshape(len(sb), V.dim, n * n)  # [p, q] = [S_p, B_q]
     if project_out_span:
         W = _off_span(V.projector(), W)
-    coeffs = lc.nullspace(W.reshape(len(sb), -1).T, tau_rank)
+    coeffs = lc.nullspace(W.reshape(len(sb), -1).T)
     # sum_p a_p S_p: the skew matrices with upper triangle a_p.  "+ 0.0" turns
     # their negative zeros positive, as a sum from zero does: the SVD in
     # span_matrices can depend on the sign of a zero
-    return span_matrices(_skew_from_upper(coeffs, n) + 0.0, n, tau_rank)
+    return span_matrices(_skew_from_upper(coeffs, n) + 0.0, n)
 
 
-def normalizer_in_so(V: SkewOperatorSubspace, tau_rank: float = lc.DEFAULT_TAU_RANK) -> SkewOperatorSubspace:
+def normalizer_in_so(V: SkewOperatorSubspace) -> SkewOperatorSubspace:
     """{X in so(n) : [X, V] in span(V)}."""
-    return _constrained_so_subspace(V, project_out_span=True, tau_rank=tau_rank)
+    return _constrained_so_subspace(V, project_out_span=True)
 
 
-def centralizer_in_so(V: SkewOperatorSubspace, tau_rank: float = lc.DEFAULT_TAU_RANK) -> SkewOperatorSubspace:
+def centralizer_in_so(V: SkewOperatorSubspace) -> SkewOperatorSubspace:
     """{X in so(n) : [X, V] = 0}."""
-    return _constrained_so_subspace(V, project_out_span=False, tau_rank=tau_rank)
+    return _constrained_so_subspace(V, project_out_span=False)
 
 
 def _pair_brackets(V: SkewOperatorSubspace) -> np.ndarray:
@@ -231,20 +240,17 @@ def _pair_brackets(V: SkewOperatorSubspace) -> np.ndarray:
     return brackets(V.basis, V.basis)[iu, ju]
 
 
-def is_subalgebra(V: SkewOperatorSubspace, tau_rank: float = lc.DEFAULT_TAU_RANK) -> bool:
-    if V.dim <= 1:
-        return True
-    W = _pair_brackets(V)
-    return _in_span(V.projector(), W.reshape(len(W), -1), tau_rank)
+def is_subalgebra(V: SkewOperatorSubspace) -> bool:
+    return _normalizes(V.basis, V, lc.TAU_RANK)
 
 
-def generated_subalgebra(V: SkewOperatorSubspace, tau_rank: float = lc.DEFAULT_TAU_RANK) -> SkewOperatorSubspace:
+def generated_subalgebra(V: SkewOperatorSubspace) -> SkewOperatorSubspace:
     """Smallest bracket-closed subspace containing V, by iterated augmentation."""
     n = V.ambient_dim
-    current = span_matrices(V.basis, n, tau_rank)
+    current = span_matrices(V.basis, n)
     cap = n * (n - 1) // 2
     for _ in range(cap + 1):
-        grown = span_matrices(np.concatenate([current.basis, _pair_brackets(current)]), n, tau_rank)
+        grown = span_matrices(np.concatenate([current.basis, _pair_brackets(current)]), n)
         if grown.dim == current.dim:
             return current
         if grown.dim > cap:
@@ -253,22 +259,20 @@ def generated_subalgebra(V: SkewOperatorSubspace, tau_rank: float = lc.DEFAULT_T
     raise PreconditionError("closure did not stabilize")  # defensive, cannot happen
 
 
-def compact_split(
-    A: SkewOperatorSubspace, tau_rank: float = lc.DEFAULT_TAU_RANK
-) -> tuple[SkewOperatorSubspace, SkewOperatorSubspace]:
+def compact_split(A: SkewOperatorSubspace) -> tuple[SkewOperatorSubspace, SkewOperatorSubspace]:
     """Center and derived (semisimple) part of a subalgebra of so(n).
 
     For subalgebras of the compact so(n) the derived subspace is the
     semisimple part and the sum is direct.
     """
-    if not is_subalgebra(A, tau_rank):
+    if not is_subalgebra(A):
         raise PreconditionError("compact_split needs a Lie subalgebra")
     n = A.ambient_dim
     if A.dim == 0:
         return A, A
-    coeffs = lc.nullspace(brackets(A.basis, A.basis).reshape(A.dim, -1).T, tau_rank)
-    center = span_matrices([A.element(v) for v in coeffs], n, tau_rank)
-    der = span_matrices(_pair_brackets(A), n, tau_rank)
+    coeffs = lc.nullspace(brackets(A.basis, A.basis).reshape(A.dim, -1).T)
+    center = span_matrices([A.element(v) for v in coeffs], n)
+    der = span_matrices(_pair_brackets(A), n)
     if center.dim + der.dim != A.dim:
         raise PreconditionError("center + derived is not a direct sum decomposition")
     return center, der

@@ -245,11 +245,11 @@ class TestNonsingularity:
         assert (r.witness is None and witness is None) or np.array_equal(r.witness, witness)
 
 
-def _nonsingular_loop(L, tau_rank=1e-9, samples=1000, seed=0):
+def _nonsingular_loop(L, samples=1000, seed=0):
     """Oracle for m >= 3: one J_Z and two SVDs per candidate, basis vectors first."""
     from nilgo import jmaps, linear_core as lc
 
-    split = split_two_step(L, tau_rank)
+    split = split_two_step(L)
     fam = jmaps.split_family(split)
     m, n = split.m, split.n
     rng = np.random.default_rng(seed)
@@ -259,7 +259,7 @@ def _nonsingular_loop(L, tau_rank=1e-9, samples=1000, seed=0):
         candidates.append(Z / np.linalg.norm(Z))
     for idx, Z in enumerate(candidates):
         J = jmaps.build_jmap(split, Z)
-        if np.linalg.svd(J, compute_uv=False)[-1] <= tau_rank * max(np.linalg.norm(J, 2), 1.0):
+        if np.linalg.svd(J, compute_uv=False)[-1] <= 1e-9 * max(np.linalg.norm(J, 2), 1.0):
             exact = fam.is_exact and idx < m and lc.bareiss_rank(fam.generators_exact[0][idx].tolist()) < n
             return "no", Z, exact
     return "sampled_yes", None, False

@@ -116,12 +116,6 @@ class TestGordon:
         assert cert.status == "verified_sampled"
         assert cert.max_residual <= 1e-9
 
-    def test_restrict_to_centralizer_still_verifies(self):
-        from nilgo.families import centralizer_basis_n10
-
-        cert = gordon_go_check(n10(2), restrict_to=centralizer_basis_n10(), config=FAST)
-        assert cert.status == "verified_sampled"
-
     def test_seed_determinism(self):
         a = gordon_go_check(n10(2), config=SamplerConfig(seed=3, samples=10))
         b = gordon_go_check(n10(2), config=SamplerConfig(seed=3, samples=10))
@@ -287,9 +281,9 @@ class TestBatchedAdjudicator:
         calls = []
         original = gc._commutant
 
-        def counting(nprime_mats, Z_mat, tau_rank):
+        def counting(nprime, Z_mat):
             calls.append(Z_mat.tobytes())
-            return original(nprime_mats, Z_mat, tau_rank)
+            return original(nprime, Z_mat)
 
         monkeypatch.setattr(gc, "_commutant", counting)
         monkeypatch.setattr(gc, "CHUNK", 7)  # sweep runs of one Z cross chunk boundaries
@@ -613,7 +607,7 @@ class TestBlockPlanAgainstPerSamplePlan:
         _same_verdict(*self._both(monkeypatch, lambda: centralizer_type_check(V, self.CONFIG)))
 
 
-def _commutant_scaled_per_z(nprime, Z_mat, tau_rank):
+def _commutant_scaled_per_z(nprime, Z_mat):
     """Oracle: the commutant with its round-off scale recomputed from N' for every Z."""
     N = nprime[0]
     if not len(N):
@@ -621,7 +615,7 @@ def _commutant_scaled_per_z(nprime, Z_mat, tau_rank):
     K = (N @ Z_mat - Z_mat @ N).reshape(len(N), -1).T
     kscale = max(np.linalg.norm(M) for M in N) * np.linalg.norm(Z_mat)
     K[np.abs(K) <= 1e-12 * max(kscale, 1.0)] = 0.0
-    return np.tensordot(np.reshape(lc.nullspace(K, tau_rank), (-1, len(N))), N, 1)
+    return np.tensordot(np.reshape(lc.nullspace(K), (-1, len(N))), N, 1)
 
 
 class TestTncScale:

@@ -64,7 +64,7 @@ class TestBatchResiduals:
 
     def test_matches_least_squares_and_cond(self, rng):
         for A, b in self._stacks(rng):
-            res, cond = lc.batch_residuals(A, b, 1e-9)
+            res, cond = lc.batch_residuals(A, b)
             for i in range(len(A)):
                 _, ref = lc.least_squares(A[i], b[i])
                 assert abs(res[i] - ref) <= 1e-12 * max(1.0, np.linalg.norm(b[i]))

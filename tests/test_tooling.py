@@ -1,10 +1,12 @@
 """Checks on the repository's tooling that the library itself cannot see."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,9 +18,11 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 SRC = str(ROOT / "src")
 
 # test oracles and paper objects that only the unit tests call, on purpose:
-# the exact reference kernels of linear_core and the diagonal centralizer of
-# the 4k+6 family
+# the exact reference kernels of linear_core, the diagonal centralizer of
+# the 4k+6 family and the metric pairing that is the reference of the
+# geodesic rate test (tests/test_geodesics.py::_reference_rate)
 ORACLES = (
+    "inner",
     "pfaffian_combinatorial",
     "rational_matrix",
     "rat_rank",
@@ -70,9 +74,9 @@ def _identifiers(tree) -> set:
     return out
 
 
-def _uses(node) -> set:
-    """Names and attributes read inside one top-level statement (imports excluded)."""
-    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+def _uses(node, kinds=(ast.Name, ast.Attribute)) -> set:
+    """Names and attributes (or only the nodes of ``kinds``) read inside one statement (imports excluded)."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node) if isinstance(n, kinds)}
 
 
 def _public_definitions(statements):
@@ -98,21 +102,51 @@ def test_every_public_definition_is_reachable():
         for path in sorted((ROOT / "src" / "nilgo").glob("*.py"))
         for node in ast.parse(path.read_text()).body
     ]
-    roots = [*(ROOT / "perfbench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
-    external = set().union(*(_identifiers(ast.parse(p.read_text())) for p in roots))
+    roots = [ast.parse(p.read_text()) for p in [*(ROOT / "perfbench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]]
+    external = set().union(*map(_identifiers, roots))
+    external_attributes = set().union(*(_uses(tree, ast.Attribute) for tree in roots))
     unreached = []
     for module, qualname, node, top in _public_definitions(statements):
         # uses in the other top-level statements, and for a method in the other members of its class
         others = [other for _, other in statements if other is not top]
-        if node is not top:
-            others += [member for member in top.body if member is not node]
         name = node.name
-        if not (
-            name in nilgo.__all__
-            or (module == "cli" and name.startswith("cmd_"))
-            or any(name in _uses(other) for other in others)
-            or name in external
-            or name in ORACLES
-        ):
+        if node is top:
+            kinds = (ast.Name, ast.Attribute)
+            reached = name in nilgo.__all__ or (module == "cli" and name.startswith("cmd_")) or name in external
+        else:  # a method or property is used as an attribute (`.name`), never through a bare name
+            others += [member for member in top.body if member is not node]
+            kinds = ast.Attribute
+            reached = name in external_attributes
+        if not (reached or name in ORACLES or any(name in _uses(other, kinds) for other in others)):
             unreached.append(f"{module}.{qualname}")
     assert not unreached, f"public definitions no live root reaches: {unreached}"
+
+
+def _public_callables_and_fields():
+    """``(qualified name, parameter or field names)`` for every public function,
+    public method and dataclass of the ``nilgo`` modules."""
+    import nilgo
+
+    for info in pkgutil.iter_modules(nilgo.__path__):
+        module = importlib.import_module(f"nilgo.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{info.name}.{name}", set(inspect.signature(obj).parameters)
+            elif inspect.isclass(obj):
+                if dataclasses.is_dataclass(obj):
+                    yield f"{info.name}.{name}", {f.name for f in dataclasses.fields(obj)}
+                for attr, member in vars(obj).items():
+                    if not attr.startswith("_") and inspect.isfunction(member):
+                        yield f"{info.name}.{name}.{attr}", set(inspect.signature(member).parameters)
+
+
+def test_one_rank_threshold():
+    # every rank decision uses linear_core.TAU_RANK, which certificates record; only
+    # nullspace has a caller with another cut
+    from nilgo.go_checker import SamplerConfig
+
+    takers = [name for name, params in _public_callables_and_fields() if "tau_rank" in params]
+    assert takers == ["linear_core.nullspace"]
+    assert SamplerConfig().tolerances() == {"tau_feas": 1e-8, "tau_refute": 1e-4, "cond_limit": 1e10, "tau_rank": 1e-9}
