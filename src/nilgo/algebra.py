@@ -153,7 +153,7 @@ def _gram_orthonormalize(vectors: np.ndarray, gram: np.ndarray) -> np.ndarray:
 def _gram_complement(vectors: np.ndarray, gram: np.ndarray, dim: int) -> np.ndarray:
     if vectors.shape[0] == 0:
         return np.eye(dim)
-    return lc.nullspace(vectors @ gram, 1e-12)
+    return lc.nullspace(vectors @ gram)
 
 
 def center(L: MetricLieAlgebra) -> np.ndarray:
@@ -258,13 +258,7 @@ def detect_flat_factor(L: MetricLieAlgebra) -> tuple[int, MetricLieAlgebra]:
     if z.shape[0] == 0:
         return 0, L
     # euclidean part: central vectors gram-orthogonal to the derived algebra
-    if der.shape[0] == 0:
-        flat = z.shape[0]
-    else:
-        M = z @ L.gram @ der.T
-        _, s, _ = np.linalg.svd(M) if M.size else (None, np.zeros(0), None)
-        rank = int(np.sum(s > lc.TAU_RANK * max(s[0], 1.0))) if s.size else 0
-        flat = z.shape[0] - rank
+    flat = len(lc.nullspace(der @ L.gram @ z.T))
     if flat == 0:
         return 0, L
     v = _gram_orthonormalize(_gram_complement(z, L.gram, L.dim), L.gram)

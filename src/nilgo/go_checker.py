@@ -45,7 +45,6 @@ class SamplerConfig:
     samples: int = 200
     tau_feas: float = 1e-8
     tau_refute: float = 1e-4
-    cond_limit: float = 1e10
 
     def __post_init__(self):
         if self.samples < 0:
@@ -57,7 +56,6 @@ class SamplerConfig:
         return {
             "tau_feas": self.tau_feas,
             "tau_refute": self.tau_refute,
-            "cond_limit": self.cond_limit,
             "tau_rank": lc.TAU_RANK,
         }
 
@@ -144,7 +142,7 @@ def _adjudicate(config: SamplerConfig, dims, system, witness) -> GOCertificate:
     ``(A, b, scale)`` of stacked systems ``A[i] z = b[i]`` in plan order;
     each block is one :func:`linear_core.batch_residuals` call.  Scanning
     in plan order, the first sample whose residual relative to its scale
-    exceeds tau_refute with a well-conditioned system refutes, with
+    exceeds both tau_feas and tau_refute refutes, with
     ``witness(sample, residual, from_sweep)``; any other sample above
     tau_feas makes the result inconclusive.  Non-finite systems, scales
     or residuals raise InputError.
@@ -153,18 +151,16 @@ def _adjudicate(config: SamplerConfig, dims, system, witness) -> GOCertificate:
     status, max_res = VERIFIED_SAMPLED, 0.0
     for start in range(0, len(plan[0]), CHUNK):
         chunk = [f[start:start + CHUNK] for f in plan]
-        rel, cond = [], []
+        rel = []
         # overflow surfaces as a non-finite system, scale or residual below
         with np.errstate(over="ignore", invalid="ignore"):
             for A, b, scale in system(*chunk):
                 if not np.all(np.isfinite(scale)):
                     raise InputError("residual scale is not finite")
-                res, c = lc.batch_residuals(A, b)
-                rel.append(res / np.maximum(scale, 1e-300))
-                cond.append(c)
-        rel, cond = np.concatenate(rel), np.concatenate(cond)
+                rel.append(lc.batch_residuals(A, b) / np.maximum(scale, 1e-300))
+        rel = np.concatenate(rel)
         over = rel > config.tau_feas
-        refuting = np.flatnonzero(over & (rel > config.tau_refute) & (cond < config.cond_limit))
+        refuting = np.flatnonzero(over & (rel > config.tau_refute))
         stop = refuting[0] + 1 if refuting.size else len(rel)
         max_res = max(max_res, float(rel[:stop].max()))
         if over[:stop].any():

@@ -37,7 +37,7 @@ class ProjectiveRootSet:
 
     @property
     def real_root_count(self) -> int:
-        return sum(1 for r in self.roots if r == INFINITY or abs(complex(r).imag) < 1e-10)
+        return sum(1 for r in self.roots if r == INFINITY or abs(complex(r).imag) < ROOT_TOL)
 
     def upper_half_roots(self) -> list[complex]:
         out = []
@@ -45,7 +45,7 @@ class ProjectiveRootSet:
             if r == INFINITY:
                 continue
             r = complex(r)
-            if r.imag > 1e-10:
+            if r.imag > ROOT_TOL:
                 out.append(r)
         return out
 

@@ -33,43 +33,39 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def nullspace(A, tau_rank: float = TAU_RANK) -> np.ndarray:
+def nullspace(A) -> np.ndarray:
     """Orthonormal basis (rows, ``(k, n)``) of the numerical nullspace of ``A``.
 
-    Rank counts the singular values above ``tau_rank`` times the largest one.
+    Rank counts the singular values above ``TAU_RANK`` times the largest one.
     """
-    if tau_rank <= 0:
-        raise InputError("tau_rank must be positive")
     A = as_matrix(A)
     if A.size == 0 or not np.any(A):
         return np.eye(A.shape[1])
     # U is never used; a wide A still needs the full V for its nullspace
     _, s, vt = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
-    rank = int(np.sum(s > tau_rank * s[0]))
+    rank = int(np.sum(s > TAU_RANK * s[0]))
     return vt[rank:]
 
 
 def least_squares(A, b) -> tuple[np.ndarray, float]:
-    """Minimum-norm least squares solution of ``Ax = b`` and its residual."""
+    """Minimum-norm least squares solution of ``Ax = b`` and its residual,
+    with the rank cut at ``TAU_RANK`` times the largest singular value."""
     A = as_matrix(A)
     b = np.asarray(b, dtype=float).ravel()
     if A.shape[0] != b.shape[0]:
         raise InputError(f"dimension mismatch: {A.shape[0]} rows vs {b.shape[0]} entries")
-    x, _, _, _ = np.linalg.lstsq(A, b, rcond=None)
+    x, _, _, _ = np.linalg.lstsq(A, b, rcond=TAU_RANK)
     residual = float(np.linalg.norm(A @ x - b))
     return x, residual
 
 
-def batch_residuals(A, b) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals and effective condition numbers of the stacked systems ``A[i] x = b[i]``.
+def batch_residuals(A, b) -> np.ndarray:
+    """Residuals of the stacked least-squares systems ``A[i] x = b[i]``.
 
-    One stacked SVD serves both.  The residual is the distance from
-    ``b[i]`` to the numerical column space of ``A[i]``, with the rank
-    cutoff of ``np.linalg.lstsq(rcond=None)`` (singular values above
-    ``eps * max(rows, cols) * s_max``), i.e. the residual that
-    :func:`least_squares` reports.  The effective condition number is
-    ``s_max`` over the smallest singular value above ``TAU_RANK * s_max``,
-    and 1 for a zero matrix.  Non-finite data raises InputError.
+    The residual is the distance from ``b[i]`` to the span of the left
+    singular vectors of ``A[i]`` with singular values above ``TAU_RANK``
+    times the largest, i.e. the residual that :func:`least_squares`
+    reports, from one stacked SVD.  Non-finite data raises InputError.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -77,20 +73,14 @@ def batch_residuals(A, b) -> tuple[np.ndarray, np.ndarray]:
         raise InputError(f"expected stacked systems, got A {A.shape} and b {b.shape}")
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
         raise InputError("system entries must be finite")
-    rows, cols = A.shape[1:]
-    if cols == 0:
-        return np.linalg.norm(b, axis=1), np.ones(len(A))
     u, s, _ = np.linalg.svd(A, full_matrices=False)
     if not np.all(np.isfinite(s)):
         raise InputError("singular values are not finite")
-    top = s[:, :1]
-    coords = np.einsum("brk,br->bk", u, b) * (s > np.finfo(float).eps * max(rows, cols) * top)
+    coords = np.einsum("brk,br->bk", u, b) * (s > TAU_RANK * s[:, :1])
     residual = np.linalg.norm(b - np.einsum("brk,bk->br", u, coords), axis=1)
     if not np.all(np.isfinite(residual)):
         raise InputError("least-squares residual is not finite")
-    smallest = np.where(s > TAU_RANK * top, s, np.inf).min(axis=1)
-    cond = np.where(top[:, 0] > 0.0, top[:, 0] / smallest, 1.0)
-    return residual, cond
+    return residual
 
 
 def _check_skew(S: np.ndarray) -> np.ndarray:

@@ -87,14 +87,16 @@ def span_matrices(mats, n: int) -> SkewOperatorSubspace:
     A = np.reshape(mats, (len(mats), n * n))
     if not np.any(A):
         return SkewOperatorSubspace(n, [])
-    _, s, vt = np.linalg.svd(A)
+    _, s, vt = np.linalg.svd(A, full_matrices=False)
     rank = int(np.sum(s > lc.TAU_RANK * s[0]))
     return SkewOperatorSubspace(n, vt[:rank].reshape(rank, n, n))
 
 
-def _off_span(P: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """The rows w of W minus their projections P w (one matrix-vector product each)."""
-    return W - (P @ W[..., None])[..., 0]
+def _off_span(V: SkewOperatorSubspace, W: np.ndarray) -> np.ndarray:
+    """The rows w of W (vectorized matrices) minus their projections onto
+    span(V), through an orthonormal basis Q of the span from one thin QR."""
+    Q = np.linalg.qr(V.basis.reshape(V.dim, -1).T)[0]
+    return W - (W @ Q) @ Q.T
 
 
 def _in_span(V: SkewOperatorSubspace, W: np.ndarray, tol: float) -> bool:
@@ -102,7 +104,7 @@ def _in_span(V: SkewOperatorSubspace, W: np.ndarray, tol: float) -> bool:
     W = W.reshape(-1, W.shape[-1] ** 2)
     if not len(W):
         return True
-    off = np.linalg.norm(_off_span(V.projector(), W), axis=1)
+    off = np.linalg.norm(_off_span(V, W), axis=1)
     return not np.any(off > tol * np.maximum(1.0, np.linalg.norm(W, axis=1)))
 
 
@@ -216,7 +218,7 @@ def _constrained_so_subspace(V: SkewOperatorSubspace, project_out_span: bool) ->
         return SkewOperatorSubspace(n, sb)
     W = brackets(sb, V.basis).reshape(len(sb), V.dim, n * n)  # [p, q] = [S_p, B_q]
     if project_out_span:
-        W = _off_span(V.projector(), W)
+        W = _off_span(V, W)
     coeffs = lc.nullspace(W.reshape(len(sb), -1).T)
     # sum_p a_p S_p: the skew matrices with upper triangle a_p.  "+ 0.0" turns
     # their negative zeros positive, as a sum from zero does: the SVD in

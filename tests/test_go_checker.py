@@ -82,7 +82,7 @@ class TestGordon:
         assert doc["status"] == "verified_sampled"
         assert doc["seed"] == 0
         assert doc["samples"] == 20
-        assert set(doc["tolerances"]) == {"tau_feas", "tau_refute", "cond_limit", "tau_rank"}
+        assert set(doc["tolerances"]) == {"tau_feas", "tau_refute", "tau_rank"}
 
     def test_clifford4_refuted_exactly(self):
         cert = gordon_go_check(h_type_clifford(4, 1), config=FAST)
@@ -143,18 +143,6 @@ class TestAdjudicator:
         cert = tnc_check(V, SkewOperatorSubspace(8, [centralizer_in_so(V).basis[0]]), FAST)
         assert cert.witness["Z"] == [1.0, 0.0]
         assert cert.witness["Y"] == list(np.eye(8)[0])
-
-    @pytest.mark.parametrize("criterion", ["gordon", "kv"])
-    def test_ill_conditioned_residual_is_inconclusive(self, criterion):
-        L = h_type_clifford(4, 1)
-        config = SamplerConfig(samples=5, cond_limit=1.0)
-        if criterion == "gordon":
-            cert = gordon_go_check(L, config=config)
-        else:
-            cert = kv_go_check(isometry_decomposition(L), config)
-        assert cert.status == "inconclusive"
-        assert cert.witness is None
-        assert cert.max_residual > config.tau_refute
 
     def test_negative_samples_rejected(self):
         with pytest.raises(InputError):
@@ -651,3 +639,24 @@ class TestTncScale:
         centralizer_type_check(vt_subspace(2), SamplerConfig(samples=30))
         normalizer_resolve_residual(vt_subspace(2), SamplerConfig(samples=30))
         assert len(calls) == 2
+
+
+class TestRankCut:
+    """Residuals of refuted systems do not depend on round-off."""
+
+    def test_tnc_residual_is_permutation_invariant(self):
+        # the refuted TNC system of the normalizer on the J-span of clifford(4) at
+        # Z = e1, Y = e1 + e5: three singular values 0.707 and three of round-off
+        # (about 2.6e-15, 4.5e-16 and 1.3e-16) that no rank cut may count
+        V = _j_span(h_type_clifford(4, 1))
+        zc, Y = np.eye(4)[:1], (np.eye(8)[0] + np.eye(8)[4])[None]
+        (A, b, _), = go_checker._tnc_blocks(V, go_checker._nprime(normalizer_in_so(V)), {}, zc, Y)
+        s = np.linalg.svd(A[0], compute_uv=False)
+        assert np.allclose(s[:3], np.sqrt(0.5)) and np.all(s[3:] < 1e-13)
+        ref = lc.batch_residuals(A, b)[0]
+        assert ref > 0.1
+        gen = np.random.default_rng(5)
+        for _ in range(20):
+            rows, cols = gen.permutation(A.shape[1]), gen.permutation(A.shape[2])
+            assert abs(lc.batch_residuals(A[:, rows][:, :, cols], b[:, rows])[0] - ref) <= 1e-12
+            assert abs(lc.least_squares(A[0][rows][:, cols], b[0][rows])[1] - ref) <= 1e-12

@@ -40,15 +40,6 @@ class TestNullspaceLeastSquares:
         assert np.isclose(res, np.sqrt(2.0))
 
 
-def _reference_cond(A, tau_rank):
-    """Effective condition number as the per-sample adjudicator computed it."""
-    s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 1.0
-    nz = s[s > tau_rank * s[0]]
-    return float(s[0] / nz[-1])
-
-
 class TestBatchResiduals:
     @staticmethod
     def _stacks(rng):
@@ -62,13 +53,12 @@ class TestBatchResiduals:
         consistent = rng.standard_normal((4, 6, 3))
         yield consistent, np.einsum("bij,bj->bi", consistent, rng.standard_normal((4, 3)))
 
-    def test_matches_least_squares_and_cond(self, rng):
+    def test_matches_least_squares(self, rng):
         for A, b in self._stacks(rng):
-            res, cond = lc.batch_residuals(A, b)
+            res = lc.batch_residuals(A, b)
             for i in range(len(A)):
                 _, ref = lc.least_squares(A[i], b[i])
                 assert abs(res[i] - ref) <= 1e-12 * max(1.0, np.linalg.norm(b[i]))
-                assert abs(cond[i] - _reference_cond(A[i], 1e-9)) <= 1e-12 * _reference_cond(A[i], 1e-9)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_system_rejected(self, rng, bad):

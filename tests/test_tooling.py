@@ -143,10 +143,10 @@ def _public_callables_and_fields():
 
 
 def test_one_rank_threshold():
-    # every rank decision uses linear_core.TAU_RANK, which certificates record; only
-    # nullspace has a caller with another cut
+    # every rank decision, the sweep solves included, uses linear_core.TAU_RANK,
+    # which certificates record; no function or field takes another cut
     from nilgo.go_checker import SamplerConfig
 
-    takers = [name for name, params in _public_callables_and_fields() if "tau_rank" in params]
-    assert takers == ["linear_core.nullspace"]
-    assert SamplerConfig().tolerances() == {"tau_feas": 1e-8, "tau_refute": 1e-4, "cond_limit": 1e10, "tau_rank": 1e-9}
+    takers = [name for name, params in _public_callables_and_fields() if params & {"tau_rank", "cond_limit"}]
+    assert takers == []
+    assert SamplerConfig().tolerances() == {"tau_feas": 1e-8, "tau_refute": 1e-4, "tau_rank": 1e-9}
