@@ -34,6 +34,8 @@ class MetricLieAlgebra:
     # structure tensor is c_int / den and the Gram matrix g_int / gden
     structure_exact: Optional[tuple] = field(default=None, repr=False)
     gram_exact: Optional[tuple] = field(default=None, repr=False)
+    # the nilpotency class, filled in once by nilpotency_class
+    nil_class: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 0 or self.dim > MAX_DIM:
@@ -146,7 +148,8 @@ def _gram_orthonormalize(vectors: np.ndarray, gram: np.ndarray) -> np.ndarray:
         return vectors
     M = vectors @ gram @ vectors.T
     w, U = np.linalg.eigh(M)
-    keep = w > 1e-12 * max(w.max(), 1.0)
+    # relative to the largest eigenvalue, so a uniformly small Gram keeps every vector
+    keep = w > 1e-12 * w.max()
     return (U[:, keep] / np.sqrt(w[keep])).T @ vectors
 
 
@@ -175,7 +178,15 @@ def derived(L: MetricLieAlgebra) -> np.ndarray:
 
 
 def nilpotency_class(L: MetricLieAlgebra) -> int:
-    """Length of the lower central series n^1 = [n, n], n^(i+1) = [n, n^i]."""
+    """Length of the lower central series n^1 = [n, n], n^(i+1) = [n, n^i],
+    computed on first use and kept on the algebra.  A non-nilpotent algebra
+    keeps nothing and raises InputError on every call."""
+    if L.nil_class is None:
+        object.__setattr__(L, "nil_class", _lower_central_series_length(L))
+    return L.nil_class
+
+
+def _lower_central_series_length(L: MetricLieAlgebra) -> int:
     d = L.dim
     current = np.eye(d)
     scale = None
@@ -237,7 +248,8 @@ def split_two_step(L: MetricLieAlgebra) -> TwoStepSplit:
         # spanned by basis vectors iff its zero rows account for all of it
         rows = L.structure_exact[0].reshape(L.dim, -1)
         zero = [i for i, row in enumerate(rows) if not any(row)]
-        if len(zero) == L.dim - lc.bareiss_rank(rows.tolist()):
+        # the zero columns, most of the d^2, add nothing to the rank
+        if len(zero) == L.dim - lc.bareiss_rank(rows[:, np.any(rows != 0, axis=0)].tolist()):
             zi = tuple(zero)
             vi = tuple(i for i in range(L.dim) if i not in zi)
             z = np.eye(L.dim)[list(zi)]
@@ -299,7 +311,10 @@ def is_nonsingular(L: MetricLieAlgebra, samples: int = 1000, seed: int = 0) -> N
 
     Exact for m <= 2 via the Pfaffian form; sampled for m >= 3 with the
     central basis vectors swept first (those witnesses are re-checked with
-    the exact rank when rational data is available).
+    the exact rank when rational data is available).  For m = 1 and m >= 3
+    a float J_Z counts as singular when its smallest singular value is at
+    most TAU_RANK times its largest, so the answer does not depend on the
+    scale of the brackets.
     """
     from . import jmaps
 
@@ -314,8 +329,8 @@ def is_nonsingular(L: MetricLieAlgebra, samples: int = 1000, seed: int = 0) -> N
             if pf != 0:
                 return NonsingularityResult("yes", exact=True)
             return NonsingularityResult("no", np.array([1.0]), exact=True)
-        pf = lc.pfaffian_numeric(fam.generators[0])
-        if abs(pf) > lc.TAU_RANK:
+        s = np.linalg.svd(fam.generators[0], compute_uv=False)
+        if s[-1] > lc.TAU_RANK * s[0]:
             return NonsingularityResult("yes")
         return NonsingularityResult("no", np.array([1.0]))
     if m == 2:
@@ -335,7 +350,7 @@ def is_nonsingular(L: MetricLieAlgebra, samples: int = 1000, seed: int = 0) -> N
     candidates = np.vstack([np.eye(m), draws / np.linalg.norm(draws, axis=1, keepdims=True)])
     pencils = (candidates @ fam.generators.reshape(m, n * n)).reshape(-1, n, n)
     s = np.linalg.svd(pencils, compute_uv=False)
-    singular = np.flatnonzero(s[:, -1] <= lc.TAU_RANK * np.maximum(s[:, 0], 1.0))
+    singular = np.flatnonzero(s[:, -1] <= lc.TAU_RANK * s[:, 0])
     if not singular.size:
         return NonsingularityResult("sampled_yes")
     idx = singular[0]

@@ -19,7 +19,7 @@ from .operator_subspaces import derivation_defect
 
 # the largest number of RK4 steps one integration may take
 MAX_STEPS = 10**6
-# RK4 steps per block of the position sums: bounds the (block, d^2) bracket temporaries
+# RK4 steps per block of the position sums: bounds the (block, pairs) bracket temporaries
 BLOCK = 256
 
 # the [13/13] Pade approximant of exp and the largest 1-norm at which it is
@@ -73,10 +73,33 @@ def _bracket_tensor(L: MetricLieAlgebra) -> np.ndarray:
     return L.structure.reshape(d * d, d).T
 
 
+def _support_bracket(L: MetricLieAlgebra):
+    """``bracket(x, y)``: the rows [x_r, y_r] of two (rows, d) stacks.
+
+    Only the pairs (i, j) with a nonzero column i d + j of the bracket
+    tensor are multiplied, and only into the coordinates they reach; every
+    other product x_i y_j meets zeros of the tensor.
+    """
+    d = L.dim
+    C = _bracket_tensor(L)
+    pairs, reached = np.flatnonzero(C.any(axis=0)), np.flatnonzero(C.any(axis=1))
+    I, J = np.divmod(pairs, d)
+    C_support = C[np.ix_(reached, pairs)].T
+
+    def bracket(x, y):
+        out = np.zeros((len(x), d))
+        out[:, reached] = (x[:, I] * y[:, J]) @ C_support
+        return out
+
+    return bracket
+
+
 def _euler_arnold_tensor(L: MetricLieAlgebra) -> np.ndarray:
     """Q with v' = Q @ kron(v, v), the Euler-Arnold equation (v', w) = ([v, w], v) for all w."""
     d = L.dim
-    return np.einsum("mj,ijl,lk->mik", np.linalg.inv(L.gram), L.structure, L.gram).reshape(d, d * d)
+    # Q[m, i, k] = sum_j G^-1[m, j] (c G)[i, j, k], as two BLAS products
+    cG = (L.structure @ L.gram).transpose(1, 0, 2).reshape(d, d * d)
+    return np.linalg.inv(L.gram) @ cG
 
 
 def _schedule(L: MetricLieAlgebra, X0, T: float, h: float) -> tuple[np.ndarray, int]:
@@ -138,11 +161,7 @@ def _rk4_positions(L: MetricLieAlgebra, stages, steps: int, h: float) -> np.ndar
     of a block are two cumulative sums.
     """
     d = L.dim
-    C = _bracket_tensor(L)
-
-    def bracket(x, y):
-        return (x[:, :, None] * y[:, None, :]).reshape(len(x), d * d) @ C.T
-
+    bracket = _support_bracket(L)
     pos = np.empty((steps + 1, d))
     pos[0] = 0.0
     for lo in range(0, steps, BLOCK):
@@ -235,7 +254,7 @@ def compare_geodesic_orbit(L: MetricLieAlgebra, X0, T: float = 1.0, h: float = 1
         geo = geodesic_integrate(L, X0, T, h)
         orb = orbit_integrate(L, X0, D, T, h)
         diffs = geo.positions - orb.positions
-        dev = np.sqrt(np.einsum("ti,ij,tj->t", diffs, L.gram, diffs))
+        dev = np.sqrt(np.sum((diffs @ L.gram) * diffs, axis=1))
     if not (np.isfinite(kv_res) and np.all(np.isfinite(dev))):
         raise InputError("deviation is not finite; the initial velocity is too large")
     return OrbitComparison(

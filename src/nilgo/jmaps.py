@@ -40,19 +40,20 @@ class JMapFamily:
 def build_jmap_family(split: TwoStepSplit) -> JMapFamily:
     L = split.parent
     d, n, v = L.dim, split.n, split.v_basis
-    # (J_k)_{ba} = ([v_a, v_b], z_k), kept below the diagonal and mirrored so
-    # every generator is exactly skew.  Each bracket is one row times the Gram,
-    # which rounds as L.bracket(v_a, v_b) @ L.gram does.
-    brackets = np.einsum("ai,bj,ijk->abk", v, v, L.structure).reshape(n * n, 1, d)
-    pairings = (brackets @ L.gram).reshape(n, n, d) @ split.z_basis.T
-    lower = np.tril(pairings.transpose(2, 1, 0), -1)
-    gens = lower - lower.transpose(0, 2, 1)
     gens_exact = None
     if split.is_exact:
-        c, den = L.structure_exact
         # (J_k)_{ba} = ([v_a, v_b], z_k) = c[v_a, v_b, z_k] under the identity Gram
-        gens_exact = (c[np.ix_(split.v_index, split.v_index, split.z_index)].transpose(2, 1, 0), den)
-    return JMapFamily(split, gens, gens_exact)
+        block = np.ix_(split.v_index, split.v_index, split.z_index)
+        pairings = L.structure[block]
+        gens_exact = (L.structure_exact[0][block].transpose(2, 1, 0), L.structure_exact[1])
+    else:
+        # (J_k)_{ba} = ([v_a, v_b], z_k).  Each bracket is one row times the
+        # Gram, which rounds as L.bracket(v_a, v_b) @ L.gram does.
+        brackets = np.einsum("ai,bj,ijk->abk", v, v, L.structure).reshape(n * n, 1, d)
+        pairings = (brackets @ L.gram).reshape(n, n, d) @ split.z_basis.T
+    # kept below the diagonal and mirrored, so every generator is exactly skew
+    lower = np.tril(pairings.transpose(2, 1, 0), -1)
+    return JMapFamily(split, lower - lower.transpose(0, 2, 1), gens_exact)
 
 
 def build_jmap(split: TwoStepSplit, Z) -> np.ndarray:

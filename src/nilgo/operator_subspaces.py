@@ -195,9 +195,8 @@ def split_derivation_system(J: np.ndarray) -> np.ndarray:
     m, n = J.shape[0], J.shape[-1]
     iu, ju = np.triu_indices(n, 1)
     E = skew_basis(n)
-    comm = np.einsum("iab,kbc->ikac", J, E) - np.einsum("kab,ibc->ikac", E, J)
-    rows_a = comm[:, :, iu, ju].transpose(0, 2, 1).reshape(m * len(iu), len(E))
-    CJ = np.einsum("lij,jab->liab", skew_basis(m), J)[:, :, iu, ju]
+    rows_a = brackets(J, E)[:, :, iu, ju].transpose(0, 2, 1).reshape(m * len(iu), len(E))
+    CJ = np.tensordot(skew_basis(m), J, 1)[:, :, iu, ju]
     return np.hstack([rows_a, -CJ.transpose(1, 2, 0).reshape(m * len(iu), -1)])
 
 
@@ -208,7 +207,7 @@ def _split_derivation_forms(split: TwoStepSplit) -> np.ndarray:
     k = n * (n - 1) // 2
     A, C = _skew_from_upper(sol[:, :k], n), _skew_from_upper(sol[:, k:], m)
     Pv, Pz = split.v_basis @ split.parent.gram, split.z_basis @ split.parent.gram
-    return np.einsum("ai,pab,bj->pij", Pv, A, Pv) + np.einsum("ai,pab,bj->pij", Pz, C, Pz)
+    return Pv.T @ A @ Pv + Pz.T @ C @ Pz
 
 
 def _constrained_so_subspace(V: SkewOperatorSubspace, project_out_span: bool) -> SkewOperatorSubspace:

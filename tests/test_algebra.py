@@ -2,24 +2,31 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+from conftest import change_basis
 
 from nilgo import (
+    MetricLieAlgebra,
+    algebra,
     algebra_from_dict,
     algebra_to_dict,
     center,
     derived,
     detect_flat_factor,
+    family_thm2,
     heisenberg,
     h_type_clifford,
     make_algebra,
     n10,
+    n10_second,
     nilpotency_class,
+    quaternionic_heisenberg,
     split_two_step,
     validate,
 )
 from nilgo.algebra import is_nonsingular, restrict_to_span
 from nilgo.errors import InputError, NotTwoStepError, PreconditionError
 from nilgo.families import algebra_from_jmaps
+from nilgo.linear_core import bareiss_rank
 
 
 class TestValidation:
@@ -91,6 +98,21 @@ class TestExactPair:
             make_algebra(c, np.eye(3))
 
 
+class TestNilpotencyClassKept:
+    def test_computed_once_and_kept(self, monkeypatch):
+        calls = []
+        series = algebra._lower_central_series_length
+        monkeypatch.setattr(algebra, "_lower_central_series_length", lambda L: calls.append(L) or series(L))
+        L = n10(2)
+        assert L.nil_class is None
+        assert [nilpotency_class(L) for _ in range(3)] == [2, 2, 2]
+        assert len(calls) == 1 and L.nil_class == 2
+
+    def test_not_part_of_the_constructor(self):
+        with pytest.raises(TypeError):
+            MetricLieAlgebra(3, np.zeros((3, 3, 3)), np.eye(3), nil_class=1)
+
+
 class TestStructure:
     def test_center_of_heisenberg(self):
         z = center(heisenberg(2))
@@ -115,6 +137,33 @@ class TestStructure:
         c, den = heisenberg(1).structure_exact
         w = np.einsum("i,j,ijk->k", np.array([Q(1), Q(0), Q(0)]), np.array([Q(0), Q(1), Q(0)]), c) / den
         assert w.tolist() == [Q(0), Q(0), Q(1)]
+
+
+ACCEPTANCE_FAMILIES = {
+    **{f"n10_{t}": (lambda t=t: n10(t)) for t in (1, Q(3, 2), 2, 5)},
+    "n10_second": n10_second,
+    "thm2_2_3": lambda: family_thm2([2, 3]),
+    "thm2_3/2_2_3": lambda: family_thm2([Q(3, 2), 2, 3]),
+    "thm2_2_3_5_7": lambda: family_thm2([2, 3, 5, 7]),
+    **{f"h_type_clifford_{m}": (lambda m=m: h_type_clifford(m)) for m in range(1, 8)},
+    "h_type_clifford_3x2": lambda: h_type_clifford(3, 2),
+    "heisenberg_3": lambda: heisenberg(3),
+    "quaternionic_heisenberg_2": lambda: quaternionic_heisenberg(2),
+    # a center off the basis vectors: no indices at either width
+    "h_type_clifford_4_off_basis": lambda: change_basis(
+        h_type_clifford(4), np.eye(12, dtype=int) + np.eye(12, k=4, dtype=int)
+    ),
+}
+
+
+def relabeled(L, seed):
+    """The exact algebra L in a seeded permutation of its basis, by indexing
+    (change_basis with a permutation matrix gives the same algebra through a
+    much slower rational contraction on the dim-22 family)."""
+    perm = np.random.default_rng(seed).permutation(L.dim)
+    (c, den), (g, gden) = L.structure_exact, L.gram_exact
+    structure = [[[Q(x, den) for x in row] for row in plane] for plane in c[np.ix_(perm, perm, perm)]]
+    return make_algebra(structure, [[Q(x, gden) for x in row] for row in g[np.ix_(perm, perm)]])
 
 
 class TestSplit:
@@ -145,6 +194,19 @@ class TestSplit:
         assert (split.m, split.n) == (1, L.dim - 1) and split.derived_equals_center
         assert split.z_index is None and split.v_index is None
         assert not split.is_exact
+
+    @pytest.mark.parametrize("name", sorted(ACCEPTANCE_FAMILIES))
+    def test_narrowed_rank_gives_the_full_width_indices(self, name):
+        # the full-width test: the rank of c as a d x d^2 matrix over all its columns
+        L = relabeled(ACCEPTANCE_FAMILIES[name](), 5)
+        rows = L.structure_exact[0].reshape(L.dim, -1)
+        zero = [i for i, row in enumerate(rows) if not any(row)]
+        full = len(zero) == L.dim - bareiss_rank(rows.tolist())
+        split = split_two_step(L)
+        assert split.is_exact == full
+        if full:
+            assert split.z_index == tuple(zero)
+            assert split.v_index == tuple(i for i in range(L.dim) if i not in zero)
 
     def test_split_rejects_three_step(self, three_step):
         with pytest.raises(NotTwoStepError):
@@ -187,6 +249,14 @@ class TestFlatFactor:
         assert np.allclose(R.structure, L.structure)
 
 
+# m = 3 generators on R^4, J_1 of rank 2
+RANK_2_GENERATOR = [
+    [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+    [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]],
+    [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],
+]
+
+
 class TestNonsingularity:
     def test_n10_yes_exact(self):
         for t in (1, 2, 5):
@@ -211,10 +281,7 @@ class TestNonsingularity:
 
     def test_singular_basis_generator_is_exact_for_large_center(self):
         # m = 3 with J_{Z_1} of rank 2 on R^4: the swept witness Z_1 is confirmed by exact rank
-        J1 = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
-        J2 = [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]]
-        J3 = [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
-        r = is_nonsingular(algebra_from_jmaps([J1, J2, J3]))
+        r = is_nonsingular(algebra_from_jmaps(RANK_2_GENERATOR))
         assert r.status == "no" and r.exact
         assert np.array_equal(r.witness, [1.0, 0.0, 0.0])
 
@@ -222,18 +289,27 @@ class TestNonsingularity:
         r = is_nonsingular(h_type_clifford(4, 1))
         assert r.status == "sampled_yes"
 
+    # float brackets scaled far below 1: the decision is relative to the largest singular value
+    def test_small_float_brackets_one_dimensional_center(self):
+        L = heisenberg(3)
+        assert is_nonsingular(make_algebra(L.structure * 1e-3, L.gram)).status == "yes"
+
+    def test_small_float_brackets_sampled(self):
+        L = h_type_clifford(4)
+        assert is_nonsingular(make_algebra(L.structure * 1e-10, L.gram)).status == "sampled_yes"
+
+    def test_small_float_singular_generator_still_found(self):
+        L = algebra_from_jmaps(RANK_2_GENERATOR)
+        unit, small = (is_nonsingular(make_algebra(L.structure * s, L.gram)) for s in (1.0, 1e-10))
+        assert unit.status == small.status == "no"
+        assert np.array_equal(unit.witness, small.witness)
+
     @pytest.mark.parametrize(
         "build",
         [
             lambda: h_type_clifford(4),
             lambda: h_type_clifford(7),
-            lambda: algebra_from_jmaps(
-                [
-                    [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
-                    [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]],
-                    [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],
-                ]
-            ),
+            lambda: algebra_from_jmaps(RANK_2_GENERATOR),
         ],
         ids=["h_type_clifford_4", "h_type_clifford_7", "rank_2_generator"],
     )
@@ -259,7 +335,7 @@ def _nonsingular_loop(L, samples=1000, seed=0):
         candidates.append(Z / np.linalg.norm(Z))
     for idx, Z in enumerate(candidates):
         J = jmaps.build_jmap(split, Z)
-        if np.linalg.svd(J, compute_uv=False)[-1] <= 1e-9 * max(np.linalg.norm(J, 2), 1.0):
+        if np.linalg.svd(J, compute_uv=False)[-1] <= 1e-9 * np.linalg.norm(J, 2):
             exact = fam.is_exact and idx < m and lc.bareiss_rank(fam.generators_exact[0][idx].tolist()) < n
             return "no", Z, exact
     return "sampled_yes", None, False

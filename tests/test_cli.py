@@ -67,6 +67,19 @@ class TestGoCheck:
         assert code == 0
 
 
+    @pytest.mark.parametrize("criterion", ["gordon", "kv"])
+    def test_uniformly_small_gram_keeps_its_center(self, capsys, tmp_path, criterion):
+        # every eigenvalue of the Gram is 1e-13: the orthonormalization cut is relative
+        path = tmp_path / "alg.json"
+        run(capsys, "family", "n10", "--t", "2", "-o", str(path))
+        doc = json.loads(path.read_text())
+        doc["gram"] = [[1e-13 if i == j else 0 for j in range(10)] for i in range(10)]
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "go-check", str(path), "--criterion", criterion, "--samples", "10")
+        assert code == 0
+        assert json.loads(out)["status"] == "verified_sampled"
+
+
 class TestAnalysis:
     def test_pfaffian(self, capsys, tmp_path):
         path = tmp_path / "alg.json"

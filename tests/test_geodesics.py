@@ -14,9 +14,9 @@ from nilgo import (
     n10,
     orbit_integrate,
 )
-from nilgo import geodesics
+from nilgo import algebra, geodesics, nilpotency_class
 from nilgo.errors import InputError, PreconditionError
-from nilgo.geodesics import _bracket_tensor, _euler_arnold_tensor, expm
+from nilgo.geodesics import _bracket_tensor, _euler_arnold_tensor, _support_bracket, expm
 from nilgo.go_checker import apply_center_metric, isometry_decomposition
 from nilgo.operator_subspaces import skew_derivations
 
@@ -336,3 +336,60 @@ class TestCollapsedRK4:
         for a, b in zip(blocked, default):
             assert _relative_gap(a.positions, b.positions) <= 1e-12
             assert _relative_gap(a.velocities, b.velocities) <= 1e-12
+
+
+# the kernel algebras and the rebased copies, whose bracket tensors are dense
+SUPPORT_ALGEBRAS = {
+    **KERNEL_ALGEBRAS,
+    **{name: ORACLE_ALGEBRAS[name] for name in ("n10_rebased", "h_type_clifford_4_rebased", "heisenberg_2_rebased")},
+}
+
+
+class TestSupportBracket:
+    """The bracket of the RK4 position sums against the dense Kronecker form kron(x, y) @ C^T."""
+
+    @pytest.mark.parametrize("name", sorted(SUPPORT_ALGEBRAS))
+    def test_every_basis_pair_is_exact(self, name):
+        # one product per pair, so no summation order: a dropped pair or coordinate would show
+        L = SUPPORT_ALGEBRAS[name]()
+        d, C = L.dim, _bracket_tensor(L)
+        i, j = np.divmod(np.arange(d * d), d)
+        eye = np.eye(d)
+        assert np.array_equal(_support_bracket(L)(eye[i], eye[j]), C.T)
+
+    @pytest.mark.parametrize("name", sorted(SUPPORT_ALGEBRAS))
+    def test_matches_dense_kronecker_form(self, name, rng):
+        # the same rounded products x_i y_j, summed without the zero terms:
+        # the two sums differ by at most the dot-product rounding bound
+        L = SUPPORT_ALGEBRAS[name]()
+        d, C = L.dim, _bracket_tensor(L)
+        for rows in (1, 7, geodesics.BLOCK):
+            x, y = rng.standard_normal((rows, d)), rng.standard_normal((rows, d))
+            kron = (x[:, :, None] * y[:, None, :]).reshape(rows, d * d)
+            dense = kron @ C.T
+            bound = d * d * np.finfo(float).eps * (np.abs(kron) @ np.abs(C.T))
+            assert np.all(np.abs(_support_bracket(L)(x, y) - dense) <= bound)
+
+
+class TestNilpotencyClassOnce:
+    def test_one_lower_central_series_per_compare(self, monkeypatch, rng):
+        calls = []
+        series = algebra._lower_central_series_length
+
+        def counting(L):
+            calls.append(L)
+            return series(L)
+
+        monkeypatch.setattr(algebra, "_lower_central_series_length", counting)
+        L = n10(2)
+        X0 = rng.standard_normal(10)
+        compare_geodesic_orbit(L, X0 / np.linalg.norm(X0), T=0.1, h=1e-2)
+        assert len(calls) == 1 and L.nil_class == 2
+
+    def test_non_nilpotent_raises_on_every_call(self, so3):
+        for _ in range(3):
+            with pytest.raises(InputError, match="not nilpotent"):
+                nilpotency_class(so3)
+        assert so3.nil_class is None
+        with pytest.raises(InputError, match="not nilpotent"):
+            compare_geodesic_orbit(so3, np.ones(3), T=0.1, h=1e-2)
