@@ -234,14 +234,10 @@ class TwoStepSplit:
 
 
 def split_two_step(L: MetricLieAlgebra) -> TwoStepSplit:
+    """n = v + z, z the center: the exact index split if there is one, else the float split."""
     cls = nilpotency_class(L)
     if cls != 2:
         raise NotTwoStepError(f"nilpotency class is {cls}, need 2")
-    z = center(L)
-    v = _gram_orthonormalize(_gram_complement(z, L.gram, L.dim), L.gram)
-    der = derived(L)
-    # derived subset of center always holds for 2-step; equality is the flag
-    flag = der.shape[0] == z.shape[0]
     zi = vi = None
     if L.is_exact and L.gram_exact[1] == 1 and np.array_equal(L.gram_exact[0], np.eye(L.dim, dtype=int)):
         # the center is the left nullspace of c as a d x d^2 matrix; it is
@@ -252,8 +248,13 @@ def split_two_step(L: MetricLieAlgebra) -> TwoStepSplit:
         if len(zero) == L.dim - lc.bareiss_rank(rows[:, np.any(rows != 0, axis=0)].tolist()):
             zi = tuple(zero)
             vi = tuple(i for i in range(L.dim) if i not in zi)
-            z = np.eye(L.dim)[list(zi)]
-            v = np.eye(L.dim)[list(vi)]
+    if zi is None:
+        z = center(L)
+        v = _gram_orthonormalize(_gram_complement(z, L.gram, L.dim), L.gram)
+    else:
+        z, v = np.eye(L.dim)[list(zi)], np.eye(L.dim)[list(vi)]
+    # derived subset of center always holds for 2-step; equality is the flag
+    flag = derived(L).shape[0] == z.shape[0]
     return TwoStepSplit(L, z, v, flag, zi, vi)
 
 

@@ -27,11 +27,12 @@ from .operator_subspaces import (
     SkewOperatorSubspace,
     _normalizes,
     centralizer_in_so,
-    derivation_system,
     is_subalgebra,
     normalizer_in_so,
     skew_basis,
     skew_derivations,
+    split_derivation_system,
+    split_derivations,
 )
 
 VERIFIED_SAMPLED = "verified_sampled"
@@ -191,11 +192,15 @@ def kv_solve(ders: DerivationAlgebra, X) -> tuple[np.ndarray, float]:
 
 
 def kv_go_check(ders: DerivationAlgebra, config: SamplerConfig = SamplerConfig()) -> GOCertificate:
-    """Sampled KV GO-criterion over basis vectors, pairwise sums, and random unit X."""
-    cnorm = max(float(np.max(np.abs(ders.parent.structure))), 1.0)
+    """Sampled KV GO-criterion over basis vectors, pairwise sums, and random unit X.
+
+    The residual scale max|c| max|G| |X|^2 has the degree of the residual
+    in the brackets and in the metric."""
+    L = ders.parent
+    cnorm = float(np.max(np.abs(L.structure))) * float(np.max(np.abs(L.gram)))
     return _adjudicate(
         config,
-        (ders.parent.dim,),
+        (L.dim,),
         lambda X: [(*_kv_system(ders, X), cnorm * np.einsum("bi,bi->b", X, X))],
         lambda s, rel, _: {"X": s[0].tolist(), "residual": rel},
     )
@@ -208,16 +213,18 @@ def kv_go_check(ders: DerivationAlgebra, config: SamplerConfig = SamplerConfig()
 
 def _gordon_blocks(split, maps, X, Y):
     """Stacked systems for 'exists D: D(X) = 0, D(Y) = J_X(Y)' over rows of
-    X and Y, one column per derivation.  With ``maps = (CX, AY, TY)``,
-    ``CX[p] X`` and ``AY[p] Y - TY J_X Y`` are D_p(X) and D_p(Y) - J_X(Y) in
-    orthonormal coordinates of z and of v."""
-    CX, AY, TY = maps
+    X and Y, one column per derivation.  With ``maps = (C, A)`` from
+    :func:`split_derivations`, ``C[p] X`` and ``A[p] Y - J_X Y`` are
+    D_p(X) and D_p(Y) - J_X(Y) in the split's orthonormal coordinates of
+    z and of v.  The scale max_k |J_k| |X| |Y| has the residual's degree
+    in J and in the metric."""
+    C, A = maps
     J = jmaps.split_family(split).generators
     JXY = np.einsum("bi,iac,bc->ba", X, J, Y)
-    A = np.concatenate([np.einsum("pij,bj->bip", CX, X), np.einsum("pij,bj->bip", AY, Y)], axis=1)
-    b = np.concatenate([np.zeros_like(X), JXY @ TY.T], axis=1)
-    scale = np.linalg.norm(JXY, axis=1) + np.linalg.norm(X, axis=1) * np.linalg.norm(Y, axis=1)
-    return [(A, b, scale)]
+    M = np.concatenate([np.einsum("pij,bj->bip", C, X), np.einsum("pij,bj->bip", A, Y)], axis=1)
+    b = np.concatenate([np.zeros_like(X), JXY], axis=1)
+    scale = np.linalg.norm(J, axis=(1, 2)).max() * np.linalg.norm(X, axis=1) * np.linalg.norm(Y, axis=1)
+    return [(M, b, scale)]
 
 
 def apply_center_metric(L: MetricLieAlgebra, metric: MetricParameter) -> MetricLieAlgebra:
@@ -249,64 +256,52 @@ def gordon_go_check(
     split = split_two_step(L)
     if not split.derived_equals_center:
         raise PreconditionError("[n, n] = z is required (strip the flat factor first)")
-    Ds = skew_derivations(L, split).basis
-
-    # D keeps z and v, so the ambient residual is the one in orthonormal
-    # coordinates of the two subspaces
-    Qz, Qv = np.linalg.qr(split.z_basis.T)[0].T, np.linalg.qr(split.v_basis.T)[0].T
-    maps = (Qz @ Ds @ split.z_basis.T, Qv @ Ds @ split.v_basis.T, Qv @ split.v_basis.T)
+    A, C = split_derivations(split)
     cert = _adjudicate(
         config,
         (split.m, split.n),
-        functools.partial(_gordon_blocks, split, maps),
+        functools.partial(_gordon_blocks, split, (C, A)),
         lambda s, rel, sweep: {"X": s[0].tolist(), "Y": s[1].tolist(), "residual": rel, "from_sweep": sweep},
     )
     w = cert.witness
-    if w is not None and w["from_sweep"] and L.is_exact and split.is_exact:
-        cert = replace(cert, exact_refutation=gordon_refute_exact(L, split, w["X"], w["Y"]))
+    if w is not None and w["from_sweep"] and split.is_exact:
+        cert = replace(cert, exact_refutation=gordon_refute_exact(split, w["X"], w["Y"]))
     return cert
 
 
-def gordon_refute_exact(L: MetricLieAlgebra, split: TwoStepSplit, X, Y) -> bool:
+def gordon_refute_exact(split: TwoStepSplit, X, Y) -> bool:
     """Exact infeasibility check of the Gordon system for rational X, Y.
 
-    Builds the combined linear system {skew derivation identity,
-    D(X) = 0, D(Y) = J_X(Y)} over the integers and tests whether the
-    augmented rank exceeds the plain rank (Farkas-style refutation).
-    An exact split has the identity Gram, so the skew derivations are
-    parametrized by the skew basis itself; the derivation rows come from
-    :func:`derivation_system` on the stored integer tensor ``c = den *
-    structure``.  X and Y enter as the integer vectors ``lx * X`` and
-    ``ly * Y`` (lx, ly the lcm of their denominators), and the rows of
-    D(Y) = J_X(Y) are multiplied through by ``den * lx * ly``.  Every row
-    is a rational row times a nonzero integer, so the pivots are those of
-    the rational system.
+    The unknowns are the pairs (A, C) of :func:`split_derivations`.  The
+    derivation rows are :func:`split_derivation_system` on the integer
+    generators ``J_int = den * J`` of the exact split, in int64 while
+    ``2 max |J_int|`` fits and on Python ints past that.  X and Y enter as
+    the integer vectors ``lx * X`` and ``ly * Y`` (lx, ly the lcm of their
+    denominators), in the witness rows ``C (lx X) = 0`` and ``den lx A (ly
+    Y) = sum_i (lx X)_i J_int,i (ly Y)``.  Every row is a rational row
+    times a nonzero integer, so the pivots are those of the rational
+    system, and a pivot in the right-hand column means infeasible
+    (Farkas-style refutation).
     """
-    if not (L.is_exact and split.is_exact):
+    if not split.is_exact:
         raise PreconditionError("exact re-check needs rational data")
-    d = L.dim
-    Xq = [Fraction(v).limit_denominator(10**6) for v in X]
-    Yq = [Fraction(v).limit_denominator(10**6) for v in Y]
-    if any(abs(float(a) - float(b)) > 1e-12 for a, b in zip(Xq, list(X))) or any(
-        abs(float(a) - float(b)) > 1e-12 for a, b in zip(Yq, list(Y))
-    ):
+    Xq, Yq = ([Fraction(v).limit_denominator(10**6) for v in w] for w in (X, Y))
+    if any(abs(float(a) - float(b)) > 1e-12 for q, w in ((Xq, X), (Yq, Y)) for a, b in zip(q, list(w))):
         raise PreconditionError("witness is not rational")
-    c, den = L.structure_exact
-    # each defect entry sums three entries of c, up to sign; past int64
-    # the same expression runs on Python ints
-    exact_dtype = np.int64 if 3 * max(map(abs, c.flat)) <= np.iinfo(np.int64).max else object
-    S = skew_basis(d).astype(np.int64)
-    A = derivation_system(c.astype(exact_dtype), S.astype(exact_dtype))
-    # lx * X and ly * Y in ambient coordinates, as Python ints
+    J, den = jmaps.split_family(split).generators_exact
+    # each entry of the derivation rows is at most two entries of J_int, up to sign
+    exact_dtype = np.int64 if 2 * max(map(abs, J.flat)) <= np.iinfo(np.int64).max else object
+    rows = split_derivation_system(J.astype(exact_dtype))
     lx, ly = math.lcm(*(v.denominator for v in Xq)), math.lcm(*(v.denominator for v in Yq))
-    Xi, Yi = np.zeros(d, dtype=object), np.zeros(d, dtype=object)
-    Xi[list(split.z_index)] = [int(v * lx) for v in Xq]
-    Yi[list(split.v_index)] = [int(v * ly) for v in Yq]
-    JXY = np.einsum("b,bak,k->a", Yi, c, Xi)  # den * lx * ly * (J_X Y, e_a), as ([Y, e_a], X)
-    lhs = np.vstack([A, np.einsum("pkm,m->kp", S, Xi), den * lx * np.einsum("pkm,m->kp", S, Yi)])
-    rhs = np.concatenate([np.zeros(A.shape[0] + d, dtype=object), JXY])
+    Xi = np.array([int(v * lx) for v in Xq], dtype=object)
+    Yi = np.array([int(v * ly) for v in Yq], dtype=object)
+    E, F = skew_basis(split.n).astype(np.int64), skew_basis(split.m).astype(np.int64)
+    rows_x = np.hstack([np.zeros((split.m, len(E)), dtype=object), (F @ Xi).T])
+    rows_y = np.hstack([den * lx * (E @ Yi).T, np.zeros((split.n, len(F)), dtype=object)])
+    lhs = np.vstack([rows, rows_x, rows_y])
+    rhs = np.concatenate([np.zeros(len(rows) + split.m, dtype=object), np.einsum("i,iab,b->a", Xi, J, Yi)])
     pivots = _bareiss_pivots(np.column_stack([lhs, rhs]).tolist())
-    return len(S) in pivots  # pivot in the rhs column <=> infeasible
+    return lhs.shape[1] in pivots  # pivot in the rhs column <=> infeasible
 
 
 # ---------------------------------------------------------------------------

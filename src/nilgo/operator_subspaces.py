@@ -8,8 +8,6 @@ the Frobenius inner product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from . import linear_core as lc
@@ -146,31 +144,32 @@ def derivation_system(c: np.ndarray, params) -> np.ndarray:
     return np.array([derivation_defect(c, M)[iu, ju].ravel() for M in params]).T
 
 
-def skew_derivations(L: MetricLieAlgebra, split: Optional[TwoStepSplit] = None) -> DerivationAlgebra:
+def skew_derivations(L: MetricLieAlgebra) -> DerivationAlgebra:
     """Basis of the gram-skew derivations D[X,Y] = [DX,Y] + [X,DY].
 
     Gram-skewness is built into the parametrization D = G^{-1} S with S
-    skew.  A two-step algebra (``split``, computed when not given) is
-    solved in its split-native form (:func:`split_derivation_system`);
-    any other algebra (abelian, class >= 3) through the general
-    derivation identity.  The basis is orthonormal for the coefficients
-    of S = G D over :func:`skew_basis`, i.e. for half the Frobenius
-    product of G D.
+    skew.  A two-step algebra is solved in its split-native form
+    (:func:`split_derivations`), whose pairs (A, C) lift to S = Pv^T A Pv
+    + Pz^T C Pz; any other algebra (abelian, class >= 3) through the
+    general derivation identity.  The basis is orthonormal for the
+    coefficients of S = G D over :func:`skew_basis`, i.e. for half the
+    Frobenius product of G D.
     """
     d = L.dim
     if d <= 1:
         return DerivationAlgebra(L, np.zeros((0, d, d)))
-    if split is None:
-        try:
-            split = split_two_step(L)
-        except (NotTwoStepError, InputError):  # abelian, class >= 3 or not nilpotent
-            pass
+    try:
+        split = split_two_step(L)
+    except (NotTwoStepError, InputError):  # abelian, class >= 3 or not nilpotent
+        split = None
     ginv = np.linalg.inv(L.gram)
     if split is None:
         coeffs = lc.nullspace(derivation_system(L.structure, ginv @ skew_basis(d)))
     else:
+        A, C = split_derivations(split)
+        Pv, Pz = split.v_basis @ L.gram, split.z_basis @ L.gram
         iu, ju = np.triu_indices(d, 1)
-        coeffs = np.linalg.qr(_split_derivation_forms(split)[:, iu, ju].T)[0].T
+        coeffs = np.linalg.qr((Pv.T @ A @ Pv + Pz.T @ C @ Pz)[:, iu, ju].T)[0].T
     return DerivationAlgebra(L, ginv @ _skew_from_upper(coeffs, d))
 
 
@@ -187,27 +186,30 @@ def split_derivation_system(J: np.ndarray) -> np.ndarray:
     """Linear system of ``[J_i, A] = sum_j C_ij J_j`` over ``so(n) + so(m)``.
 
     ``J`` stacks the m generators J_i of a two-step split on v, in
-    orthonormal coordinates.  Column k < n(n-1)/2 is the skew basis
-    element E_k of so(n) as A, the remaining columns are those of so(m)
-    as C; one row per generator i and pair a < b (generator-major).  The
-    solutions are the skew derivations D = (A, C) (Eberlein 1994).
+    orthonormal coordinates: floats, or integers (int64, or Python ints in
+    an object array) whose rows then stay exact.  Column k < n(n-1)/2 is
+    the skew basis element E_k of so(n) as A, the remaining columns are
+    those of so(m) as C; one row per generator i and pair a < b
+    (generator-major).  The solutions are the skew derivations D = (A, C)
+    (Eberlein 1994).
     """
     m, n = J.shape[0], J.shape[-1]
     iu, ju = np.triu_indices(n, 1)
-    E = skew_basis(n)
+    # the unit entries of the skew bases in J's dtype (Python ints for an object J)
+    E, F = (skew_basis(k).astype(np.int64).astype(J.dtype) for k in (n, m))
     rows_a = brackets(J, E)[:, :, iu, ju].transpose(0, 2, 1).reshape(m * len(iu), len(E))
-    CJ = np.tensordot(skew_basis(m), J, 1)[:, :, iu, ju]
+    CJ = np.tensordot(F, J, 1)[:, :, iu, ju]
     return np.hstack([rows_a, -CJ.transpose(1, 2, 0).reshape(m * len(iu), -1)])
 
 
-def _split_derivation_forms(split: TwoStepSplit) -> np.ndarray:
-    """G D for a basis of the skew derivations of a two-step algebra, stacked."""
-    m, n = split.m, split.n
+def split_derivations(split: TwoStepSplit) -> tuple[np.ndarray, np.ndarray]:
+    """Basis of the skew derivations of a two-step algebra as stacked pairs
+    ``(A, C)``: A in so(n) acts on v and C in so(m) on z, both in the
+    split's orthonormal coordinates (the nullspace of
+    :func:`split_derivation_system`)."""
     sol = lc.nullspace(split_derivation_system(split_family(split).generators))
-    k = n * (n - 1) // 2
-    A, C = _skew_from_upper(sol[:, :k], n), _skew_from_upper(sol[:, k:], m)
-    Pv, Pz = split.v_basis @ split.parent.gram, split.z_basis @ split.parent.gram
-    return Pv.T @ A @ Pv + Pz.T @ C @ Pz
+    k = split.n * (split.n - 1) // 2
+    return _skew_from_upper(sol[:, :k], split.n), _skew_from_upper(sol[:, k:], split.m)
 
 
 def _constrained_so_subspace(V: SkewOperatorSubspace, project_out_span: bool) -> SkewOperatorSubspace:

@@ -180,6 +180,15 @@ class TestSplit:
         assert np.array_equal(split.z_basis, np.eye(10)[:2])
         assert np.array_equal(split.v_basis, np.eye(10)[2:])
 
+    @pytest.mark.parametrize("name", ["n10_2", "h_type_clifford_4", "thm2_2_3"])
+    def test_exact_split_skips_the_float_center(self, monkeypatch, name):
+        L = ACCEPTANCE_FAMILIES[name]()
+        calls = []
+        real = algebra.lc.nullspace
+        monkeypatch.setattr(algebra.lc, "nullspace", lambda A: calls.append(1) or real(A))
+        assert split_two_step(L).is_exact
+        assert calls == []
+
     def test_no_indices_for_non_identity_gram(self):
         L = n10(2, q=[[2, 1], [1, 3]])
         assert L.is_exact

@@ -95,12 +95,12 @@ class TestGordon:
         split = split_two_step(L)
         X = np.eye(4)[0]
         Y = np.eye(8)[0] + np.eye(8)[4]
-        assert gordon_refute_exact(L, split, X, Y)
+        assert gordon_refute_exact(split, X, Y)
 
     def test_refute_exact_feasible_case(self):
         L = n10(2)
         split = split_two_step(L)
-        assert not gordon_refute_exact(L, split, np.eye(2)[0], np.eye(8)[0])
+        assert not gordon_refute_exact(split, np.eye(2)[0], np.eye(8)[0])
 
     def test_rejects_three_step(self, three_step):
         with pytest.raises(NotTwoStepError):
@@ -369,11 +369,11 @@ class TestExactRecheck:
         cert = gordon_go_check(L, config=SamplerConfig(samples=0))
         assert cert.status == "refuted" and cert.witness["from_sweep"]
         assert cert.exact_refutation
-        assert gordon_refute_exact(L, split_two_step(L), cert.witness["X"], cert.witness["Y"])
+        assert gordon_refute_exact(split_two_step(L), cert.witness["X"], cert.witness["Y"])
 
     def test_feasible_sweep_pair_not_refuted(self):
         L = _h_type_over_3()
-        assert not gordon_refute_exact(L, split_two_step(L), np.eye(4)[0], np.eye(8)[0])
+        assert not gordon_refute_exact(split_two_step(L), np.eye(4)[0], np.eye(8)[0])
 
     def test_center_off_the_basis_verified_without_recheck(self, off_basis_heisenberg):
         cert = gordon_go_check(off_basis_heisenberg, config=SamplerConfig(samples=30, seed=3))
@@ -393,7 +393,7 @@ class TestExactRecheck:
         verdicts = []
         for L in (_heisenberg2_shaped(2**70), _heisenberg2_shaped(1)):
             split = split_two_step(L)
-            verdicts.append([gordon_refute_exact(L, split, [1.0], Y) for Y in [*np.eye(4), np.ones(4)]])
+            verdicts.append([gordon_refute_exact(split, [1.0], Y) for Y in [*np.eye(4), np.ones(4)]])
         assert verdicts[0] == verdicts[1]
 
 
@@ -449,9 +449,13 @@ class TestIntegerRecheck:
             return lc.bareiss_pivots(M)
 
         monkeypatch.setattr(go_checker, "_bareiss_pivots", spy)
-        verdict = gordon_refute_exact(L, split, X, Y)
+        verdict = gordon_refute_exact(split, X, Y)
         assert verdict is _fraction_refute_exact(L, split, X, Y) is expected
         assert rows and all(type(x) is int for row in rows for x in row)
+        # one column per unknown (A, C) in so(n) + so(m), and the right-hand side
+        n, m = split.n, split.m
+        assert {len(row) for row in rows} == {n * (n - 1) // 2 + m * (m - 1) // 2 + 1}
+        assert name != "h4_sweep_witness" or len(rows[0]) == 35
 
 
 # ---------------------------------------------------------------------------
@@ -543,10 +547,11 @@ def _sweep_like(vector) -> bool:
     return set(vector) <= {0.0, 1.0}
 
 
-def _same_verdict(new, old):
-    """Equal status, exact refutation and sweep witness; verified ones stay tight."""
+def _same_verdict(new, old, exact=True):
+    """Equal status, exact refutation (if ``exact``) and sweep witness; verified ones stay tight."""
     assert new.status == old.status
-    assert new.exact_refutation == old.exact_refutation
+    if exact:
+        assert new.exact_refutation == old.exact_refutation
     assert (new.witness is None) == (old.witness is None)
     if new.witness is not None:
         vectors = {k: v for k, v in new.witness.items() if k not in ("residual", "from_sweep")}
@@ -660,3 +665,38 @@ class TestRankCut:
             rows, cols = gen.permutation(A.shape[1]), gen.permutation(A.shape[2])
             assert abs(lc.batch_residuals(A[:, rows][:, :, cols], b[:, rows])[0] - ref) <= 1e-12
             assert abs(lc.least_squares(A[0][rows][:, cols], b[0][rows])[1] - ref) <= 1e-12
+
+
+def _rotated(L, seed):
+    """The float algebra L in a seeded random basis, orthonormal for L's Gram (L's Gram is the identity)."""
+    P = np.linalg.qr(np.random.default_rng(seed).standard_normal((L.dim, L.dim)))[0]
+    return make_algebra(np.einsum("ai,bj,abk,kl->ijl", P, P, L.structure, P), P.T @ L.gram @ P)
+
+
+class TestScaleInvariance:
+    """Gordon and KV certificates do not move when the Gram matrix or the
+    brackets are scaled by s, nor under an orthonormal change of basis.
+    The float copies drop the exact data, so exact_refutation may differ."""
+
+    CONFIG = SamplerConfig(seed=0, samples=5)
+    SCALES = (1e-15, 1e-5, 1e5, 1e15)
+
+    def _check(self, L, variants):
+        for certify in (
+            lambda A: gordon_go_check(A, config=self.CONFIG),
+            lambda A: kv_go_check(isometry_decomposition(A), self.CONFIG),
+        ):
+            unscaled = certify(L)
+            for A in variants:
+                cert = certify(A)
+                _same_verdict(cert, unscaled, exact=False)
+                assert not cert.verified or cert.max_residual <= 1e-13
+
+    @pytest.mark.parametrize("name", sorted(GO_GRID))
+    def test_rescaled_gram_and_brackets(self, name):
+        L = GO_GRID[name]()
+        self._check(L, [make_algebra(L.structure, s * L.gram) for s in self.SCALES]
+                    + [make_algebra(s * L.structure, L.gram) for s in self.SCALES])
+
+    def test_orthonormal_change_of_basis(self):
+        self._check(n10(2), [_rotated(n10(2), 12)])
