@@ -26,6 +26,7 @@ from .operator_subspaces import (
     DerivationAlgebra,
     SkewOperatorSubspace,
     _normalizes,
+    brackets,
     centralizer_in_so,
     is_subalgebra,
     normalizer_in_so,
@@ -173,13 +174,19 @@ def _adjudicate(config: SamplerConfig, dims, system, witness) -> GOCertificate:
     return GOCertificate(status, config.samples, max_res, config.tolerances(), config.seed)
 
 
+def _apply(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The (r, k) matrices whose column p is M[p] @ X[b], for the rows of X, stacked: one matmul."""
+    k, r, c = M.shape
+    return (M.reshape(k * r, c) @ X.T).reshape(k, r, len(X)).transpose(2, 1, 0)
+
+
 def _kv_system(ders: DerivationAlgebra, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stacked KV systems for the rows of X: column h of A[i] is H_h^T G X_i,
     b[i] is -ad(X_i)^T G X_i."""
     L = ders.parent
     gx = X @ L.gram.T
-    ad = np.einsum("bi,ijk->bkj", X, L.structure)
-    return np.einsum("hji,bj->bih", ders.basis, gx), -np.einsum("bkj,bk->bj", ad, gx)
+    # row j of np.tensordot(X, c, 1)[i] is [X_i, e_j]
+    return _apply(ders.basis.transpose(0, 2, 1), gx), -(np.tensordot(X, L.structure, 1) @ gx[:, :, None])[:, :, 0]
 
 
 def kv_solve(ders: DerivationAlgebra, X) -> tuple[np.ndarray, float]:
@@ -220,8 +227,8 @@ def _gordon_blocks(split, maps, X, Y):
     in J and in the metric."""
     C, A = maps
     J = jmaps.split_family(split).generators
-    JXY = np.einsum("bi,iac,bc->ba", X, J, Y)
-    M = np.concatenate([np.einsum("pij,bj->bip", C, X), np.einsum("pij,bj->bip", A, Y)], axis=1)
+    JXY = (np.tensordot(X, J, 1) @ Y[:, :, None])[:, :, 0]
+    M = np.concatenate([_apply(C, X), _apply(A, Y)], axis=1)
     b = np.concatenate([np.zeros_like(X), JXY], axis=1)
     scale = np.linalg.norm(J, axis=(1, 2)).max() * np.linalg.norm(X, axis=1) * np.linalg.norm(Y, axis=1)
     return [(M, b, scale)]
@@ -309,41 +316,63 @@ def gordon_refute_exact(split: TwoStepSplit, X, Y) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _nprime(Nprime: SkewOperatorSubspace) -> tuple[np.ndarray, float]:
-    """The basis of N' with its largest norm (the round-off scale of every
-    commutant inside N')."""
-    return Nprime.basis, max((np.linalg.norm(M) for M in Nprime.basis), default=0.0)
+def _nprime(N: np.ndarray, V: SkewOperatorSubspace) -> tuple[np.ndarray, Optional[np.ndarray], float]:
+    """N' (stacked basis N) ready for the TNC systems of V: ``(N, Tz, |N'|)``.
+
+    The bracket tensor ``T[p, q] = [N_p, V_q]`` is built once per check.
+    ``Tz`` is None when T vanishes at round-off, i.e. when N' centralizes
+    V and so is the commutant of every Z in V; otherwise it is T as a
+    ``(dim V, k n^2)`` matrix, so that ``z @ Tz`` holds the brackets
+    [N_p, Z] of Z = sum_q z_q V_q.  |N'| is the largest norm of the N_p.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        T = brackets(N, V.basis)
+    if not np.all(np.isfinite(T)):
+        raise InputError("brackets of N' and V are not finite")
+    nnorm = np.linalg.norm(N, axis=(1, 2)).max(initial=0.0)
+    vnorm = np.linalg.norm(V.basis, axis=(1, 2)).max(initial=0.0)
+    if np.abs(T).max(initial=0.0) <= 1e-12 * nnorm * vnorm:
+        return N, None, nnorm
+    return N, T.transpose(1, 0, 2, 3).reshape(V.dim, -1), nnorm
 
 
-def _commutant(nprime, Z_mat) -> np.ndarray:
-    """Basis of the commutant of Z inside span(N), stacked, for ``nprime =
-    (N, max |N_i|)`` from :func:`_nprime`."""
-    N, nnorm = nprime
-    if not len(N):
+def _commutant(nprime, z, Z_mat) -> np.ndarray:
+    """Basis of the commutant of Z = ``Z_mat`` (coefficients z over V)
+    inside span(N'), stacked, for ``nprime`` from :func:`_nprime`."""
+    N, Tz, nnorm = nprime
+    if Tz is None:
         return N
-    K = (N @ Z_mat - Z_mat @ N).reshape(len(N), -1).T
-    # suppress roundoff from the matrix products so that exactly
-    # commuting elements are not ranked by noise singular values
-    kscale = nnorm * np.linalg.norm(Z_mat)
-    K[np.abs(K) <= 1e-12 * max(kscale, 1.0)] = 0.0
+    K = (z @ Tz).reshape(len(N), -1).T
+    # suppress round-off from the products, relative to the scale of the
+    # brackets, so that exactly commuting elements are not ranked by noise
+    # singular values
+    K[np.abs(K) <= 1e-12 * nnorm * np.linalg.norm(Z_mat)] = 0.0
     return np.tensordot(lc.nullspace(K), N, 1)
 
 
 def _tnc_blocks(V, nprime, cache, zc, Y):
     """Stacked systems X(Y) = Z(Y), X in the commutant of Z inside N'
-    (``nprime`` from :func:`_nprime`), over rows of zc (Z in V's basis) and
-    Y.  The commutant is computed once per distinct Z (kept in ``cache``);
-    consecutive samples with commutants of one dimension share a block."""
-    systems = []
-    for z, y in zip(zc, Y):
-        if z.tobytes() not in cache:
-            Z_mat = V.element(z)
-            cache[z.tobytes()] = Z_mat, _commutant(nprime, Z_mat)
-        Z_mat, mats = cache[z.tobytes()]
-        b = Z_mat @ y
-        systems.append(((mats @ y).T, b, np.linalg.norm(b) + np.linalg.norm(Z_mat) * np.linalg.norm(y)))
-    groups = itertools.groupby(systems, key=lambda system: system[0].shape[1])
-    return [tuple(np.array(part) for part in zip(*group)) for _, group in groups]
+    (``nprime`` from :func:`_nprime`), over rows of zc (Z in V's basis) and Y.
+
+    When N' centralizes V the chunk is one block ``A[b] = N' Y_b``.
+    Otherwise the commutant is computed once per distinct Z (kept in
+    ``cache``) and applied to each run of samples with that Z; consecutive
+    runs with commutants of one dimension share a block."""
+    N, Tz, _ = nprime
+    Zs = np.tensordot(zc, V.basis, 1)
+    b = (Zs @ Y[:, :, None])[:, :, 0]
+    scale = np.linalg.norm(b, axis=1) + np.linalg.norm(Zs, axis=(1, 2)) * np.linalg.norm(Y, axis=1)
+    if Tz is None:
+        return [(_apply(N, Y), b, scale)]
+    starts = np.flatnonzero(np.r_[True, np.any(zc[1:] != zc[:-1], axis=1)])
+    runs = []
+    for s, e in zip(starts, [*starts[1:], len(zc)]):
+        key = zc[s].tobytes()
+        if key not in cache:
+            cache[key] = _commutant(nprime, zc[s], Zs[s])
+        runs.append((_apply(cache[key], Y[s:e]), b[s:e], scale[s:e]))
+    groups = itertools.groupby(runs, key=lambda run: run[0].shape[2])
+    return [tuple(np.concatenate(part) for part in zip(*group)) for _, group in groups]
 
 
 def tnc_check(
@@ -357,12 +386,13 @@ def tnc_check(
     X(Y) = Z(Y).  Success is probabilistic; refutation is a concrete
     infeasible sample.
     """
-    if not _normalizes(Nprime.basis, V, 1e-7):
+    N = Nprime.basis
+    if not _normalizes(N, V, 1e-7):
         raise InputError("Nprime is not contained in the normalizer of V")
     return _adjudicate(
         config,
         (V.dim, V.ambient_dim),
-        functools.partial(_tnc_blocks, V, _nprime(Nprime), {}),
+        functools.partial(_tnc_blocks, V, _nprime(N, V), {}),
         lambda s, rel, _: {"Z": s[0].tolist(), "Y": s[1].tolist(), "residual": rel},
     )
 
@@ -371,14 +401,14 @@ def normalizer_resolve_residual(V: SkewOperatorSubspace, config: SamplerConfig =
     """Re-solve the TNC samples against the full normalizer of V and
     report the worst relative centralizer residual max_i |[X, V_i]| of
     the minimum-norm solutions found."""
-    nprime = _nprime(normalizer_in_so(V))
+    nprime = _nprime(normalizer_in_so(V).basis, V)
     plan, _ = _sample_plan(config, (V.dim, V.ambient_dim), sums=False)
     Bs = V.basis
     bnorm = max(np.linalg.norm(B) for B in Bs)
     worst = 0.0
     for zc, Y in zip(*plan):
         Z_mat = V.element(zc)
-        mats = _commutant(nprime, Z_mat)
+        mats = _commutant(nprime, zc, Z_mat)
         coeffs, _ = lc.least_squares((mats @ Y).T, Z_mat @ Y)
         X_mat = np.tensordot(coeffs, mats, 1)
         worst = max(worst, float(np.max(np.abs(X_mat @ Bs - Bs @ X_mat))) / max(np.linalg.norm(X_mat) * bnorm, 1.0))

@@ -219,7 +219,11 @@ def _constrained_so_subspace(V: SkewOperatorSubspace, project_out_span: bool) ->
         return SkewOperatorSubspace(n, sb)
     W = brackets(sb, V.basis).reshape(len(sb), V.dim, n * n)  # [p, q] = [S_p, B_q]
     if project_out_span:
+        # a bracket inside span(V) leaves only round-off off the span: zero it
+        # relative to the largest bracket entry, or the nullspace counts it as rank
+        cut = 1e-12 * np.abs(W).max()
         W = _off_span(V, W)
+        W[np.abs(W) <= cut] = 0.0
     coeffs = lc.nullspace(W.reshape(len(sb), -1).T)
     # sum_p a_p S_p: the skew matrices with upper triangle a_p.  "+ 0.0" turns
     # their negative zeros positive, as a sum from zero does: the SVD in

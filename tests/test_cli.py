@@ -119,6 +119,18 @@ class TestAnalysis:
         code, out = run(capsys, "tnc", str(path), "--nprime", "self", "--samples", "5")
         assert code == 0
 
+    def test_tnc_so3_normalizer_verified(self, capsys, tmp_path):
+        # so(3) normalizes itself: the normalizer is so(3), not {0}
+        e = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]
+        for M, (i, j) in zip(e, [(0, 1), (0, 2), (1, 2)]):
+            M[i][j], M[j][i] = 1.0, -1.0
+        path = tmp_path / "so3.json"
+        path.write_text(json.dumps({"n": 3, "basis": e}))
+        for nprime in ("normalizer", "self"):
+            code, out = run(capsys, "tnc", str(path), "--nprime", nprime)
+            assert code == 0
+            assert json.loads(out)["status"] == "verified_sampled"
+
     def test_geodesic_compare_json(self, capsys, tmp_path):
         path = tmp_path / "alg.json"
         run(capsys, "family", "heisenberg", "--k", "1", "-o", str(path))

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction as Q
 
@@ -24,7 +25,14 @@ from nilgo import (
 )
 from nilgo import go_checker, linear_core as lc
 from nilgo.errors import InputError, NotTwoStepError, PreconditionError
-from nilgo.families import algebra_from_jmaps, clifford_generators, family_thm2, l_matrix, vt_subspace
+from nilgo.families import (
+    algebra_from_jmaps,
+    clifford_generators,
+    family_thm2,
+    l_matrix,
+    quaternionic_heisenberg,
+    vt_subspace,
+)
 from nilgo.go_checker import (
     _sample_plan,
     _sweep,
@@ -41,6 +49,7 @@ from nilgo.operator_subspaces import (
     derivation_system,
     normalizer_in_so,
     skew_basis,
+    split_derivations,
     subspaces_equal,
 )
 
@@ -263,20 +272,36 @@ class TestBatchedAdjudicator:
                 k: v for k, v in full["witness"].items() if k != "residual"
             }
 
+    @pytest.mark.parametrize("nprime", [centralizer_in_so, normalizer_in_so], ids=["centralizer", "normalizer"])
+    def test_tnc_no_commutant_when_nprime_centralizes(self, monkeypatch, nprime):
+        # the normalizer of vt(2) is its centralizer: every commutant is N' itself
+        import nilgo.go_checker as gc
+
+        V = vt_subspace(2)
+        N = nprime(V)
+        calls = []
+        monkeypatch.setattr(gc, "_commutant", lambda *a: calls.append("commutant"))
+        monkeypatch.setattr(lc, "nullspace", lambda *a: calls.append("nullspace"))
+        monkeypatch.setattr(gc, "CHUNK", 7)
+        assert tnc_check(V, N, SamplerConfig(samples=10)).verified
+        assert calls == []
+
     def test_tnc_commutant_once_per_distinct_z(self, monkeypatch):
         import nilgo.go_checker as gc
 
+        V = _j_span(h_type_clifford(3, 1))  # its normalizer does not centralize it
+        N = normalizer_in_so(V)
         calls = []
         original = gc._commutant
 
-        def counting(nprime, Z_mat):
-            calls.append(Z_mat.tobytes())
-            return original(nprime, Z_mat)
+        def counting(nprime, z, Z_mat):
+            calls.append(z.tobytes())
+            return original(nprime, z, Z_mat)
 
         monkeypatch.setattr(gc, "_commutant", counting)
         monkeypatch.setattr(gc, "CHUNK", 7)  # sweep runs of one Z cross chunk boundaries
-        centralizer_type_check(vt_subspace(2), SamplerConfig(samples=10))
-        assert len(calls) == len(set(calls)) == 3 + 10  # e_1, e_2, e_1 + e_2, then one per random sample
+        assert tnc_check(V, N, SamplerConfig(samples=10)).verified
+        assert len(calls) == len(set(calls)) == 6 + 10  # e_i, then e_i + e_j, then one per random sample
 
 
 def _huge_heisenberg():
@@ -600,14 +625,14 @@ class TestBlockPlanAgainstPerSamplePlan:
         _same_verdict(*self._both(monkeypatch, lambda: centralizer_type_check(V, self.CONFIG)))
 
 
-def _commutant_scaled_per_z(nprime, Z_mat):
+def _commutant_scaled_per_z(nprime, z, Z_mat):
     """Oracle: the commutant with its round-off scale recomputed from N' for every Z."""
-    N = nprime[0]
-    if not len(N):
+    N, Tz, _ = nprime
+    if Tz is None:
         return N
-    K = (N @ Z_mat - Z_mat @ N).reshape(len(N), -1).T
+    K = (z @ Tz).reshape(len(N), -1).T
     kscale = max(np.linalg.norm(M) for M in N) * np.linalg.norm(Z_mat)
-    K[np.abs(K) <= 1e-12 * max(kscale, 1.0)] = 0.0
+    K[np.abs(K) <= 1e-12 * kscale] = 0.0
     return np.tensordot(np.reshape(lc.nullspace(K), (-1, len(N))), N, 1)
 
 
@@ -619,7 +644,11 @@ class TestTncScale:
         "centralizer thm2 2,3": lambda c: centralizer_type_check(_j_span(family_thm2([2, 3])), c),
         "centralizer clifford(4)": lambda c: centralizer_type_check(_j_span(h_type_clifford(4, 1)), c),
         "normalizer vt(2)": lambda c: tnc_check(vt_subspace(2), normalizer_in_so(vt_subspace(2)), c),
+        "normalizer clifford(3)": lambda c: tnc_check(_j_span(h_type_clifford(3, 1)),
+                                                      normalizer_in_so(_j_span(h_type_clifford(3, 1))), c),
+        "self clifford(3)": lambda c: tnc_check(_j_span(h_type_clifford(3, 1)), _j_span(h_type_clifford(3, 1)), c),
         "resolve vt(2)": lambda c: normalizer_resolve_residual(vt_subspace(2), c),
+        "resolve clifford(3)": lambda c: normalizer_resolve_residual(_j_span(h_type_clifford(3, 1)), c),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -646,6 +675,127 @@ class TestTncScale:
         assert len(calls) == 2
 
 
+def _per_sample_commutant(N, Z_mat):
+    """Oracle: the commutant of Z inside span(N) from its own brackets [N_p, Z],
+    cut at 1e-12 |N'| |Z|."""
+    if not len(N):
+        return N
+    K = (N @ Z_mat - Z_mat @ N).reshape(len(N), -1).T
+    K[np.abs(K) <= 1e-12 * max(np.linalg.norm(M) for M in N) * np.linalg.norm(Z_mat)] = 0.0
+    return np.tensordot(lc.nullspace(K), N, 1)
+
+
+def _per_sample_tnc_blocks(V, nprime, cache, zc, Y):
+    """Oracle: the TNC systems built sample by sample, with one commutant per
+    distinct Z (kept in ``cache``); consecutive samples with commutants of
+    one dimension share a block."""
+    N = nprime[0]
+    systems = []
+    for z, y in zip(zc, Y):
+        if z.tobytes() not in cache:
+            Z_mat = V.element(z)
+            cache[z.tobytes()] = Z_mat, _per_sample_commutant(N, Z_mat)
+        Z_mat, mats = cache[z.tobytes()]
+        b = Z_mat @ y
+        systems.append(((mats @ y).T, b, np.linalg.norm(b) + np.linalg.norm(Z_mat) * np.linalg.norm(y)))
+    groups = itertools.groupby(systems, key=lambda system: system[0].shape[1])
+    return [tuple(np.array(part) for part in zip(*group)) for _, group in groups]
+
+
+TNC_SPANS = {
+    "vt(2)": lambda: vt_subspace(2),
+    "thm2 2,3": lambda: _j_span(family_thm2([2, 3])),
+    "clifford(3)": lambda: _j_span(h_type_clifford(3, 1)),
+    "clifford(4)": lambda: _j_span(h_type_clifford(4, 1)),
+    "zero": lambda: SkewOperatorSubspace(4, []),
+}
+NPRIMES = {"centralizer": centralizer_in_so, "normalizer": normalizer_in_so, "self": lambda V: V}
+# "self" only where V is a subalgebra (V normalizes itself)
+TNC_CASES = [(v, n) for v in TNC_SPANS for n in NPRIMES if n != "self" or v in ("clifford(3)", "zero")]
+
+
+class TestTncBlocksAgainstPerSample:
+    """The stacked TNC systems give the certificate of the per-sample systems."""
+
+    @pytest.mark.parametrize("chunk", [3, 7, 256])
+    @pytest.mark.parametrize("span,nprime", TNC_CASES)
+    def test_same_certificate(self, monkeypatch, span, nprime, chunk):
+        V = TNC_SPANS[span]()
+        N = NPRIMES[nprime](V)
+        config = SamplerConfig(seed=2, samples=30)
+        monkeypatch.setattr(go_checker, "CHUNK", chunk)
+        new = tnc_check(V, N, config)
+        monkeypatch.setattr(go_checker, "_tnc_blocks", _per_sample_tnc_blocks)
+        old = tnc_check(V, N, config)
+        assert new.status == old.status and new.exact_refutation == old.exact_refutation
+        assert (span == "clifford(4)") == (new.status == "refuted")
+        assert np.isclose(new.max_residual, old.max_residual, rtol=1e-12, atol=1e-15)
+        if new.witness is not None:
+            assert {k: new.witness[k] for k in ("Z", "Y")} == {k: old.witness[k] for k in ("Z", "Y")}
+            assert np.isclose(new.witness["residual"], old.witness["residual"], rtol=1e-12)
+
+
+def _dot_bound(terms, abs_exact):
+    """Twice the rounding bound of a dot product of ``terms`` products of
+    magnitude sum ``abs_exact``: two evaluation orders differ by at most this."""
+    return 2 * terms * np.finfo(float).eps * abs_exact
+
+
+class TestBlasBuilders:
+    """The BLAS-built Gordon and KV systems are the einsum forms up to rounding."""
+
+    CONFIG = SamplerConfig(seed=1, samples=40)
+
+    @pytest.mark.parametrize("name", sorted(GO_GRID))
+    def test_gordon_blocks(self, name):
+        split = split_two_step(GO_GRID[name]())
+        A, C = split_derivations(split)
+        (X, Y), _ = _sample_plan(self.CONFIG, (split.m, split.n))
+        (M, b, _), = go_checker._gordon_blocks(split, (C, A), X, Y)
+        J = split_family(split).generators
+        m, n = split.m, split.n
+        parts = [("pij,bj->bip", C, X, m), ("pij,bj->bip", A, Y, n)]
+        M_ref = np.concatenate([np.einsum(f, P, Z) for f, P, Z, _ in parts], axis=1)
+        M_tol = np.concatenate([_dot_bound(k, np.einsum(f, np.abs(P), np.abs(Z))) for f, P, Z, k in parts], axis=1)
+        assert np.all(np.abs(M - M_ref) <= M_tol)
+        JXY = np.einsum("bi,iac,bc->ba", X, J, Y)
+        tol = _dot_bound(m * n, np.einsum("bi,iac,bc->ba", np.abs(X), np.abs(J), np.abs(Y)))
+        assert np.all(b[:, :m] == 0.0) and np.all(np.abs(b[:, m:] - JXY) <= tol)
+
+    @pytest.mark.parametrize("name", sorted(GO_GRID))
+    def test_kv_system(self, name):
+        ders = isometry_decomposition(GO_GRID[name]())
+        L = ders.parent
+        (X,), _ = _sample_plan(self.CONFIG, (L.dim,))
+        A, b = go_checker._kv_system(ders, X)
+        gx = X @ L.gram.T
+        A_ref = np.einsum("hji,bj->bih", ders.basis, gx)
+        assert np.all(np.abs(A - A_ref) <= _dot_bound(L.dim, np.einsum("hji,bj->bih", np.abs(ders.basis), np.abs(gx))))
+        b_ref = -np.einsum("bkj,bk->bj", np.einsum("bi,ijk->bkj", X, L.structure), gx)
+        b_tol = _dot_bound(L.dim**2, np.einsum("bi,ijk,bk->bj", np.abs(X), np.abs(L.structure), np.abs(gx)))
+        assert np.all(np.abs(b - b_ref) <= b_tol)
+
+
+class TestTncRescaled:
+    """A TNC certificate does not depend on the scale of V: the commutant
+    cut is relative to |N'| |Z|, with no absolute floor."""
+
+    SPANS = {
+        "clifford(3)": lambda: _j_span(h_type_clifford(3, 1)),
+        "clifford(3, 2)": lambda: _j_span(h_type_clifford(3, 2)),
+        "quaternionic_heisenberg(2)": lambda: _j_span(quaternionic_heisenberg(2)),
+    }
+
+    @pytest.mark.parametrize("s", [1e-15, 1e-13, 1e-11, 1e-8, 1e-6, 1e-3, 1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("name", sorted(SPANS))
+    def test_self_verified_at_every_scale(self, name, s):
+        V = self.SPANS[name]()
+        sV = SkewOperatorSubspace(V.ambient_dim, s * V.basis)
+        cert = tnc_check(sV, sV, SamplerConfig(samples=50))
+        assert cert.status == "verified_sampled"
+        assert cert.max_residual <= 1e-12
+
+
 class TestRankCut:
     """Residuals of refuted systems do not depend on round-off."""
 
@@ -655,7 +805,7 @@ class TestRankCut:
         # (about 2.6e-15, 4.5e-16 and 1.3e-16) that no rank cut may count
         V = _j_span(h_type_clifford(4, 1))
         zc, Y = np.eye(4)[:1], (np.eye(8)[0] + np.eye(8)[4])[None]
-        (A, b, _), = go_checker._tnc_blocks(V, go_checker._nprime(normalizer_in_so(V)), {}, zc, Y)
+        (A, b, _), = go_checker._tnc_blocks(V, go_checker._nprime(normalizer_in_so(V).basis, V), {}, zc, Y)
         s = np.linalg.svd(A[0], compute_uv=False)
         assert np.allclose(s[:3], np.sqrt(0.5)) and np.all(s[3:] < 1e-13)
         ref = lc.batch_residuals(A, b)[0]

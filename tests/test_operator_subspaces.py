@@ -5,7 +5,7 @@ import nilgo.linear_core as lc
 
 from nilgo import MetricParameter, SkewOperatorSubspace, heisenberg, n10, skew_derivations, split_two_step
 from nilgo.errors import InputError, PreconditionError
-from nilgo.families import family_thm2, h_type_clifford, l_matrix, r_matrix, vt_subspace
+from nilgo.families import family_thm2, h_type_clifford, l_matrix, quaternionic_heisenberg, r_matrix, vt_subspace
 from nilgo.go_checker import apply_center_metric
 from nilgo.jmaps import split_family
 from nilgo.operator_subspaces import (
@@ -242,6 +242,31 @@ class TestNormalizerCentralizer:
         for X in C.basis:
             for B in V.basis:
                 assert np.allclose(X @ B, B @ X, atol=1e-9)
+
+
+NORMALIZER_DIMS = {
+    "n10(2)": (lambda: _j_span(n10(2)), 6),
+    "thm2 2,3": (lambda: _j_span(family_thm2([2, 3])), 9),
+    "clifford(3)": (lambda: _j_span(h_type_clifford(3)), 6),
+    "clifford(4)": (lambda: _j_span(h_type_clifford(4)), 9),
+    "clifford(7)": (lambda: _j_span(h_type_clifford(7)), 21),
+    "quaternionic_heisenberg(2)": (lambda: _j_span(quaternionic_heisenberg(2)), 13),
+    "vt(2)": (lambda: vt_subspace(2), 6),
+    "so(3)": (lambda: SkewOperatorSubspace(3, skew_basis(3)), 3),
+}
+
+
+class TestNormalizerScale:
+    """The normalizer's dimension does not depend on the scale of V: the
+    round-off left off the span is cut relative to the largest bracket."""
+
+    @pytest.mark.parametrize("name", sorted(NORMALIZER_DIMS))
+    def test_dimension_at_every_scale(self, name):
+        make, dim = NORMALIZER_DIMS[name]
+        V = make()
+        scales = 10.0 ** np.arange(-15, 16)
+        dims = [normalizer_in_so(SkewOperatorSubspace(V.ambient_dim, s * V.basis)).dim for s in scales]
+        assert dims == [dim] * len(dims)
 
 
 class TestSubalgebra:
