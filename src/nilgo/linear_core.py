@@ -59,20 +59,75 @@ def least_squares(A, b) -> tuple[np.ndarray, float]:
     return x, residual
 
 
-def batch_residuals(A, b) -> np.ndarray:
+def batch_residuals(A, b, W=None) -> np.ndarray:
     """Residuals of the stacked least-squares systems ``A[i] x = b[i]``.
 
     The residual is the distance from ``b[i]`` to the span of the left
     singular vectors of ``A[i]`` with singular values above ``TAU_RANK``
     times the largest, i.e. the residual that :func:`least_squares`
-    reports, from one stacked SVD.  Non-finite data raises InputError.
+    reports.  Each system first gets one R-only Householder QR, which
+    certifies that rank when ``1/|R^-1|_F`` (a lower bound on the smallest
+    singular value of R) exceeds ``TAU_RANK |A[i]|_F`` (an upper bound on
+    the cut):
+
+    - full column rank: R of ``[A[i] | b[i]]``, residual ``|R[k, k]|``;
+    - rank r - c, given ``W`` of shape (B, r, c) whose columns are
+      orthonormal or zero with ``W[i]^T A[i] = 0`` in exact arithmetic:
+      R of ``[A[i] | |A[i]|_F W[i]]^T``, residual ``|W[i]^T b[i]|``.  The
+      sample is also checked for ``|W[i]^T A[i]|_F <= 1e-12 |A[i]|_F``,
+      so a wrong W costs time, not correctness.
+
+    Only the systems that no QR certifies go through one stacked SVD.
+    Non-finite data raises InputError.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 3 or b.shape != A.shape[:2]:
         raise InputError(f"expected stacked systems, got A {A.shape} and b {b.shape}")
+    if W is not None:
+        W = np.asarray(W, dtype=float)
+        if W.ndim != 3 or W.shape[:2] != A.shape[:2]:
+            raise InputError(f"expected left-null directions of shape {A.shape[:2]} + (c,), got {W.shape}")
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
         raise InputError("system entries must be finite")
+    r, k = A.shape[1:]
+    c = 0 if W is None else W.shape[2]
+    residual = np.zeros(len(A))
+    certified = np.zeros(len(A), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        anorm = np.linalg.norm(A, axis=(1, 2))
+        if k < r and k <= r - c:
+            R = np.linalg.qr(np.concatenate([A, b[:, :, None]], axis=2), mode="r")
+            certified = _smin_lower_bound(R[:, :k, :k]) > TAU_RANK * anorm
+            residual = np.abs(R[:, k, k])
+        elif W is not None:
+            R = np.linalg.qr(np.concatenate([A, anorm[:, None, None] * W], axis=2).transpose(0, 2, 1), mode="r")
+            Wt = W.transpose(0, 2, 1)
+            off = np.linalg.norm(Wt @ A, axis=(1, 2))
+            certified = (_smin_lower_bound(R) > TAU_RANK * anorm) & (off <= 1e-12 * anorm)
+            residual = np.linalg.norm((Wt @ b[:, :, None])[:, :, 0], axis=1)
+    if not certified.all():
+        residual[~certified] = _svd_residuals(A[~certified], b[~certified])
+    if not np.all(np.isfinite(residual)):
+        raise InputError("least-squares residual is not finite")
+    return residual
+
+
+def _smin_lower_bound(R: np.ndarray) -> np.ndarray:
+    """``1/|R^-1|_F`` for a stack of square upper triangular R, by back
+    substitution over the stack; 0 where R is singular or R^-1 overflows
+    (callers silence the floating-point warnings of those cases)."""
+    k = R.shape[1]
+    X = np.zeros_like(R)
+    eye = np.eye(k)
+    for i in range(k - 1, -1, -1):
+        X[:, i] = (eye[i] - (R[:, i, None, i + 1:] @ X[:, i + 1:])[:, 0]) / R[:, i, i, None]
+    inorm = np.linalg.norm(X, axis=(1, 2))
+    return np.where(np.isfinite(inorm), 1.0 / inorm, 0.0)
+
+
+def _svd_residuals(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The residuals of :func:`batch_residuals` from one stacked SVD."""
     u, s, _ = np.linalg.svd(A, full_matrices=False)
     if not np.all(np.isfinite(s)):
         raise InputError("singular values are not finite")

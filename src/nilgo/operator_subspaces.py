@@ -7,7 +7,10 @@ the Frobenius inner product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
+from typing import Optional
+
 import numpy as np
 
 from . import linear_core as lc
@@ -59,19 +62,33 @@ class SkewOperatorSubspace:
 class DerivationAlgebra:
     parent: MetricLieAlgebra
     basis: np.ndarray  # (k, d, d) float array
+    # the two-step split the basis was solved in; None for any other algebra
+    split: Optional[TwoStepSplit] = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
 
-def skew_basis(n: int) -> np.ndarray:
-    """Standard basis E_ij - E_ji (i < j) of so(n), stacked."""
+@functools.lru_cache(maxsize=32)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, 1)``, built once per n and read-only, so that an
+    in-place write fails."""
     iu, ju = np.triu_indices(n, 1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
+@functools.lru_cache(maxsize=32)
+def skew_basis(n: int) -> np.ndarray:
+    """Standard basis E_ij - E_ji (i < j) of so(n), stacked; built once per n
+    and read-only."""
+    iu, ju = _upper_pairs(n)
     p = np.arange(len(iu))
     S = np.zeros((len(iu), n, n))
     S[p, iu, ju] = 1.0
     S[p, ju, iu] = -1.0
+    S.flags.writeable = False
     return S
 
 
@@ -140,7 +157,7 @@ def derivation_system(c: np.ndarray, params) -> np.ndarray:
     inputs: float for the numerical path, integer or object (Python int)
     for the exact one.
     """
-    iu, ju = np.triu_indices(c.shape[0], 1)
+    iu, ju = _upper_pairs(c.shape[0])
     return np.array([derivation_defect(c, M)[iu, ju].ravel() for M in params]).T
 
 
@@ -168,14 +185,14 @@ def skew_derivations(L: MetricLieAlgebra) -> DerivationAlgebra:
     else:
         A, C = split_derivations(split)
         Pv, Pz = split.v_basis @ L.gram, split.z_basis @ L.gram
-        iu, ju = np.triu_indices(d, 1)
+        iu, ju = _upper_pairs(d)
         coeffs = np.linalg.qr((Pv.T @ A @ Pv + Pz.T @ C @ Pz)[:, iu, ju].T)[0].T
-    return DerivationAlgebra(L, ginv @ _skew_from_upper(coeffs, d))
+    return DerivationAlgebra(L, ginv @ _skew_from_upper(coeffs, d), split)
 
 
 def _skew_from_upper(coeffs: np.ndarray, n: int) -> np.ndarray:
     """The skew matrices with the given upper-triangle entries (rows of ``coeffs``)."""
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = _upper_pairs(n)
     S = np.zeros((len(coeffs), n, n))
     S[:, iu, ju] = coeffs
     S[:, ju, iu] = -coeffs
@@ -194,7 +211,7 @@ def split_derivation_system(J: np.ndarray) -> np.ndarray:
     (Eberlein 1994).
     """
     m, n = J.shape[0], J.shape[-1]
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = _upper_pairs(n)
     # the unit entries of the skew bases in J's dtype (Python ints for an object J)
     E, F = (skew_basis(k).astype(np.int64).astype(J.dtype) for k in (n, m))
     rows_a = brackets(J, E)[:, :, iu, ju].transpose(0, 2, 1).reshape(m * len(iu), len(E))
@@ -243,7 +260,7 @@ def centralizer_in_so(V: SkewOperatorSubspace) -> SkewOperatorSubspace:
 
 def _pair_brackets(V: SkewOperatorSubspace) -> np.ndarray:
     """[B_p, B_q] for the basis pairs p < q, stacked."""
-    iu, ju = np.triu_indices(V.dim, 1)
+    iu, ju = _upper_pairs(V.dim)
     return brackets(V.basis, V.basis)[iu, ju]
 
 

@@ -201,6 +201,11 @@ class TestTnc:
     def test_resolve_residual_lands_in_centralizer(self):
         assert normalizer_resolve_residual(vt_subspace(2), FAST) <= 1e-9
 
+    def test_resolve_residual_of_zero_subspace(self):
+        V = SkewOperatorSubspace(4, [])
+        assert tnc_check(V, V, SamplerConfig(samples=3)).verified
+        assert normalizer_resolve_residual(V, SamplerConfig(samples=3)) == 0.0
+
 
 class TestNaturallyReductive:
     def test_vt_false(self):
@@ -751,7 +756,7 @@ class TestBlasBuilders:
         split = split_two_step(GO_GRID[name]())
         A, C = split_derivations(split)
         (X, Y), _ = _sample_plan(self.CONFIG, (split.m, split.n))
-        (M, b, _), = go_checker._gordon_blocks(split, (C, A), X, Y)
+        (M, b, _, _), = go_checker._gordon_blocks(split, (C, A), X, Y)
         J = split_family(split).generators
         m, n = split.m, split.n
         parts = [("pij,bj->bip", C, X, m), ("pij,bj->bip", A, Y, n)]
@@ -774,6 +779,68 @@ class TestBlasBuilders:
         b_ref = -np.einsum("bkj,bk->bj", np.einsum("bi,ijk->bkj", X, L.structure), gx)
         b_tol = _dot_bound(L.dim**2, np.einsum("bi,ijk,bk->bj", np.abs(X), np.abs(L.structure), np.abs(gx)))
         assert np.all(np.abs(b - b_ref) <= b_tol)
+
+
+def _assert_left_null(A, W):
+    """W has orthonormal or zero columns, orthogonal to the columns of A."""
+    gram = W.transpose(0, 2, 1) @ W
+    unit = np.diagonal(gram, axis1=1, axis2=2)
+    assert np.all((np.abs(unit - 1.0) <= 1e-13) | (unit == 0.0))
+    assert np.all(np.abs(gram - unit[:, :, None] * np.eye(W.shape[2])) <= 1e-13)
+    off = np.linalg.norm(W.transpose(0, 2, 1) @ A, axis=(1, 2))
+    assert np.all(off <= 1e-13 * np.linalg.norm(A, axis=(1, 2)))
+
+
+class TestStructuralLeftNull:
+    """Each sweep builder's W holds orthonormal or zero columns orthogonal to its systems' columns."""
+
+    CONFIG = SamplerConfig(seed=2, samples=40)
+
+    @pytest.mark.parametrize("name", sorted(GO_GRID))
+    def test_gordon(self, name):
+        split = split_two_step(GO_GRID[name]())
+        A, C = split_derivations(split)
+        (X, Y), _ = _sample_plan(self.CONFIG, (split.m, split.n))
+        (M, _, _, W), = go_checker._gordon_blocks(split, (C, A), X, Y)
+        assert W.shape == (len(X), split.m + split.n, 2)
+        _assert_left_null(M, W)
+
+    @pytest.mark.parametrize("name", sorted(GO_GRID) + ["three_step"])
+    def test_kv(self, name, three_step):
+        ders = isometry_decomposition(three_step if name == "three_step" else GO_GRID[name]())
+        assert (ders.split is None) == (name == "three_step")
+        (X,), _ = _sample_plan(self.CONFIG, (ders.parent.dim,))
+        A, _ = go_checker._kv_system(ders, X)
+        W = go_checker._kv_left_null(ders, X)
+        assert W.shape == (len(X), ders.parent.dim, 1 if ders.split is None else 2)
+        _assert_left_null(A, W)
+
+    @pytest.mark.parametrize("nprime", [centralizer_in_so, normalizer_in_so])
+    @pytest.mark.parametrize("span", ["vt(2)", "clifford(4)"])
+    def test_tnc(self, span, nprime):
+        V = vt_subspace(2) if span == "vt(2)" else _j_span(h_type_clifford(4, 1))
+        (zc, Y), _ = _sample_plan(self.CONFIG, (V.dim, V.ambient_dim))
+        blocks = go_checker._tnc_blocks(V, go_checker._nprime(nprime(V).basis, V), {}, zc, Y)
+        assert sum(len(A) for A, *_ in blocks) == len(Y)
+        for A, _, _, W in blocks:
+            _assert_left_null(A, W)
+
+    def test_random_samples_skip_the_svd(self, monkeypatch):
+        # h_type_clifford(3, 1): every random Gordon and KV system is certified by its QR
+        L = h_type_clifford(3, 1)
+        split = split_two_step(L)
+        ders = isometry_decomposition(L)
+        A, C = split_derivations(split)
+        svd_rows = []
+        svd = lc._svd_residuals
+        monkeypatch.setattr(lc, "_svd_residuals", lambda A, b: svd_rows.append(len(A)) or svd(A, b))
+        (X, Y), n_sweep = _sample_plan(self.CONFIG, (split.m, split.n))
+        (M, b, _, W), = go_checker._gordon_blocks(split, (C, A), X[n_sweep:], Y[n_sweep:])
+        lc.batch_residuals(M, b, W)
+        (X,), n_sweep = _sample_plan(self.CONFIG, (L.dim,))
+        K, b = go_checker._kv_system(ders, X[n_sweep:])
+        lc.batch_residuals(K, b, go_checker._kv_left_null(ders, X[n_sweep:]))
+        assert svd_rows == []
 
 
 class TestTncRescaled:
@@ -805,7 +872,7 @@ class TestRankCut:
         # (about 2.6e-15, 4.5e-16 and 1.3e-16) that no rank cut may count
         V = _j_span(h_type_clifford(4, 1))
         zc, Y = np.eye(4)[:1], (np.eye(8)[0] + np.eye(8)[4])[None]
-        (A, b, _), = go_checker._tnc_blocks(V, go_checker._nprime(normalizer_in_so(V).basis, V), {}, zc, Y)
+        (A, b, _, _), = go_checker._tnc_blocks(V, go_checker._nprime(normalizer_in_so(V).basis, V), {}, zc, Y)
         s = np.linalg.svd(A[0], compute_uv=False)
         assert np.allclose(s[:3], np.sqrt(0.5)) and np.all(s[3:] < 1e-13)
         ref = lc.batch_residuals(A, b)[0]

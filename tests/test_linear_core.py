@@ -60,6 +60,70 @@ class TestBatchResiduals:
                 _, ref = lc.least_squares(A[i], b[i])
                 assert abs(res[i] - ref) <= 1e-12 * max(1.0, np.linalg.norm(b[i]))
 
+    @staticmethod
+    def _null_stacks(rng):
+        """Stacks whose columns lie in the complement of W's columns, with that W."""
+        for B, r, c, k in [(6, 9, 2, 7), (5, 9, 2, 12), (4, 6, 1, 8), (5, 8, 2, 6)]:
+            W = np.linalg.qr(rng.standard_normal((B, r, c)))[0]
+            W[0, :, -1] = 0.0  # a zero column
+            A = rng.standard_normal((B, r, k))
+            A -= W @ (W.transpose(0, 2, 1) @ A)
+            yield A, rng.standard_normal((B, r)), W
+
+    def test_matches_least_squares_with_w(self, rng, monkeypatch):
+        monkeypatch.setattr(lc, "_svd_residuals", None)  # every sample is certified by its QR
+        for A, b, W in self._null_stacks(rng):
+            res = lc.batch_residuals(A, b, W)
+            for i in range(len(A)):
+                _, ref = lc.least_squares(A[i], b[i])
+                assert abs(res[i] - ref) <= 1e-12 * max(1.0, np.linalg.norm(b[i]))
+
+    @staticmethod
+    def _permuted_diagonal(rng, r, k, sv):
+        """An r x k matrix with singular values sv on permuted rows and
+        columns, with random signs, so that QR and SVD run without rounding."""
+        A = np.zeros((r, k))
+        rows, cols = rng.permutation(r)[:len(sv)], rng.permutation(k)[:len(sv)]
+        A[rows, cols] = np.asarray(sv) * rng.choice([-1.0, 1.0], len(sv))
+        return A, rows
+
+    @pytest.mark.parametrize("ratio", [1e-8, 2e-9, 1.2e-9, 5e-10, 1e-10, 1e-13])
+    def test_boundary_full_column_rank(self, rng, ratio):
+        stack = [self._permuted_diagonal(rng, 7, 4, [3.0, 1.0, 1.0, 3.0 * ratio])[0] for _ in range(5)]
+        A, b = np.array(stack), rng.standard_normal((5, 7))
+        assert np.allclose(lc.batch_residuals(A, b), lc._svd_residuals(A, b), rtol=0, atol=1e-12 * np.abs(b).sum())
+
+    @pytest.mark.parametrize("ratio", [1e-8, 2e-9, 1.2e-9, 5e-10, 1e-10, 1e-13])
+    def test_boundary_structural_rank(self, rng, ratio):
+        stack, Ws = [], []
+        for _ in range(5):
+            A, rows = self._permuted_diagonal(rng, 7, 6, [3.0, 1.0, 1.0, 2.0, 3.0 * ratio])
+            stack.append(A)
+            Ws.append(np.eye(7)[:, [i for i in range(7) if i not in rows]])  # the two empty rows
+        A, b, W = np.array(stack), rng.standard_normal((5, 7)), np.array(Ws)
+        assert np.allclose(lc.batch_residuals(A, b, W), lc._svd_residuals(A, b), rtol=0, atol=1e-12 * np.abs(b).sum())
+
+    def test_wrong_w_falls_back_to_the_svd(self, rng, monkeypatch):
+        svd_rows = []
+        svd = lc._svd_residuals
+        monkeypatch.setattr(lc, "_svd_residuals", lambda A, b: svd_rows.append(len(A)) or svd(A, b))
+        for A, b, W in self._null_stacks(rng):
+            if A.shape[2] <= A.shape[1] - W.shape[2]:
+                continue  # full column rank: certified without W
+            wrong = np.linalg.qr(rng.standard_normal(W.shape))[0]
+            svd_rows.clear()
+            res = lc.batch_residuals(A, b, wrong)
+            assert svd_rows == [len(A)]
+            for i in range(len(A)):
+                _, ref = lc.least_squares(A[i], b[i])
+                assert abs(res[i] - ref) <= 1e-12 * max(1.0, np.linalg.norm(b[i]))
+
+    def test_misshapen_w_rejected(self, rng):
+        A, b = rng.standard_normal((3, 4, 4)), rng.standard_normal((3, 4))
+        for W in (np.zeros((3, 4)), np.zeros((3, 5, 1)), np.zeros((2, 4, 1))):
+            with pytest.raises(InputError):
+                lc.batch_residuals(A, b, W)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_system_rejected(self, rng, bad):
         A, b = rng.standard_normal((3, 4, 2)), rng.standard_normal((3, 4))

@@ -9,6 +9,7 @@ from nilgo.families import family_thm2, h_type_clifford, l_matrix, quaternionic_
 from nilgo.go_checker import apply_center_metric
 from nilgo.jmaps import split_family
 from nilgo.operator_subspaces import (
+    _upper_pairs,
     brackets,
     centralizer_in_so,
     compact_split,
@@ -124,6 +125,15 @@ class TestStackedFormat:
         assert S.shape == (6, 4, 4)
         assert not np.signbit(S[S == 0]).any()
         assert [tuple(np.argwhere(B == 1)[0]) for B in S] == [(i, j) for i in range(4) for j in range(i + 1, 4)]
+
+    def test_index_tables_are_shared_and_read_only(self):
+        iu, ju = _upper_pairs(5)
+        S = skew_basis(5)
+        assert _upper_pairs(5)[0] is iu and skew_basis(5) is S
+        assert all(np.array_equal(a, b) for a, b in zip((iu, ju), np.triu_indices(5, 1)))
+        for a in (iu, ju, S):
+            with pytest.raises(ValueError):
+                a[0] = 0
 
     def test_element_matches_accumulating_loop(self, rng):
         V = vt_subspace(2)
