@@ -142,10 +142,8 @@ def _adjudicate(config: SamplerConfig, dims, system, witness) -> GOCertificate:
     """Sampled certificate that the systems on the plan of ``dims`` are solvable.
 
     ``system`` maps a chunk of the plan (one array per factor) to blocks
-    ``(A, b, scale)`` or ``(A, b, scale, W)`` of stacked systems
-    ``A[i] z = b[i]`` in plan order, W holding each system's structural
-    left-null directions; each block is one
-    :func:`linear_core.batch_residuals` call.  Scanning
+    ``(A, b, scale)`` of stacked systems ``A[i] z = b[i]`` in plan order;
+    each block is one :func:`linear_core.batch_residuals` call.  Scanning
     in plan order, the first sample whose residual relative to its scale
     exceeds both tau_feas and tau_refute refutes, with
     ``witness(sample, residual, from_sweep)``; any other sample above
@@ -159,10 +157,10 @@ def _adjudicate(config: SamplerConfig, dims, system, witness) -> GOCertificate:
         rel = []
         # overflow surfaces as a non-finite system, scale or residual below
         with np.errstate(over="ignore", invalid="ignore"):
-            for A, b, scale, *W in system(*chunk):
+            for A, b, scale in system(*chunk):
                 if not np.all(np.isfinite(scale)):
                     raise InputError("residual scale is not finite")
-                rel.append(lc.batch_residuals(A, b, *W) / np.maximum(scale, 1e-300))
+                rel.append(lc.batch_residuals(A, b) / np.maximum(scale, 1e-300))
         rel = np.concatenate(rel)
         over = rel > config.tau_feas
         refuting = np.flatnonzero(over & (rel > config.tau_refute))
@@ -175,12 +173,6 @@ def _adjudicate(config: SamplerConfig, dims, system, witness) -> GOCertificate:
             found = witness(tuple(f[i] for f in chunk), float(rel[i]), bool(start + i < n_sweep))
             return GOCertificate(REFUTED, config.samples, max_res, config.tolerances(), config.seed, found)
     return GOCertificate(status, config.samples, max_res, config.tolerances(), config.seed)
-
-
-def _unit_rows(X: np.ndarray) -> np.ndarray:
-    """The rows of X scaled to unit length; a zero row stays zero."""
-    norm = np.linalg.norm(X, axis=1, keepdims=True)
-    return np.divide(X, norm, out=np.zeros_like(X), where=norm > 0)
 
 
 def _apply(M: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -196,23 +188,6 @@ def _kv_system(ders: DerivationAlgebra, X: np.ndarray) -> tuple[np.ndarray, np.n
     gx = X @ L.gram.T
     # row j of np.tensordot(X, c, 1)[i] is [X_i, e_j]
     return _apply(ders.basis.transpose(0, 2, 1), gx), -(np.tensordot(X, L.structure, 1) @ gx[:, :, None])[:, :, 0]
-
-
-def _kv_left_null(ders: DerivationAlgebra, X: np.ndarray) -> np.ndarray:
-    """Structural left-null directions of the KV systems of the rows of X.
-
-    Every derivation H is G-skew, so X is orthogonal to each column H^T G X.
-    On a two-step split H also preserves z and v, and so do both parts
-    X_z (the G-orthogonal projection of X onto z) and X_v = X - X_z; W
-    holds them after Gram-Schmidt, a zero part giving a zero column."""
-    if ders.split is None:
-        return _unit_rows(X)[:, :, None]
-    z = ders.split.z_basis
-    Xz = X @ (z.T @ z @ ders.parent.gram).T
-    w1 = _unit_rows(Xz)
-    Xv = X - Xz
-    w2 = _unit_rows(Xv - np.einsum("bi,bi->b", w1, Xv)[:, None] * w1)
-    return np.stack([w1, w2], axis=2)
 
 
 def kv_solve(ders: DerivationAlgebra, X) -> tuple[np.ndarray, float]:
@@ -234,7 +209,7 @@ def kv_go_check(ders: DerivationAlgebra, config: SamplerConfig = SamplerConfig()
     return _adjudicate(
         config,
         (L.dim,),
-        lambda X: [(*_kv_system(ders, X), cnorm * np.einsum("bi,bi->b", X, X), _kv_left_null(ders, X))],
+        lambda X: [(*_kv_system(ders, X), cnorm * np.einsum("bi,bi->b", X, X))],
         lambda s, rel, _: {"X": s[0].tolist(), "residual": rel},
     )
 
@@ -257,10 +232,7 @@ def _gordon_blocks(split, maps, X, Y):
     M = np.concatenate([_apply(C, X), _apply(A, Y)], axis=1)
     b = np.concatenate([np.zeros_like(X), JXY], axis=1)
     scale = np.linalg.norm(J, axis=(1, 2)).max() * np.linalg.norm(X, axis=1) * np.linalg.norm(Y, axis=1)
-    # C X and A Y are orthogonal to X and Y (C, A skew): the structural left nullspace
-    W = np.zeros((len(X), split.m + split.n, 2))
-    W[:, :split.m, 0], W[:, split.m:, 1] = _unit_rows(X), _unit_rows(Y)
-    return [(M, b, scale, W)]
+    return [(M, b, scale)]
 
 
 def apply_center_metric(L: MetricLieAlgebra, metric: MetricParameter) -> MetricLieAlgebra:
@@ -386,23 +358,20 @@ def _tnc_blocks(V, nprime, cache, zc, Y):
     When N' centralizes V the chunk is one block ``A[b] = N' Y_b``.
     Otherwise the commutant is computed once per distinct Z (kept in
     ``cache``) and applied to each run of samples with that Z; consecutive
-    runs with commutants of one dimension share a block.  Every X is
-    skew, so Y is orthogonal to X(Y): Y/|Y| is the structural left-null
-    direction of every block."""
+    runs with commutants of one dimension share a block."""
     N, Tz, _ = nprime
     Zs = np.tensordot(zc, V.basis, 1)
     b = (Zs @ Y[:, :, None])[:, :, 0]
     scale = np.linalg.norm(b, axis=1) + np.linalg.norm(Zs, axis=(1, 2)) * np.linalg.norm(Y, axis=1)
-    W = _unit_rows(Y)[:, :, None]
     if Tz is None:
-        return [(_apply(N, Y), b, scale, W)]
+        return [(_apply(N, Y), b, scale)]
     starts = np.flatnonzero(np.r_[True, np.any(zc[1:] != zc[:-1], axis=1)])
     runs = []
     for s, e in zip(starts, [*starts[1:], len(zc)]):
         key = zc[s].tobytes()
         if key not in cache:
             cache[key] = _commutant(nprime, zc[s], Zs[s])
-        runs.append((_apply(cache[key], Y[s:e]), b[s:e], scale[s:e], W[s:e]))
+        runs.append((_apply(cache[key], Y[s:e]), b[s:e], scale[s:e]))
     groups = itertools.groupby(runs, key=lambda run: run[0].shape[2])
     return [tuple(np.concatenate(part) for part in zip(*group)) for _, group in groups]
 
@@ -431,21 +400,24 @@ def tnc_check(
 
 def normalizer_resolve_residual(V: SkewOperatorSubspace, config: SamplerConfig = SamplerConfig()) -> float:
     """Re-solve the TNC samples against the full normalizer of V and
-    report the worst relative centralizer residual max_i |[X, V_i]| of
-    the minimum-norm solutions found; 0.0 for a zero-dimensional V."""
+    report the worst centralizer residual max_i |[X, V_i]| / (|X| max_i
+    |V_i|) of the minimum-norm solutions X found (0 for X = 0); 0.0 for a
+    zero-dimensional V."""
     if V.dim == 0:
         return 0.0
     nprime = _nprime(normalizer_in_so(V).basis, V)
     plan, _ = _sample_plan(config, (V.dim, V.ambient_dim), sums=False)
-    Bs = V.basis
-    bnorm = max(np.linalg.norm(B) for B in Bs)
+    Bs = V.basis / np.linalg.norm(V.basis, axis=(1, 2)).max()
     worst = 0.0
     for zc, Y in zip(*plan):
         Z_mat = V.element(zc)
         mats = _commutant(nprime, zc, Z_mat)
         coeffs, _ = lc.least_squares((mats @ Y).T, Z_mat @ Y)
         X_mat = np.tensordot(coeffs, mats, 1)
-        worst = max(worst, float(np.max(np.abs(X_mat @ Bs - Bs @ X_mat))) / max(np.linalg.norm(X_mat) * bnorm, 1.0))
+        xnorm = np.linalg.norm(X_mat)
+        if xnorm > 0:  # unit X and V: no product under- or overflows
+            X_mat = X_mat / xnorm
+            worst = max(worst, float(np.max(np.abs(X_mat @ Bs - Bs @ X_mat))))
     return worst
 
 

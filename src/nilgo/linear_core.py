@@ -8,6 +8,7 @@ in-repo oracle for derived values.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,71 +60,94 @@ def least_squares(A, b) -> tuple[np.ndarray, float]:
     return x, residual
 
 
-def batch_residuals(A, b, W=None) -> np.ndarray:
+def batch_residuals(A, b) -> np.ndarray:
     """Residuals of the stacked least-squares systems ``A[i] x = b[i]``.
 
     The residual is the distance from ``b[i]`` to the span of the left
     singular vectors of ``A[i]`` with singular values above ``TAU_RANK``
     times the largest, i.e. the residual that :func:`least_squares`
-    reports.  Each system first gets one R-only Householder QR, which
-    certifies that rank when ``1/|R^-1|_F`` (a lower bound on the smallest
-    singular value of R) exceeds ``TAU_RANK |A[i]|_F`` (an upper bound on
-    the cut):
-
-    - full column rank: R of ``[A[i] | b[i]]``, residual ``|R[k, k]|``;
-    - rank r - c, given ``W`` of shape (B, r, c) whose columns are
-      orthonormal or zero with ``W[i]^T A[i] = 0`` in exact arithmetic:
-      R of ``[A[i] | |A[i]|_F W[i]]^T``, residual ``|W[i]^T b[i]|``.  The
-      sample is also checked for ``|W[i]^T A[i]|_F <= 1e-12 |A[i]|_F``,
-      so a wrong W costs time, not correctness.
-
-    Only the systems that no QR certifies go through one stacked SVD.
-    Non-finite data raises InputError.
+    reports.  Each system gets one R-only Householder QR of its columns
+    mixed by a fixed random orthogonal matrix, which reveals its rank
+    (:func:`_qr_residuals`); a system whose R does not prove the SVD's
+    residual is retried with a second mixer, and only the systems left go
+    through one stacked SVD.  Non-finite data raises InputError.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 3 or b.shape != A.shape[:2]:
         raise InputError(f"expected stacked systems, got A {A.shape} and b {b.shape}")
-    if W is not None:
-        W = np.asarray(W, dtype=float)
-        if W.ndim != 3 or W.shape[:2] != A.shape[:2]:
-            raise InputError(f"expected left-null directions of shape {A.shape[:2]} + (c,), got {W.shape}")
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
         raise InputError("system entries must be finite")
-    r, k = A.shape[1:]
-    c = 0 if W is None else W.shape[2]
-    residual = np.zeros(len(A))
-    certified = np.zeros(len(A), dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        anorm = np.linalg.norm(A, axis=(1, 2))
-        if k < r and k <= r - c:
-            R = np.linalg.qr(np.concatenate([A, b[:, :, None]], axis=2), mode="r")
-            certified = _smin_lower_bound(R[:, :k, :k]) > TAU_RANK * anorm
-            residual = np.abs(R[:, k, k])
-        elif W is not None:
-            R = np.linalg.qr(np.concatenate([A, anorm[:, None, None] * W], axis=2).transpose(0, 2, 1), mode="r")
-            Wt = W.transpose(0, 2, 1)
-            off = np.linalg.norm(Wt @ A, axis=(1, 2))
-            certified = (_smin_lower_bound(R) > TAU_RANK * anorm) & (off <= 1e-12 * anorm)
-            residual = np.linalg.norm((Wt @ b[:, :, None])[:, :, 0], axis=1)
-    if not certified.all():
-        residual[~certified] = _svd_residuals(A[~certified], b[~certified])
+    residual = np.linalg.norm(b, axis=1)  # the residual when there are no unknowns
+    if len(A) and min(A.shape[1:]):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            anorm = np.linalg.norm(A, axis=(1, 2))
+            res, certified = _qr_residuals(A, b, anorm, 0)
+            retry = np.flatnonzero(~certified)
+            if len(retry):
+                res[retry], certified[retry] = _qr_residuals(A[retry], b[retry], anorm[retry], 1)
+        residual[certified] = res[certified]
+        if not certified.all():
+            residual[~certified] = _svd_residuals(A[~certified], b[~certified])
     if not np.all(np.isfinite(residual)):
         raise InputError("least-squares residual is not finite")
     return residual
 
 
-def _smin_lower_bound(R: np.ndarray) -> np.ndarray:
-    """``1/|R^-1|_F`` for a stack of square upper triangular R, by back
-    substitution over the stack; 0 where R is singular or R^-1 overflows
-    (callers silence the floating-point warnings of those cases)."""
-    k = R.shape[1]
-    X = np.zeros_like(R)
-    eye = np.eye(k)
-    for i in range(k - 1, -1, -1):
-        X[:, i] = (eye[i] - (R[:, i, None, i + 1:] @ X[:, i + 1:])[:, 0]) / R[:, i, i, None]
-    inorm = np.linalg.norm(X, axis=(1, 2))
-    return np.where(np.isfinite(inorm), 1.0 / inorm, 0.0)
+@functools.lru_cache(maxsize=64)
+def _mixer(k: int, seed: int) -> np.ndarray:
+    """A fixed random k x k orthogonal matrix, the Q of ``default_rng((k,
+    seed))`` normals; built once per (k, seed) and read-only."""
+    q = np.linalg.qr(np.random.default_rng((k, seed)).standard_normal((k, k)))[0]
+    q.flags.writeable = False
+    return q
+
+
+def _qr_residuals(A, b, anorm, seed) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals from the R of ``[A[i] Ω | b[i]]`` (Ω = :func:`_mixer`), and
+    which of them R proves to be the SVD's residual within ``1e-12 |b[i]|``.
+
+    The rank rho is the leading run of ``|R_jj| > TAU_RANK |A|_F`` (|A|_F is
+    ``anorm``), and the residual is ``|R[rho:, k]|``.  With ``R11 =
+    R[:rho, :rho]``, ``R22 = R[rho:, rho:k]``, ``n = min(r, k)`` and u the
+    unit round-off, R proves it when
+    - ``1/|R11^-1|_F > TAU_RANK |A|_F``: the SVD keeps at least rho values;
+    - ``|R22|_F <= TAU_RANK |A|_F / sqrt(n)``: it keeps at most rho values;
+    - ``(|R22|_F + n u |A|_F) |R11^-1|_F <= 1e-12``: the span of the first
+      rho columns is within that angle of the SVD's (Wedin's sin theta
+      theorem, with the QR's round-off added to R22).
+    Callers silence the floating-point warnings.
+    """
+    B, r, k = A.shape
+    n = min(r, k)
+    M = np.empty((B, r, k + 1))
+    np.matmul(A, _mixer(k, seed), out=M[:, :, :k])
+    M[:, :, k] = b
+    R = np.linalg.qr(M, mode="r")
+    cut = TAU_RANK * anorm
+    lead = np.logical_and.accumulate(np.abs(np.diagonal(R, axis1=1, axis2=2)[:, :n]) > cut[:, None], axis=1)
+    trail = np.ones(R.shape[:2])
+    trail[:, :n] = ~lead
+    colsq = np.einsum("bi,bij->bj", trail, np.square(R))  # squared column norms of R[rho:]
+    r22 = np.sqrt(colsq[:, :k].sum(axis=1))
+    inorm = _leading_inverse_norm(R, lead)
+    certified = (inorm * cut < 1.0) & (r22 <= cut / math.sqrt(n))
+    certified &= (r22 + n * np.finfo(float).eps / 2 * anorm) * inorm <= 1e-12
+    return np.sqrt(colsq[:, k]), certified
+
+
+def _leading_inverse_norm(R, lead) -> np.ndarray:
+    """``|R11^-1|_F`` for the leading blocks R11 of a stack of upper
+    triangular R, R11 spanning the rows and columns where ``lead`` is true
+    (a leading run), by back substitution over the stack; inf or nan
+    where R11^-1 overflows."""
+    p = int(lead.sum(axis=1).max(initial=0))
+    R11 = np.where(lead[:, None, :p], R[:, :p, :p], np.eye(p))  # padded by the identity
+    X = np.zeros_like(R11)
+    eye = np.eye(p)
+    for i in range(p - 1, -1, -1):
+        X[:, i] = (eye[i] - (R11[:, i, None, i + 1:] @ X[:, i + 1:])[:, 0]) / R11[:, i, i, None]
+    return np.linalg.norm(X * lead[:, :p, None], axis=(1, 2))
 
 
 def _svd_residuals(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -145,8 +169,7 @@ def _check_skew(S: np.ndarray) -> np.ndarray:
         raise InputError("pfaffian needs a square matrix")
     if n % 2 != 0:
         raise InputError("pfaffian needs even dimension")
-    scale = np.linalg.norm(S)
-    if np.linalg.norm(S + S.T) > 1e-12 * max(scale, 1.0):
+    if np.linalg.norm(S + S.T) > 1e-12 * np.linalg.norm(S):
         raise InputError("matrix is not skew-symmetric")
     return S
 

@@ -8,8 +8,7 @@ the Frobenius inner product.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,8 +61,6 @@ class SkewOperatorSubspace:
 class DerivationAlgebra:
     parent: MetricLieAlgebra
     basis: np.ndarray  # (k, d, d) float array
-    # the two-step split the basis was solved in; None for any other algebra
-    split: Optional[TwoStepSplit] = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -187,7 +184,7 @@ def skew_derivations(L: MetricLieAlgebra) -> DerivationAlgebra:
         Pv, Pz = split.v_basis @ L.gram, split.z_basis @ L.gram
         iu, ju = _upper_pairs(d)
         coeffs = np.linalg.qr((Pv.T @ A @ Pv + Pz.T @ C @ Pz)[:, iu, ju].T)[0].T
-    return DerivationAlgebra(L, ginv @ _skew_from_upper(coeffs, d), split)
+    return DerivationAlgebra(L, ginv @ _skew_from_upper(coeffs, d))
 
 
 def _skew_from_upper(coeffs: np.ndarray, n: int) -> np.ndarray:

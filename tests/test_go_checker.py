@@ -756,7 +756,7 @@ class TestBlasBuilders:
         split = split_two_step(GO_GRID[name]())
         A, C = split_derivations(split)
         (X, Y), _ = _sample_plan(self.CONFIG, (split.m, split.n))
-        (M, b, _, _), = go_checker._gordon_blocks(split, (C, A), X, Y)
+        (M, b, _), = go_checker._gordon_blocks(split, (C, A), X, Y)
         J = split_family(split).generators
         m, n = split.m, split.n
         parts = [("pij,bj->bip", C, X, m), ("pij,bj->bip", A, Y, n)]
@@ -781,6 +781,11 @@ class TestBlasBuilders:
         assert np.all(np.abs(b - b_ref) <= b_tol)
 
 
+def _unit_rows(X):
+    norm = np.linalg.norm(X, axis=1, keepdims=True)
+    return np.divide(X, norm, out=np.zeros_like(X), where=norm > 0)
+
+
 def _assert_left_null(A, W):
     """W has orthonormal or zero columns, orthogonal to the columns of A."""
     gram = W.transpose(0, 2, 1) @ W
@@ -792,38 +797,53 @@ def _assert_left_null(A, W):
 
 
 class TestStructuralLeftNull:
-    """Each sweep builder's W holds orthonormal or zero columns orthogonal to its systems' columns."""
+    """The sweep systems have structural left-null directions (so none has
+    full row rank), and the mixed-column QR of
+    :func:`linear_core.batch_residuals` still certifies nearly all of them."""
 
     CONFIG = SamplerConfig(seed=2, samples=40)
 
     @pytest.mark.parametrize("name", sorted(GO_GRID))
     def test_gordon(self, name):
+        # C X and A Y are orthogonal to X and Y (C, A skew)
         split = split_two_step(GO_GRID[name]())
         A, C = split_derivations(split)
         (X, Y), _ = _sample_plan(self.CONFIG, (split.m, split.n))
-        (M, _, _, W), = go_checker._gordon_blocks(split, (C, A), X, Y)
-        assert W.shape == (len(X), split.m + split.n, 2)
+        (M, _, _), = go_checker._gordon_blocks(split, (C, A), X, Y)
+        W = np.zeros((len(X), split.m + split.n, 2))
+        W[:, :split.m, 0], W[:, split.m:, 1] = _unit_rows(X), _unit_rows(Y)
         _assert_left_null(M, W)
 
     @pytest.mark.parametrize("name", sorted(GO_GRID) + ["three_step"])
     def test_kv(self, name, three_step):
-        ders = isometry_decomposition(three_step if name == "three_step" else GO_GRID[name]())
-        assert (ders.split is None) == (name == "three_step")
-        (X,), _ = _sample_plan(self.CONFIG, (ders.parent.dim,))
+        # every derivation H is G-skew, so X is orthogonal to H^T G X; on a
+        # two-step split H also preserves z and v, and so do both parts of X
+        L = three_step if name == "three_step" else GO_GRID[name]()
+        ders = isometry_decomposition(L)
+        (X,), _ = _sample_plan(self.CONFIG, (L.dim,))
         A, _ = go_checker._kv_system(ders, X)
-        W = go_checker._kv_left_null(ders, X)
-        assert W.shape == (len(X), ders.parent.dim, 1 if ders.split is None else 2)
+        if name == "three_step":
+            W = _unit_rows(X)[:, :, None]
+        else:
+            z = split_two_step(L).z_basis
+            Xz = X @ (z.T @ z @ L.gram).T
+            w1 = _unit_rows(Xz)
+            w2 = _unit_rows(X - Xz - np.einsum("bi,bi->b", w1, X - Xz)[:, None] * w1)
+            W = np.stack([w1, w2], axis=2)
         _assert_left_null(A, W)
 
     @pytest.mark.parametrize("nprime", [centralizer_in_so, normalizer_in_so])
     @pytest.mark.parametrize("span", ["vt(2)", "clifford(4)"])
     def test_tnc(self, span, nprime):
+        # every X is skew, so Y is orthogonal to X(Y)
         V = vt_subspace(2) if span == "vt(2)" else _j_span(h_type_clifford(4, 1))
         (zc, Y), _ = _sample_plan(self.CONFIG, (V.dim, V.ambient_dim))
         blocks = go_checker._tnc_blocks(V, go_checker._nprime(nprime(V).basis, V), {}, zc, Y)
-        assert sum(len(A) for A, *_ in blocks) == len(Y)
-        for A, _, _, W in blocks:
-            _assert_left_null(A, W)
+        assert sum(len(A) for A, _, _ in blocks) == len(Y)
+        start = 0
+        for A, _, _ in blocks:
+            _assert_left_null(A, _unit_rows(Y[start:start + len(A)])[:, :, None])
+            start += len(A)
 
     def test_random_samples_skip_the_svd(self, monkeypatch):
         # h_type_clifford(3, 1): every random Gordon and KV system is certified by its QR
@@ -835,12 +855,40 @@ class TestStructuralLeftNull:
         svd = lc._svd_residuals
         monkeypatch.setattr(lc, "_svd_residuals", lambda A, b: svd_rows.append(len(A)) or svd(A, b))
         (X, Y), n_sweep = _sample_plan(self.CONFIG, (split.m, split.n))
-        (M, b, _, W), = go_checker._gordon_blocks(split, (C, A), X[n_sweep:], Y[n_sweep:])
-        lc.batch_residuals(M, b, W)
+        (M, b, _), = go_checker._gordon_blocks(split, (C, A), X[n_sweep:], Y[n_sweep:])
+        lc.batch_residuals(M, b)
         (X,), n_sweep = _sample_plan(self.CONFIG, (L.dim,))
         K, b = go_checker._kv_system(ders, X[n_sweep:])
-        lc.batch_residuals(K, b, go_checker._kv_left_null(ders, X[n_sweep:]))
+        lc.batch_residuals(K, b)
         assert svd_rows == []
+
+    # the random Gordon systems of these have column nullity 1, 1 and 3,
+    # beyond any structural left-null direction
+    LOW_RANK = {
+        "h_type_clifford(5, 1)": lambda: h_type_clifford(5, 1),
+        "h_type_clifford(4, 1)": lambda: h_type_clifford(4, 1),
+        "n10(1), q": lambda: apply_center_metric(n10(1), MetricParameter([[2.0, 1.0], [1.0, 3.0]])),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LOW_RANK))
+    def test_whole_plans_rarely_reach_the_svd(self, monkeypatch, name):
+        L = self.LOW_RANK[name]()
+        split = split_two_step(L)
+        ders = isometry_decomposition(L)
+        A, C = split_derivations(split)
+        svd_rows = []
+        svd = lc._svd_residuals
+        monkeypatch.setattr(lc, "_svd_residuals", lambda A, b: svd_rows.append(len(A)) or svd(A, b))
+        config = SamplerConfig(seed=3, samples=200)
+        (X, Y), _ = _sample_plan(config, (split.m, split.n))
+        (Z,), _ = _sample_plan(config, (L.dim,))
+        for start in range(0, len(X), go_checker.CHUNK):
+            part = slice(start, start + go_checker.CHUNK)
+            (M, b, _), = go_checker._gordon_blocks(split, (C, A), X[part], Y[part])
+            lc.batch_residuals(M, b)
+        for start in range(0, len(Z), go_checker.CHUNK):
+            lc.batch_residuals(*go_checker._kv_system(ders, Z[start:start + go_checker.CHUNK]))
+        assert sum(svd_rows) <= 0.05 * (len(X) + len(Z))
 
 
 class TestTncRescaled:
@@ -872,7 +920,7 @@ class TestRankCut:
         # (about 2.6e-15, 4.5e-16 and 1.3e-16) that no rank cut may count
         V = _j_span(h_type_clifford(4, 1))
         zc, Y = np.eye(4)[:1], (np.eye(8)[0] + np.eye(8)[4])[None]
-        (A, b, _, _), = go_checker._tnc_blocks(V, go_checker._nprime(normalizer_in_so(V).basis, V), {}, zc, Y)
+        (A, b, _), = go_checker._tnc_blocks(V, go_checker._nprime(normalizer_in_so(V).basis, V), {}, zc, Y)
         s = np.linalg.svd(A[0], compute_uv=False)
         assert np.allclose(s[:3], np.sqrt(0.5)) and np.all(s[3:] < 1e-13)
         ref = lc.batch_residuals(A, b)[0]

@@ -2,6 +2,7 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nilgo.linear_core as lc
 from nilgo.errors import InputError, InterpolationError
@@ -50,6 +51,7 @@ class TestBatchResiduals:
         yield low, rng.standard_normal((7, 8))
         yield np.zeros((3, 6, 0)), rng.standard_normal((3, 6))  # no unknowns
         yield np.zeros((4, 5, 3)), rng.standard_normal((4, 5))  # all zero
+        yield np.zeros((0, 5, 3)), np.zeros((0, 5))  # no systems
         consistent = rng.standard_normal((4, 6, 3))
         yield consistent, np.einsum("bij,bj->bi", consistent, rng.standard_normal((4, 3)))
 
@@ -62,21 +64,28 @@ class TestBatchResiduals:
 
     @staticmethod
     def _null_stacks(rng):
-        """Stacks whose columns lie in the complement of W's columns, with that W."""
-        for B, r, c, k in [(6, 9, 2, 7), (5, 9, 2, 12), (4, 6, 1, 8), (5, 8, 2, 6)]:
+        """Stacks whose columns lie in the complement of c orthonormal
+        directions (one zero direction in the first system), so of rank
+        min(r - c, k) below full row rank, tall and wide."""
+        for B, r, c, k in [(6, 9, 2, 7), (5, 9, 2, 12), (4, 6, 1, 8), (5, 8, 2, 6), (4, 9, 3, 9)]:
             W = np.linalg.qr(rng.standard_normal((B, r, c)))[0]
-            W[0, :, -1] = 0.0  # a zero column
+            W[0, :, -1] = 0.0
             A = rng.standard_normal((B, r, k))
             A -= W @ (W.transpose(0, 2, 1) @ A)
-            yield A, rng.standard_normal((B, r)), W
+            yield A, rng.standard_normal((B, r))
 
-    def test_matches_least_squares_with_w(self, rng, monkeypatch):
-        monkeypatch.setattr(lc, "_svd_residuals", None)  # every sample is certified by its QR
-        for A, b, W in self._null_stacks(rng):
-            res = lc.batch_residuals(A, b, W)
+    def test_matches_least_squares_below_full_rank(self, rng, monkeypatch):
+        svd_rows = []
+        svd = lc._svd_residuals
+        monkeypatch.setattr(lc, "_svd_residuals", lambda A, b: svd_rows.append(len(A)) or svd(A, b))
+        systems = 0
+        for A, b in self._null_stacks(rng):
+            res = lc.batch_residuals(A, b)
+            systems += len(A)
             for i in range(len(A)):
                 _, ref = lc.least_squares(A[i], b[i])
                 assert abs(res[i] - ref) <= 1e-12 * max(1.0, np.linalg.norm(b[i]))
+        assert sum(svd_rows) <= systems // 4  # the mixed QR certifies most of them
 
     @staticmethod
     def _permuted_diagonal(rng, r, k, sv):
@@ -95,34 +104,53 @@ class TestBatchResiduals:
 
     @pytest.mark.parametrize("ratio", [1e-8, 2e-9, 1.2e-9, 5e-10, 1e-10, 1e-13])
     def test_boundary_structural_rank(self, rng, ratio):
-        stack, Ws = [], []
-        for _ in range(5):
-            A, rows = self._permuted_diagonal(rng, 7, 6, [3.0, 1.0, 1.0, 2.0, 3.0 * ratio])
-            stack.append(A)
-            Ws.append(np.eye(7)[:, [i for i in range(7) if i not in rows]])  # the two empty rows
-        A, b, W = np.array(stack), rng.standard_normal((5, 7)), np.array(Ws)
-        assert np.allclose(lc.batch_residuals(A, b, W), lc._svd_residuals(A, b), rtol=0, atol=1e-12 * np.abs(b).sum())
+        # two empty rows, and a trailing singular value at ratio times the largest
+        stack = [self._permuted_diagonal(rng, 7, 6, [3.0, 1.0, 1.0, 2.0, 3.0 * ratio])[0] for _ in range(5)]
+        A, b = np.array(stack), rng.standard_normal((5, 7))
+        assert np.allclose(lc.batch_residuals(A, b), lc._svd_residuals(A, b), rtol=0, atol=1e-12 * np.abs(b).sum())
 
-    def test_wrong_w_falls_back_to_the_svd(self, rng, monkeypatch):
+    @pytest.mark.parametrize("ratio", [2e-9, 1.2e-9, 1e-9, 8e-10])
+    def test_unproven_rank_falls_back_to_the_svd(self, rng, monkeypatch, ratio):
+        # a trailing singular value this close to the cut leaves the rank to the SVD
         svd_rows = []
         svd = lc._svd_residuals
         monkeypatch.setattr(lc, "_svd_residuals", lambda A, b: svd_rows.append(len(A)) or svd(A, b))
-        for A, b, W in self._null_stacks(rng):
-            if A.shape[2] <= A.shape[1] - W.shape[2]:
-                continue  # full column rank: certified without W
-            wrong = np.linalg.qr(rng.standard_normal(W.shape))[0]
-            svd_rows.clear()
-            res = lc.batch_residuals(A, b, wrong)
-            assert svd_rows == [len(A)]
-            for i in range(len(A)):
-                _, ref = lc.least_squares(A[i], b[i])
-                assert abs(res[i] - ref) <= 1e-12 * max(1.0, np.linalg.norm(b[i]))
+        A = np.array([self._permuted_diagonal(rng, 7, 6, [3.0, 1.0, 2.0, 3.0 * ratio])[0] for _ in range(4)])
+        b = rng.standard_normal((4, 7))
+        assert np.array_equal(lc.batch_residuals(A, b), svd(A, b))
+        assert svd_rows == [4]
 
-    def test_misshapen_w_rejected(self, rng):
-        A, b = rng.standard_normal((3, 4, 4)), rng.standard_normal((3, 4))
-        for W in (np.zeros((3, 4)), np.zeros((3, 5, 1)), np.zeros((2, 4, 1))):
-            with pytest.raises(InputError):
-                lc.batch_residuals(A, b, W)
+    @staticmethod
+    @st.composite
+    def _ranked_stacks(draw):
+        """Stacks of a chosen rank, tall or wide, with singular values spread
+        over up to 10^spread, maybe one trailing value near the cut, maybe
+        a zero row and a zero column, scaled by 10^-8 .. 10^8."""
+        r, k = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+        rank = draw(st.integers(0, min(r, k)))
+        spread = draw(st.sampled_from([0.5, 2.0, 4.0]))
+        trail = draw(st.sampled_from([None, 1e-8, 1.2e-9, 1e-9, 8e-10, 1e-13]))
+        zero_row, zero_col = draw(st.booleans()), draw(st.booleans())
+        scale = 10.0 ** draw(st.integers(-8, 8))
+        gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        s = np.sort(10.0 ** -gen.uniform(0, spread, (3, rank)), axis=1)[:, ::-1]
+        if trail is not None and rank < min(r, k):
+            s = np.concatenate([s, s[:, :1] * trail], axis=1)
+        U = np.linalg.qr(gen.standard_normal((3, r, r)))[0][:, :, :s.shape[1]]
+        V = np.linalg.qr(gen.standard_normal((3, k, k)))[0][:, :, :s.shape[1]]
+        A = (U * s[:, None, :]) @ V.transpose(0, 2, 1)
+        if zero_row:
+            A[:, gen.integers(r)] = 0.0
+        if zero_col:
+            A[:, :, gen.integers(k)] = 0.0
+        return scale * A, scale * gen.standard_normal((3, r))
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(_ranked_stacks())
+    def test_matches_the_svd(self, stack):
+        A, b = stack
+        err = np.abs(lc.batch_residuals(A, b) - lc._svd_residuals(A, b))
+        assert np.all(err <= 1e-12 * np.linalg.norm(b, axis=1))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_system_rejected(self, rng, bad):
@@ -187,6 +215,14 @@ class TestPfaffian:
     def test_not_skew_rejected(self):
         with pytest.raises(InputError):
             lc.pfaffian_numeric(np.eye(2))
+
+    @pytest.mark.parametrize("s", [1e-20, 1e-8, 1.0, 1e8])
+    def test_skewness_is_relative(self, s):
+        S = np.array([[0.0, 1.0], [-0.8, 0.0]])  # off skew by a fifth of its norm
+        with pytest.raises(InputError):
+            lc.pfaffian_numeric(s * S)
+        assert lc.pfaffian_numeric(s * np.array([[0.0, 1.0], [-1.0, 0.0]])) == s
+        assert lc.pfaffian_numeric(np.zeros((2, 2))) == 0.0
 
     def test_exact(self):
         S = [[Q(0), Q(1, 2), Q(3), Q(0)],

@@ -6,7 +6,7 @@ import nilgo.linear_core as lc
 from nilgo import MetricParameter, SkewOperatorSubspace, heisenberg, n10, skew_derivations, split_two_step
 from nilgo.errors import InputError, PreconditionError
 from nilgo.families import family_thm2, h_type_clifford, l_matrix, quaternionic_heisenberg, r_matrix, vt_subspace
-from nilgo.go_checker import apply_center_metric
+from nilgo.go_checker import SamplerConfig, apply_center_metric, normalizer_resolve_residual
 from nilgo.jmaps import split_family
 from nilgo.operator_subspaces import (
     _upper_pairs,
@@ -277,6 +277,15 @@ class TestNormalizerScale:
         scales = 10.0 ** np.arange(-15, 16)
         dims = [normalizer_in_so(SkewOperatorSubspace(V.ambient_dim, s * V.basis)).dim for s in scales]
         assert dims == [dim] * len(dims)
+
+    @pytest.mark.parametrize("name", sorted(NORMALIZER_DIMS))
+    def test_resolve_residual_at_every_scale(self, name):
+        # the centralizer residual is relative to |X| |V|, with no absolute floor
+        V = NORMALIZER_DIMS[name][0]()
+        config = SamplerConfig(samples=10)
+        values = [normalizer_resolve_residual(SkewOperatorSubspace(V.ambient_dim, s * V.basis), config)
+                  for s in (1e-15, 1e-10, 1e-6, 1e-5, 1.0, 1e5, 1e10, 1e15)]
+        assert np.allclose(values, values[4], rtol=0, atol=1e-13)
 
 
 class TestSubalgebra:
