@@ -57,7 +57,8 @@ def algebra_from_jmaps(generators, q=None) -> MetricLieAlgebra:
     exact = all(issubclass(t, (int, Fraction)) for t in set(map(type, itertools.chain(W.flat, qm.flat))))
     if exact:
         W, wden = _over_common_denominator(W)
-        qinv, qden = _over_common_denominator(np.array(lc.rat_inv(qm.tolist()), dtype=object))
+        columns = [lc.bareiss_solve(qm.tolist(), e) for e in np.eye(m, dtype=int).tolist()]  # q^-1 e_j
+        qinv, qden = _over_common_denominator(np.array(columns, dtype=object).T)
     else:
         W, qinv = W.astype(float), np.linalg.inv(qm.astype(float))
     w = sum((qinv[:, j, None, None] * W[j] for j in range(m)), np.zeros((m, n, n), dtype=W.dtype))

@@ -1,9 +1,10 @@
 """Dense real and exact-rational linear algebra kernels.
 
-Floating point paths are rank-revealing (SVD based) with the relative
-threshold :data:`TAU_RANK`, which certificates record.  The rational
-path works on nested lists of :class:`fractions.Fraction` and is the
-in-repo oracle for derived values.
+Floating point paths are rank-revealing (SVD or certified QR) with the
+relative threshold :data:`TAU_RANK`, which certificates record.  Exact
+ranks, pivots and solves are one fraction-free Bareiss elimination of
+the rows scaled to integers (:func:`_echelon`); exact Pfaffians are its
+skew variant.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -227,82 +227,16 @@ def pfaffian_combinatorial(S) -> float:
 # exact rational path
 # ---------------------------------------------------------------------------
 
-RationalMatrix = list  # nested lists of Fraction; helpers below construct them
 
+def _echelon(M) -> tuple[list[list[int]], list[int]]:
+    """Integer echelon rows of a rational matrix and their pivot columns.
 
-def rational_matrix(rows) -> list[list[Fraction]]:
-    """Build a rational matrix from any nested numeric data."""
-    out = []
-    width = None
-    for row in rows:
-        r = [Fraction(x) for x in row]
-        if width is None:
-            width = len(r)
-        elif len(r) != width:
-            raise InputError("ragged rational matrix")
-        out.append(r)
-    return out
-
-
-def rat_rref(M: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form (copy) and pivot column indices."""
-    m = [row[:] for row in M]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
-
-
-def rat_rank(M: list[list[Fraction]]) -> int:
-    return len(rat_rref(M)[1])
-
-
-def rat_solve(M: list[list[Fraction]], b: Sequence[Fraction]):
-    """One exact solution of ``Mx = b``, or ``None`` if inconsistent."""
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    aug = [list(M[i]) + [Fraction(b[i])] for i in range(rows)]
-    rref, pivots = rat_rref(aug)
-    if cols in pivots:
-        return None
-    x = [Fraction(0)] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = rref[r][cols]
-    return x
-
-
-def rat_inv(M: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(M)
-    aug = [[Fraction(M[i][j]) for j in range(n)] + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    rref, pivots = rat_rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise InputError("matrix is singular")
-    return [row[n:] for row in rref]
-
-
-def bareiss_pivots(M) -> list[int]:
-    """Pivot columns of a rational matrix, in order.
-
-    Fraction-free Bareiss elimination on the rows scaled to integers;
-    much faster than Fraction rref on the large witness-verification
-    systems.  Rows of Python ints are taken as they are; only the other
-    rows have their denominators cleared.
+    Fraction-free Bareiss (1968) elimination on the rows scaled to
+    integers: each pivot row is a rational combination of the rows of M,
+    its entries left of its pivot column are zero, and dividing by the
+    previous pivot is exact.  Rows of Python ints are taken as they are;
+    only the other rows have their denominators cleared.  Zero rows are
+    dropped as they appear, so the rows returned are the pivot rows.
     """
     rows = []
     for row in M:
@@ -313,7 +247,7 @@ def bareiss_pivots(M) -> list[int]:
         den = math.lcm(*(x.denominator for x in fr))
         rows.append([int(x * den) for x in fr])
     if not rows:
-        return []
+        return [], []
     ncols = len(rows[0])
     rows = [row for row in rows if any(row)]  # a zero row stays zero and never pivots
     prev = 1
@@ -340,12 +274,42 @@ def bareiss_pivots(M) -> list[int]:
         r += 1
         if r == len(rows):
             break
-    return pivots
+    return rows[:r], pivots
+
+
+def _back_substitute(rows, pivots, n) -> list[Fraction]:
+    """The solution of the echelon system ``rows = [U | c]`` in ``n``
+    unknowns with the free unknowns set to zero."""
+    x = [Fraction(0)] * n
+    for row, c in zip(reversed(rows), reversed(pivots)):
+        x[c] = Fraction(row[n] - sum(row[j] * x[j] for j in range(c + 1, n)), row[c])
+    return x
+
+
+def bareiss_pivots(M) -> list[int]:
+    """Pivot columns of a rational matrix, in order (:func:`_echelon`)."""
+    return _echelon(M)[1]
 
 
 def bareiss_rank(M) -> int:
     """Rank of an integer (or rational, after denominator clearing) matrix."""
-    return len(bareiss_pivots(M))
+    return len(_echelon(M)[1])
+
+
+def bareiss_solve(M, b):
+    """One exact solution of ``M x = b`` with the free unknowns set to zero,
+    or ``None`` if the system is inconsistent.
+
+    One :func:`_echelon` of ``[M | b]`` and a back substitution; a pivot
+    in the right-hand column means inconsistent.
+    """
+    if len(M) != len(b):
+        raise InputError(f"dimension mismatch: {len(M)} rows vs {len(b)} entries")
+    n = len(M[0]) if len(M) else 0
+    rows, pivots = _echelon([[*row, v] for row, v in zip(M, b)])
+    if n in pivots:
+        return None
+    return _back_substitute(rows, pivots, n)
 
 
 def pfaffian_exact(M) -> Fraction:
@@ -463,7 +427,8 @@ def interpolate_homogeneous2(evals, degree: int) -> HomogeneousPolynomial2:
     """Recover a homogeneous bivariate polynomial from point evaluations.
 
     Uses exact rational solving whenever every input is rational, otherwise
-    floating least squares with a consistency check at 1e-9 relative.
+    floating least squares with the rank cut at ``TAU_RANK`` and a
+    consistency check at 1e-9 relative to the values.
     """
     if degree < 0:
         raise InputError("degree must be non-negative")
@@ -476,19 +441,17 @@ def interpolate_homogeneous2(evals, degree: int) -> HomogeneousPolynomial2:
     )
     if exact:
         # one elimination of the augmented Vandermonde rows gives the rank and the consistency
-        aug = [[Fraction(x) ** a * Fraction(y) ** (degree - a) for a in range(degree + 1)] + [Fraction(v)]
-               for x, y, v in pts]
-        rref, pivots = rat_rref(aug)
+        rows, pivots = _echelon([[x**a * y ** (degree - a) for a in range(degree + 1)] + [v] for x, y, v in pts])
         if pivots[: degree + 1] != list(range(degree + 1)):
             raise InterpolationError("evaluation points do not determine the polynomial")
         if len(pivots) > degree + 1:
             raise InterpolationError("inconsistent evaluations")
-        return HomogeneousPolynomial2(degree, tuple(row[degree + 1] for row in rref[: degree + 1]))
+        return HomogeneousPolynomial2(degree, tuple(_back_substitute(rows, pivots, degree + 1)))
     A = np.array([[float(x) ** a * float(y) ** (degree - a) for a in range(degree + 1)] for x, y, v in pts])
     b = np.array([float(v) for _, _, v in pts])
-    if np.linalg.matrix_rank(A, tol=1e-12 * max(1.0, np.linalg.norm(A))) < degree + 1:
+    if len(nullspace(A)):
         raise InterpolationError("evaluation points do not determine the polynomial")
     coeffs, residual = least_squares(A, b)
-    if residual > 1e-9 * max(1.0, np.linalg.norm(b)):
+    if residual > 1e-9 * np.linalg.norm(b):
         raise InterpolationError("inconsistent evaluations")
     return HomogeneousPolynomial2(degree, tuple(float(c) for c in coeffs))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nilgo import h_type_clifford, heisenberg, make_algebra
-from nilgo.linear_core import rat_inv
+from rational_oracles import rat_inv
 
 # filled by the acceptance suite, replayed after capture ends
 acceptance_lines = []

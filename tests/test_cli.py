@@ -98,6 +98,15 @@ class TestAnalysis:
         assert code == 0
         assert json.loads(out)["verdict"] == "distinct"
 
+    @pytest.mark.parametrize("exact,approx", [("3/2,2,3", "1.5,2.0,3.0"), ("2,3,5,7", "2.0,3.0,5.0,7.0")])
+    def test_invariant_float_and_exact_documents_agree(self, capsys, tmp_path, exact, approx):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        run(capsys, "family", "thm2", "--ts", exact, "-o", str(a))
+        run(capsys, "family", "thm2", "--ts", approx, "-o", str(b))
+        code, out = run(capsys, "invariant", str(a), str(b))
+        assert code == 0
+        assert json.loads(out)["verdict"] == "equivalent_invariants"
+
     def test_derivations(self, capsys, tmp_path):
         path = tmp_path / "alg.json"
         run(capsys, "family", "heisenberg", "--k", "1", "-o", str(path))

@@ -17,7 +17,6 @@ from nilgo import (
     split_two_step,
     validate,
 )
-from nilgo import linear_core as lc
 from nilgo.algebra import _format_value
 from nilgo.errors import InputError
 from nilgo.families import (
@@ -36,6 +35,7 @@ from nilgo.families import (
     vt_subspace,
 )
 from nilgo.operator_subspaces import SkewOperatorSubspace, centralizer_in_so, subspace_contains, subspaces_equal
+from rational_oracles import rat_inv
 
 
 class TestHeisenberg:
@@ -218,7 +218,7 @@ def _reference_algebra_from_jmaps(generators, q=None):
     exact = all(isinstance(x, (int, Q)) for G in generators for row in G for x in row) and all(
         isinstance(x, (int, Q)) for r in qrows for x in r
     )
-    qinv = lc.rat_inv(qrows) if exact else np.linalg.inv(np.array(qrows, dtype=float))
+    qinv = rat_inv(qrows) if exact else np.linalg.inv(np.array(qrows, dtype=float))
     structure = np.zeros((d, d, d), dtype=object)
     for a in range(n):
         for b in range(n):

@@ -19,6 +19,7 @@ from nilgo import (
     split_two_step,
 )
 from nilgo.errors import InputError, PreconditionError
+from nilgo.invariants import distinguish
 from nilgo.jmaps import build_jmap_family, split_family
 
 
@@ -161,6 +162,16 @@ class TestPfaffianForm:
         p = pfaffian_form(split_two_step(n10(2.0)))
         assert not p.is_exact
         assert np.allclose(p.float_coeffs(), [1.0, 0.0, 5.0, 0.0, 4.0])
+
+    @pytest.mark.parametrize("ts", [(Q(3, 2), 2, 3), (2, 3, 5, 7)])
+    def test_float_path_matches_exact_at_high_degree(self, ts):
+        # degree 8 and 10: the float points must keep the interpolation well conditioned
+        exact = pfaffian_form(split_two_step(family_thm2(list(ts))))
+        approx = pfaffian_form(split_two_step(family_thm2([float(t) for t in ts])))
+        assert exact.is_exact and not approx.is_exact
+        ref = exact.float_coeffs()
+        assert np.max(np.abs(approx.float_coeffs() - ref)) <= 1e-9 * np.max(np.abs(ref))
+        assert distinguish(exact, approx) == "equivalent_invariants"
 
 
 class TestRadonHurwitz:

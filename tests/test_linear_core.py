@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import nilgo.linear_core as lc
 from nilgo.errors import InputError, InterpolationError
+from rational_oracles import rat_inv, rat_rank, rat_rref, rat_solve, rational_matrix
 
 
 def random_skew(rng, n):
@@ -182,7 +183,7 @@ class TestBareissIntegerRows:
             if m > 2:
                 M[1] = [2 * x for x in M[0]]  # a row that eliminates to zero
                 M[2] = [int(x * 6) for x in M[0]]  # an integer row
-            assert lc.bareiss_pivots(M) == lc.rat_rref(lc.rational_matrix(M))[1]
+            assert lc.bareiss_pivots(M) == rat_rref(rational_matrix(M))[1]
 
     def test_integer_rows_are_not_converted(self, monkeypatch):
         def no_fraction(*args):
@@ -261,33 +262,99 @@ class TestPfaffian:
 
 class TestRationalKernels:
     def test_rref_rank(self):
-        M = lc.rational_matrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-        assert lc.rat_rank(M) == 2
+        M = rational_matrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+        assert rat_rank(M) == 2
 
     def test_inv_solve(self):
-        M = lc.rational_matrix([[2, 1], [1, 1]])
-        inv = lc.rat_inv(M)
+        M = rational_matrix([[2, 1], [1, 1]])
+        inv = rat_inv(M)
         prod = [[sum(M[i][k] * inv[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
         assert prod == [[1, 0], [0, 1]]
-        x = lc.rat_solve(M, [Q(3), Q(2)])
+        x = rat_solve(M, [Q(3), Q(2)])
         assert x == [Q(1), Q(1)]
 
     def test_solve_inconsistent(self):
-        M = lc.rational_matrix([[1, 1], [1, 1]])
-        assert lc.rat_solve(M, [Q(0), Q(1)]) is None
+        M = rational_matrix([[1, 1], [1, 1]])
+        assert rat_solve(M, [Q(0), Q(1)]) is None
 
     def test_bareiss_rank(self):
-        M = lc.rational_matrix([[1, 2, 3], [2, 4, 6], [0, 1, 1], [1, 0, 1]])
-        assert lc.bareiss_rank(M) == lc.rat_rank(M)
+        M = rational_matrix([[1, 2, 3], [2, 4, 6], [0, 1, 1], [1, 0, 1]])
+        assert lc.bareiss_rank(M) == rat_rank(M)
 
     def test_bareiss_rank_with_fractions(self):
         M = [[Q(1, 2), Q(1, 3)], [Q(1, 4), Q(1, 6)]]
         assert lc.bareiss_rank(M) == 1
 
     def test_bareiss_pivots_match_rref(self):
-        M = lc.rational_matrix([[0, 2, 3, 1], [0, 4, 6, 2], [0, 1, 1, Q(1, 3)], [0, 0, 0, 5]])
-        assert lc.bareiss_pivots(M) == lc.rat_rref(M)[1] == [1, 2, 3]
+        M = rational_matrix([[0, 2, 3, 1], [0, 4, 6, 2], [0, 1, 1, Q(1, 3)], [0, 0, 0, 5]])
+        assert lc.bareiss_pivots(M) == rat_rref(M)[1] == [1, 2, 3]
         assert lc.bareiss_pivots([]) == []
+
+    def test_bareiss_solve_singular_square(self):
+        M = [[1, 2], [2, 4]]
+        assert lc.bareiss_solve(M, [1, 2]) == [1, 0]  # the free unknown is zero
+        assert lc.bareiss_solve(M, [1, 3]) is None
+
+    def test_bareiss_solve_wide(self):
+        M = [[1, 2, 3], [0, 1, 1]]
+        x = lc.bareiss_solve(M, [Q(1, 2), 2])
+        assert x == [Q(-7, 2), 2, 0]
+        assert [sum(m * v for m, v in zip(row, x)) for row in M] == [Q(1, 2), 2]
+
+    def test_bareiss_solve_tall(self):
+        M = [[1, 0], [0, 1], [1, 1]]
+        assert lc.bareiss_solve(M, [1, 2, 3]) == [1, 2]
+        assert lc.bareiss_solve(M, [1, 2, 4]) is None
+
+    def test_bareiss_solve_zero_matrix(self):
+        assert lc.bareiss_solve([[0, 0], [0, 0]], [0, 0]) == [0, 0]
+        assert lc.bareiss_solve([[0, 0], [0, 0]], [0, Q(1, 3)]) is None
+
+    def test_bareiss_solve_empty(self):
+        assert lc.bareiss_solve([], []) == []
+        assert lc.bareiss_solve([[], []], [0, 0]) == []
+        assert lc.bareiss_solve([[], []], [0, 1]) is None
+
+    def test_bareiss_solve_length_mismatch(self):
+        with pytest.raises(InputError):
+            lc.bareiss_solve([[1, 0], [0, 1]], [1])
+
+
+class TestBareissSolve:
+    @st.composite
+    def _systems(draw):
+        """Rational M and b, with maybe a row and a column of M that combine
+        two others, and b either M times a rational vector or free."""
+        import random
+
+        r, k = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        gen = random.Random(draw(st.integers(0, 2**32 - 1)))
+        pool = [0, 0, 1, -1, 2, -3, 4, Q(1, 2), Q(-2, 3), Q(5, 3)]
+        q = lambda: gen.choice(pool)
+        M = [[q() for _ in range(k)] for _ in range(r)]
+        if r > 2 and draw(st.booleans()):
+            a, c = q(), q()
+            M[-1] = [a * x + c * y for x, y in zip(M[0], M[1])]
+        if k > 2 and draw(st.booleans()):
+            a, c = q(), q()
+            for row in M:
+                row[-1] = a * row[0] + c * row[1]
+        if draw(st.booleans()):
+            x = [q() for _ in range(k)]
+            b = [sum(m * v for m, v in zip(row, x)) for row in M]
+        else:
+            b = [q() for _ in range(r)]
+        return M, b
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_systems())
+    def test_matches_fraction_rref(self, system):
+        M, b = system
+        x = lc.bareiss_solve(M, b)
+        assert (x is None) == (rat_solve(rational_matrix(M), b) is None)
+        if x is not None:
+            assert [sum(m * v for m, v in zip(row, x)) for row in M] == b
+        assert lc.bareiss_rank(M) == rat_rank(rational_matrix(M))
 
 
 class TestHomogeneousPolynomial:
@@ -345,6 +412,19 @@ class TestHomogeneousPolynomial:
         with pytest.raises(InterpolationError, match="inconsistent"):
             lc.interpolate_homogeneous2(pts, 1)
 
+    def test_interpolate_inconsistent_at_small_scale(self):
+        # the data of test_interpolate_inconsistent in floats, values scaled by 1e-12
+        pts = [((0.0, 1.0), 1.0), ((1.0, 0.0), 2.0), ((1.0, 1.0), 3.0), ((1.0, 2.0), 5.0)]
+        with pytest.raises(InterpolationError, match="inconsistent"):
+            lc.interpolate_homogeneous2([(p, 1e-12 * v) for p, v in pts], 1)
+
+    def test_interpolate_at_small_points(self):
+        # a quartic sampled at points scaled by 1e-5: the values are about 1e-20
+        p = lc.HomogeneousPolynomial2(4, (1.0, -2.0, 0.5, 3.0, 1.0))
+        pts = [(1e-5 * x, 1e-5 * y) for x, y in [(0, 1), (1, 0), (1, 1), (1, 2), (1, -1), (2, 1)]]
+        rec = lc.interpolate_homogeneous2([((x, y), p(x, y)) for x, y in pts], 4)
+        assert np.max(np.abs(rec.float_coeffs() - p.float_coeffs())) <= 1e-9 * 3.0
+
     def test_interpolate_degenerate_before_inconsistent(self):
         # the points fix no quadratic, whatever the values
         pts = [((Q(1), Q(1)), Q(1)), ((Q(2), Q(2)), Q(7)), ((Q(1), Q(1)), Q(2))]
@@ -357,6 +437,6 @@ class TestHomogeneousPolynomial:
             pts = [(Q(1), Q(int(s), 3)) for s in rng.permutation(40)[: degree + 4]]
             evals = [((x, y), p(x, y)) for x, y in pts]
             rows = [[x**a * y ** (degree - a) for a in range(degree + 1)] for x, y in pts]
-            assert lc.rat_rank(rows) == degree + 1
-            expected = lc.rat_solve(rows, [v for _, v in evals])
+            assert rat_rank(rows) == degree + 1
+            expected = rat_solve(rows, [v for _, v in evals])
             assert lc.interpolate_homogeneous2(evals, degree).coeffs == tuple(expected) == p.coeffs

@@ -18,15 +18,12 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 SRC = str(ROOT / "src")
 
 # test oracles and paper objects that only the unit tests call, on purpose:
-# the exact reference kernels of linear_core, the diagonal centralizer of
+# the combinatorial Pfaffian of linear_core, the diagonal centralizer of
 # the 4k+6 family and the metric pairing that is the reference of the
 # geodesic rate test (tests/test_geodesics.py::_reference_rate)
 ORACLES = (
     "inner",
     "pfaffian_combinatorial",
-    "rational_matrix",
-    "rat_rank",
-    "rat_solve",
     "thm2_diagonal_centralizer",
 )
 
