@@ -20,6 +20,9 @@ from .errors import InputError, InterpolationError
 
 # the one relative singular-value cut of every numerical rank decision
 TAU_RANK = 1e-9
+# below this many columns one dense SVD is faster than finding and solving
+# the independent blocks of :func:`nullspace` (timed per system shape; README)
+BLOCK_MIN_COLS = 48
 
 
 def as_matrix(a) -> np.ndarray:
@@ -38,14 +41,88 @@ def nullspace(A) -> np.ndarray:
     """Orthonormal basis (rows, ``(k, n)``) of the numerical nullspace of ``A``.
 
     Rank counts the singular values above ``TAU_RANK`` times the largest one.
+    A system of at least ``BLOCK_MIN_COLS`` columns whose exact nonzero
+    pattern falls apart into independent blocks is solved block by block
+    (:func:`_block_nullspace`): the same rank and span, each basis vector
+    supported on the columns of one block.
     """
     A = as_matrix(A)
     if A.size == 0 or not np.any(A):
         return np.eye(A.shape[1])
+    if A.shape[1] >= BLOCK_MIN_COLS:
+        row_block, col_block = _blocks(A != 0)
+        if col_block.max() > 0:
+            return _block_nullspace(A, row_block, col_block)
     # U is never used; a wide A still needs the full V for its nullspace
     _, s, vt = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
     rank = int(np.sum(s > TAU_RANK * s[0]))
     return vt[rank:]
+
+
+def _blocks(nz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The connected components of the nonzero pattern ``nz`` (columns
+    linked through shared rows): the block of each row (-1 for a zero row)
+    and of each column, blocks numbered in the order of their first columns.
+
+    Every column starts labelled by itself and takes the smallest label
+    among the columns it shares a row with, then the label of its label,
+    until nothing changes; each column is then labelled by the first column
+    of its block.
+    """
+    n = nz.shape[1]
+    r, c = np.nonzero(nz)  # row-major: r is sorted
+    new_row = np.diff(r, prepend=-1) != 0
+    row_start = np.flatnonzero(new_row)
+    row_of = np.cumsum(new_row) - 1  # position of each entry's row among the nonzero rows
+    by_col = np.argsort(c, kind="stable")
+    col_start = np.flatnonzero(np.diff(c[by_col], prepend=-1))
+    cols = c[by_col[col_start]]
+    label = np.arange(n)
+    while True:
+        row_min = np.minimum.reduceat(label[c], row_start)[row_of]
+        new = label.copy()
+        new[cols] = np.minimum(label[cols], np.minimum.reduceat(row_min[by_col], col_start))
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    col_block = (np.cumsum(label == np.arange(n)) - 1)[label]
+    row_block = np.full(nz.shape[0], -1)
+    row_block[r[row_start]] = col_block[c[row_start]]
+    return row_block, col_block
+
+
+def _block_nullspace(A: np.ndarray, row_block: np.ndarray, col_block: np.ndarray) -> np.ndarray:
+    """:func:`nullspace` of ``A`` from its independent blocks (:func:`_blocks`),
+    one stacked SVD per block shape.
+
+    Every block is cut at ``TAU_RANK`` times the largest singular value over
+    all blocks, which is the dense SVD's largest, so rank and span stay the
+    dense path's; a cut per block would keep a block's own small values.
+    Each block's null vectors go back into its own columns; an all-zero
+    column is a block with no rows and gives a unit vector.
+    """
+    n = A.shape[1]
+    rows = np.argsort(row_block, kind="stable")[np.count_nonzero(row_block < 0):]  # grouped by block
+    cols = np.argsort(col_block, kind="stable")
+    n_rows = np.bincount(row_block[row_block >= 0], minlength=col_block.max() + 1)
+    n_cols = np.bincount(col_block)
+    first_row, first_col = np.cumsum(n_rows) - n_rows, np.cumsum(n_cols) - n_cols
+    solved = []
+    for r, c in dict.fromkeys(zip(n_rows.tolist(), n_cols.tolist())):
+        which = np.flatnonzero((n_rows == r) & (n_cols == c))
+        R = rows[first_row[which, None] + np.arange(r)]
+        C = cols[first_col[which, None] + np.arange(c)]
+        _, s, vt = np.linalg.svd(A[R[:, :, None], C[:, None, :]], full_matrices=r < c)
+        solved.append((C, s, vt))
+    cut = TAU_RANK * max(s.max(initial=0.0) for _, s, _ in solved)
+    basis = []
+    for C, s, vt in solved:
+        block, j = np.nonzero(np.arange(C.shape[1]) >= np.count_nonzero(s > cut, axis=1)[:, None])
+        N = np.zeros((len(block), n))
+        N[np.arange(len(block))[:, None], C[block]] = vt[block, j]
+        basis.append(N)
+    return np.concatenate(basis)
 
 
 def least_squares(A, b) -> tuple[np.ndarray, float]:

@@ -36,11 +36,11 @@ class SkewOperatorSubspace:
         if not np.all(np.isfinite(B)):
             raise InputError("basis matrix has non-finite entries")
         asym = np.abs(B + B.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
-        if np.any(asym > 1e-12 * np.maximum(1.0, np.abs(B).max(axis=(1, 2), initial=0.0))):
+        if np.any(asym > 1e-12 * np.abs(B).max(axis=(1, 2), initial=0.0)):
             raise InputError("basis matrix is not skew-symmetric")
         if len(B):
-            M = B.reshape(len(B), -1)
-            if np.linalg.matrix_rank(M, tol=lc.TAU_RANK * np.linalg.norm(M)) < len(B):
+            s = np.linalg.svd(B.reshape(len(B), -1), compute_uv=False)
+            if np.count_nonzero(s > lc.TAU_RANK * s.max(initial=0.0)) < len(B):
                 raise InputError("basis matrices are linearly dependent")
         object.__setattr__(self, "basis", B)
 

@@ -33,7 +33,7 @@ def rat_rref(M: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
+        inv = Fraction(1) / m[r][c]  # exact also for an int pivot
         m[r] = [x * inv for x in m[r]]
         for i in range(rows):
             if i != r and m[i][c] != 0:

@@ -42,6 +42,81 @@ class TestNullspaceLeastSquares:
         assert np.isclose(res, np.sqrt(2.0))
 
 
+class TestBlockNullspace:
+    @staticmethod
+    @st.composite
+    def _block_systems(draw):
+        """A block-diagonal matrix under random row and column permutations,
+        with its exact null projector and the block of each column.
+
+        Blocks are tall, wide or square, of any rank (a rank-0 block gives
+        zero rows and zero columns), with singular values in [0.1, 1] times
+        a block scale in [0.1, 1]; padded with generic blocks to at least
+        BLOCK_MIN_COLS columns, or one generic block of that width.  Maybe
+        one block has two values just above and just below the cut,
+        TAU_RANK times the largest value of the whole matrix: a cut per
+        block would keep both.  Returns the matrix scaled by 10^-8 .. 10^8,
+        the exact null projector, the block of each column and the gap
+        between the smallest kept and the largest dropped singular value.
+        """
+        gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        single = draw(st.booleans()) and draw(st.booleans())
+        if single:
+            shapes = [(draw(st.integers(20, 70)), draw(st.integers(lc.BLOCK_MIN_COLS, lc.BLOCK_MIN_COLS + 12)))]
+        else:
+            shapes = [(draw(st.integers(1, 7)), draw(st.integers(1, 7))) for _ in range(draw(st.integers(1, 8)))]
+        blocks = []  # (singular values, rows, columns)
+        for r, c in shapes:
+            rank = draw(st.integers(0, min(r, c)))
+            scale = gen.uniform(0.1, 1.0)
+            blocks.append((scale * gen.uniform(0.1, 1.0, rank), r, c))
+        smax = 1.0
+        blocks[0][0][:1] = smax  # the largest value of the whole matrix, when block 0 has rank >= 1
+        if not len(blocks[0][0]):
+            blocks.append((np.array([smax]), 1, 1))
+        near_cut = draw(st.booleans())
+        if near_cut:
+            above, below = draw(st.floats(1.05, 10.0)), draw(st.floats(0.1, 0.95))
+            blocks.append((lc.TAU_RANK * smax * np.array([above, below]), 3, 2))
+        while sum(c for *_, c in blocks) < lc.BLOCK_MIN_COLS and not single:
+            blocks.append((gen.uniform(0.1, 1.0, 3), 3, 4))
+        m, n = sum(r for _, r, _ in blocks), sum(c for *_, c in blocks)
+        A, P, col_block = np.zeros((m, n)), np.zeros((n, n)), np.zeros(n, dtype=int)
+        cut, kept, dropped = lc.TAU_RANK * smax, [], [0.0]
+        i = j = 0
+        for b, (s, r, c) in enumerate(blocks):
+            U = np.linalg.qr(gen.standard_normal((r, r)))[0][:, : len(s)]
+            V = np.linalg.qr(gen.standard_normal((c, c)))[0]
+            A[i : i + r, j : j + c] = (U * s) @ V[:, : len(s)].T
+            null = V[:, np.count_nonzero(s > cut) :]
+            P[j : j + c, j : j + c] = null @ null.T
+            col_block[j : j + c] = b
+            kept += list(s[s > cut])
+            dropped += list(s[s <= cut])
+            i, j = i + r, j + c
+        rows, cols = gen.permutation(m), gen.permutation(n)
+        A, P, col_block = A[rows][:, cols], P[cols][:, cols], col_block[cols]
+        return 10.0 ** draw(st.integers(-8, 8)) * A, P, col_block, min(kept) - max(dropped)
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(_block_systems())
+    def test_matches_the_dense_svd(self, system):
+        A, P, col_block, gap = system
+        N = lc.nullspace(A)
+        _, s, vt = np.linalg.svd(A, full_matrices=True)
+        dense = vt[np.count_nonzero(s > lc.TAU_RANK * s[0]) :]
+        assert len(N) == len(dense) == round(np.trace(P))
+        assert np.allclose(N @ N.T, np.eye(len(N)), rtol=0, atol=1e-12)
+        assert np.allclose(N.T @ N, P, rtol=0, atol=1e-12)
+        # the dense SVD is only as exact as its round-off (about n eps |A|,
+        # |A| = 1 before the scaling) allows across the gap at the cut
+        # (Wedin's sin theta theorem): about 1e-7 for the near-cut block
+        n = A.shape[1]
+        assert np.allclose(N.T @ N, dense.T @ dense, rtol=0, atol=1e-12 + n * np.finfo(float).eps / gap)
+        if len(set(col_block)) > 1:  # the block path: each vector on one block
+            assert all(len(set(col_block[v != 0])) == 1 for v in N)
+
+
 class TestBatchResiduals:
     @staticmethod
     def _stacks(rng):
@@ -264,6 +339,12 @@ class TestRationalKernels:
     def test_rref_rank(self):
         M = rational_matrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
         assert rat_rank(M) == 2
+
+    def test_rref_on_mixed_int_and_fraction_rows(self):
+        # an int pivot must not turn the elimination into floats
+        M = [[3, Q(7, 3), 0, Q(7, 3)], [1, 0, 0, 0], [0, 1, 0, 1]]
+        assert rat_rank(M) == 2
+        assert all(type(x) is Q for row in rat_rref(M)[0] for x in row)
 
     def test_inv_solve(self):
         M = rational_matrix([[2, 1], [1, 1]])

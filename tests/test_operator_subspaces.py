@@ -43,6 +43,22 @@ class TestSubspaceBasics:
         with pytest.raises(InputError):
             SkewOperatorSubspace(2, [B, 2 * B])
 
+    def test_skewness_is_relative(self):
+        B = np.zeros((1, 2, 2))
+        B[0, 0, 1], B[0, 1, 0] = 1.0, 0.8  # not skew at any scale
+        for scale in (1e-20, 1.0, 1e20):
+            with pytest.raises(InputError):
+                SkewOperatorSubspace(2, scale * B)
+
+    def test_independence_cut_at_the_largest_singular_value(self):
+        # singular values (sqrt 2, sqrt 2, sqrt 2, 2.1e-9): 2.1e-9 is above
+        # TAU_RANK sqrt 2 (the cut), though below TAU_RANK |M|_F = 2.45e-9
+        sb = skew_basis(4)
+        B = np.concatenate([sb[:3], 2.1e-9 / np.sqrt(2) * sb[3:4]])
+        assert SkewOperatorSubspace(4, B).dim == 4
+        with pytest.raises(InputError):
+            SkewOperatorSubspace(4, np.concatenate([sb[:3], 1.3e-9 / np.sqrt(2) * sb[3:4]]))
+
     def test_span_collapses(self):
         B = np.array([[0.0, 1.0], [-1.0, 0.0]])
         V = span_matrices([B, 2 * B, -B], 2)
