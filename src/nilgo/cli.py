@@ -92,12 +92,7 @@ def _env_seed() -> int:
 
 
 def _config_from_args(args) -> go_checker.SamplerConfig:
-    return go_checker.SamplerConfig(
-        seed=args.seed,
-        samples=args.samples,
-        tau_feas=args.tol_feas,
-        tau_refute=args.tol_refute,
-    )
+    return go_checker.SamplerConfig(seed=args.seed, samples=args.samples)
 
 
 def _certificate_exit(cert: go_checker.GOCertificate) -> int:
@@ -263,8 +258,6 @@ def _add_io(p):
 def _add_sampling(p):
     p.add_argument("--seed", type=int, default=None, help="sampling seed (default: NILGO_SEED, else 0)")
     p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--tol-feas", type=float, default=1e-8)
-    p.add_argument("--tol-refute", type=float, default=1e-4)
 
 
 class _Parser(argparse.ArgumentParser):

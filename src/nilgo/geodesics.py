@@ -213,10 +213,11 @@ def orbit_integrate(L: MetricLieAlgebra, X0, D, T: float, h: float) -> Trajector
     X0, steps = _schedule(L, X0, T, h)
     _require_metric_two_step(L)
     D = np.asarray(D, dtype=float)
+    # each defect against the scale of its degree in D and in G or c, with no absolute floor
+    dmax = np.max(np.abs(D))
     skew_res = np.max(np.abs(L.gram @ D + D.T @ L.gram))
     der_res = np.max(np.abs(derivation_defect(L.structure, D)))
-    tol = 1e-8 * max(1.0, float(np.max(np.abs(D))))
-    if skew_res > tol or der_res > tol:
+    if skew_res > 1e-8 * np.max(np.abs(L.gram)) * dmax or der_res > 1e-8 * np.max(np.abs(L.structure)) * dmax:
         raise PreconditionError("D is not a metric-skew derivation")
     # v at every half step: powers of the half-step propagator applied to X0
     vel = _powers(expm(0.5 * h * D), X0, 2 * steps + 1)

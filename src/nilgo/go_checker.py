@@ -40,13 +40,15 @@ VERIFIED_SAMPLED = "verified_sampled"
 REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
 
+# the residual thresholds of every certificate, relative to each sample's scale (see _adjudicate)
+TAU_FEAS = 1e-8
+TAU_REFUTE = 1e-4
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
     seed: int = 0
     samples: int = 200
-    tau_feas: float = 1e-8
-    tau_refute: float = 1e-4
 
     def __post_init__(self):
         if self.samples < 0:
@@ -55,11 +57,7 @@ class SamplerConfig:
             raise InputError(f"seed must be non-negative, got {self.seed}")
 
     def tolerances(self) -> dict:
-        return {
-            "tau_feas": self.tau_feas,
-            "tau_refute": self.tau_refute,
-            "tau_rank": lc.TAU_RANK,
-        }
+        return {"tau_feas": TAU_FEAS, "tau_refute": TAU_REFUTE, "tau_rank": lc.TAU_RANK}
 
 
 @dataclass(frozen=True)
@@ -144,9 +142,9 @@ def _adjudicate(config: SamplerConfig, dims, system, witness) -> GOCertificate:
     ``(A, b, scale)`` of stacked systems ``A[i] z = b[i]`` in plan order;
     each block is one :func:`linear_core.batch_residuals` call.  Scanning
     in plan order, the first sample whose residual relative to its scale
-    exceeds both tau_feas and tau_refute refutes, with
+    exceeds both TAU_FEAS and TAU_REFUTE refutes, with
     ``witness(sample, residual, from_sweep)``; any other sample above
-    tau_feas makes the result inconclusive.  Non-finite systems, scales
+    TAU_FEAS makes the result inconclusive.  Non-finite systems, scales
     or residuals raise InputError.
     """
     plan, n_sweep = _sample_plan(config, dims)
@@ -161,8 +159,8 @@ def _adjudicate(config: SamplerConfig, dims, system, witness) -> GOCertificate:
                     raise InputError("residual scale is not finite")
                 rel.append(lc.batch_residuals(A, b) / np.maximum(scale, 1e-300))
         rel = np.concatenate(rel)
-        over = rel > config.tau_feas
-        refuting = np.flatnonzero(over & (rel > config.tau_refute))
+        over = rel > TAU_FEAS
+        refuting = np.flatnonzero(over & (rel > TAU_REFUTE))
         stop = refuting[0] + 1 if refuting.size else len(rel)
         max_res = max(max_res, float(rel[:stop].max()))
         if over[:stop].any():

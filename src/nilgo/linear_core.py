@@ -188,12 +188,13 @@ def _qr_residuals(A, b, anorm, seed) -> tuple[np.ndarray, np.ndarray]:
     ``anorm``), and the residual is ``|R[rho:, k]|``.  With ``R11 =
     R[:rho, :rho]``, ``R22 = R[rho:, rho:k]``, ``n = min(r, k)`` and u the
     unit round-off, R proves it when
-    - ``1/|R11^-1|_F > TAU_RANK |A|_F``: the SVD keeps at least rho values;
-    - ``|R22|_F <= TAU_RANK |A|_F / sqrt(n)``: it keeps at most rho values;
+    - ``|R22|_F <= TAU_RANK |A|_F / sqrt(n)``: the SVD keeps at most rho values;
     - ``(|R22|_F + n u |A|_F) |R11^-1|_F <= 1e-12``: the span of the first
       rho columns is within that angle of the SVD's (Wedin's sin theta
       theorem, with the QR's round-off added to R22).
-    Callers silence the floating-point warnings.
+    The second implies ``1/|R11^-1|_F > TAU_RANK |A|_F`` (the SVD keeps at
+    least rho values): ``TAU_RANK |A|_F |R11^-1|_F <= 1e-12 TAU_RANK / (n
+    u) < 1``.  Callers silence the floating-point warnings.
     """
     B, r, k = A.shape
     n = min(r, k)
@@ -208,7 +209,7 @@ def _qr_residuals(A, b, anorm, seed) -> tuple[np.ndarray, np.ndarray]:
     colsq = np.einsum("bi,bij->bj", trail, np.square(R))  # squared column norms of R[rho:]
     r22 = np.sqrt(colsq[:, :k].sum(axis=1))
     inorm = _leading_inverse_norm(R, lead)
-    certified = (inorm * cut < 1.0) & (r22 <= cut / math.sqrt(n))
+    certified = r22 <= cut / math.sqrt(n)
     certified &= (r22 + n * np.finfo(float).eps / 2 * anorm) * inorm <= 1e-12
     return np.sqrt(colsq[:, k]), certified
 

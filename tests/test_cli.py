@@ -474,6 +474,24 @@ class TestUsageErrors:
             main(["go-check", heis, "--criterion", "bogus"])
         assert exc.value.code == 64
 
+    def test_non_go_algebra_is_not_certified_under_a_nan_tolerance(self, capsys, tmp_path):
+        # the thresholds are constants: a nan one used to certify the KV check of h_type_clifford(4)
+        path = tmp_path / "h4.json"
+        run(capsys, "family", "h_type_clifford", "--m", "4", "-o", str(path))
+        with pytest.raises(SystemExit) as exc:
+            main(["go-check", str(path), "--criterion", "kv", "--tol-feas", "nan"])
+        assert exc.value.code == 64
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("flag", ["--tol-feas", "--tol-refute"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e-8", "1e-4"])
+    @pytest.mark.parametrize("command", ["go-check", "tnc"])
+    def test_tolerance_flags_are_usage_errors(self, capsys, heis, flag, value, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, heis, "--samples", "3", flag, value])
+        assert exc.value.code == 64
+        assert capsys.readouterr().out == ""
+
 
 class TestMalformedNumbers:
     """A token that looks like a decimal but is not one is bad input, not an internal error."""

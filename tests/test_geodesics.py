@@ -123,6 +123,20 @@ class TestOrbitIntegrate:
         with pytest.raises(PreconditionError):
             orbit_integrate(L, np.ones(3), D, 1.0, 0.1)
 
+    @pytest.mark.parametrize("scale", [1e-9, 1e-6, 1.0])
+    def test_non_derivation_rejected_at_every_scale(self, scale):
+        # the unit skew matrix on (e2, e5) of n10(2) is skew but no derivation
+        D = np.zeros((10, 10))
+        D[2, 5], D[5, 2] = 1.0, -1.0
+        with pytest.raises(PreconditionError, match="derivation"):
+            orbit_integrate(n10(2), np.eye(10)[0], scale * D, 1.0, 0.1)
+
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+    def test_scaled_skew_derivation_accepted(self, scale):
+        L = n10(2)
+        D = skew_derivations(L).basis[0]
+        orbit_integrate(L, np.eye(10)[0], scale * D, 1.0, 0.1)
+
     def test_zero_derivation_gives_one_parameter_line(self):
         L = heisenberg(1)
         X0 = np.array([0.0, 0.0, 2.0])

@@ -141,9 +141,11 @@ def _public_callables_and_fields():
 
 def test_one_rank_threshold():
     # every rank decision, the sweep solves included, uses linear_core.TAU_RANK,
-    # which certificates record; no function or field takes another cut
+    # and every certificate go_checker.TAU_FEAS and TAU_REFUTE, which certificates
+    # record; no function or field takes another cut or threshold
     from nilgo.go_checker import SamplerConfig
 
-    takers = [name for name, params in _public_callables_and_fields() if params & {"tau_rank", "cond_limit"}]
+    cuts = {"tau_rank", "cond_limit", "tau_feas", "tau_refute"}
+    takers = [name for name, params in _public_callables_and_fields() if params & cuts]
     assert takers == []
     assert SamplerConfig().tolerances() == {"tau_feas": 1e-8, "tau_refute": 1e-4, "tau_rank": 1e-9}
