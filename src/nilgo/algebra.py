@@ -287,12 +287,15 @@ def restrict_to_span(L: MetricLieAlgebra, rows: np.ndarray) -> MetricLieAlgebra:
     gram = rows @ L.gram @ rows.T
     structure = np.zeros((k, k, k))
     pinv = np.linalg.pinv(rows)
+    cmax = np.abs(L.structure).max(initial=0.0)
+    norms = np.linalg.norm(rows, axis=1)
     for a in range(k):
         for b in range(a + 1, k):
             w = L.bracket(rows[a], rows[b])
             coords = pinv.T @ w
             back = rows.T @ coords
-            if np.linalg.norm(back - w) > 1e-8 * np.linalg.norm(w):
+            # relative to the bracket's inputs: round-off in w scales with them, not with |w|
+            if np.linalg.norm(back - w) > 1e-8 * cmax * norms[a] * norms[b]:
                 raise PreconditionError("span is not closed under the bracket")
             structure[a, b] = coords
             structure[b, a] = -coords

@@ -277,6 +277,16 @@ class TestFlatFactor:
         assert nilpotency_class(reduced) == 2
         assert split_two_step(reduced).derived_equals_center
 
+    def test_heisenberg_plus_flat_off_axis(self, heisenberg_plus_flat):
+        # the SVD and Gram-Schmidt rows leave ~1e-16 of round-off in their brackets,
+        # in directions outside the span; closure must not read that as |[x, y]|-sized
+        P = [[2, 1, 0, 0, 1], [1, 1, 0, 0, 0], [0, 3, 1, 0, 0], [0, 1, 1, 1, 0], [1, 0, -1, 1, 1]]
+        flat_dim, reduced = detect_flat_factor(change_basis(heisenberg_plus_flat, P))
+        assert flat_dim == 2
+        assert reduced.dim == 3
+        assert nilpotency_class(reduced) == 2
+        assert split_two_step(reduced).derived_equals_center
+
     def test_no_flat_factor(self):
         flat_dim, reduced = detect_flat_factor(heisenberg(1))
         assert flat_dim == 0

