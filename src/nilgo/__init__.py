@@ -27,8 +27,8 @@ from .families import (
 from .geodesics import compare_geodesic_orbit, geodesic_integrate, group_mult, orbit_integrate
 from .go_checker import (
     GOCertificate,
-    MetricParameter,
     SamplerConfig,
+    apply_center_metric,
     gordon_go_check,
     kv_go_check,
     kv_solve,

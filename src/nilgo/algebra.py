@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import linear_core as lc
+from . import invariants, linear_core as lc
 from .errors import InputError, NotTwoStepError, PreconditionError
 
 MAX_DIM = 64
@@ -315,10 +315,15 @@ class NonsingularityResult:
 def is_nonsingular(L: MetricLieAlgebra) -> NonsingularityResult:
     """Decide whether every nonzero J_Z is invertible.
 
-    Exact for m <= 2 via the Pfaffian form; sampled for m >= 3 on the
-    central basis vectors and then 1000 unit vectors drawn from
-    ``default_rng(0)`` (the basis witnesses are re-checked with the exact
-    rank when rational data is available).  For m = 1 and m >= 3
+    An odd n answers no at once, exactly: every skew J_Z of odd size is
+    singular.  For m = 1 the answer is the Pfaffian of J_1; for m = 2 the
+    real projective roots of the Pfaffian form
+    (:func:`invariants.real_root`), decided exactly with Sturm's theorem
+    over Q for rational data and by the root classifier of
+    :func:`invariants.pfaffian_roots` for float data.  For m >= 3 it is
+    sampled on the central basis vectors and then 1000 unit vectors drawn
+    from ``default_rng(0)`` (the basis witnesses are re-checked with the
+    exact rank when rational data is available).  For m = 1 and m >= 3
     a float J_Z counts as singular when its smallest singular value is at
     most TAU_RANK times its largest, so the answer does not depend on the
     scale of the brackets.
@@ -328,8 +333,10 @@ def is_nonsingular(L: MetricLieAlgebra) -> NonsingularityResult:
     split = split_two_step(L)
     if not split.derived_equals_center:
         raise PreconditionError("[n, n] = z is required for non-singularity analysis")
-    fam = jmaps.split_family(split)
     m, n = split.m, split.n
+    if n % 2:  # every skew J_Z of odd size is singular
+        return NonsingularityResult("no", np.eye(m)[0], exact=True)
+    fam = jmaps.split_family(split)
     if m == 1:
         if fam.is_exact:  # Pf(J / den) vanishes with Pf(J)
             pf = lc.pfaffian_exact(fam.generators_exact[0][0].tolist())
@@ -342,16 +349,10 @@ def is_nonsingular(L: MetricLieAlgebra) -> NonsingularityResult:
         return NonsingularityResult("no", np.array([1.0]))
     if m == 2:
         poly = jmaps.pfaffian_form(split)
-        coeffs = poly.float_coeffs()
-        if coeffs[0] == 0.0:  # p(0, 1) = 0: J_{Z_2} singular
-            return NonsingularityResult("no", np.array([0.0, 1.0]), exact=poly.is_exact)
-        wpoly = coeffs  # p(1, w) has w-coefficients c_0 ... c_deg, highest first
-        roots = np.roots(wpoly) if len(wpoly) > 1 else np.zeros(0)
-        for r in roots:
-            if abs(r.imag) <= 1e-8 * max(1.0, abs(r)):
-                Z = np.array([1.0, float(r.real)])
-                return NonsingularityResult("no", Z / np.linalg.norm(Z))
-        return NonsingularityResult("yes", exact=poly.is_exact)
+        Z = invariants.real_root(poly)
+        if Z is None:
+            return NonsingularityResult("yes", exact=poly.is_exact)
+        return NonsingularityResult("no", Z, exact=poly.is_exact)
     # m >= 3: sampled decision, the basis vectors first, on one stacked SVD
     draws = np.random.default_rng(0).standard_normal((1000, m))
     candidates = np.vstack([np.eye(m), draws / np.linalg.norm(draws, axis=1, keepdims=True)])

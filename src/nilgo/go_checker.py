@@ -86,20 +86,6 @@ class GOCertificate:
         }
 
 
-@dataclass(frozen=True)
-class MetricParameter:
-    """SPD Gram matrix of the inner product on the center image V."""
-
-    q: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        if q.ndim != 2 or q.shape[0] != q.shape[1]:
-            raise InputError("metric parameter must be square")
-        require_spd(q, "metric parameter")
-        object.__setattr__(self, "q", q)
-
-
 def isometry_decomposition(L: MetricLieAlgebra) -> DerivationAlgebra:
     """The isotropy algebra D(n) of the full-isometry decomposition (D(n), n) of a nilmanifold."""
     require_spd(L.gram, "gram matrix")
@@ -232,32 +218,25 @@ def _gordon_blocks(split, maps, X, Y):
     return [(M, b, scale)]
 
 
-def apply_center_metric(L: MetricLieAlgebra, metric: MetricParameter) -> MetricLieAlgebra:
+def apply_center_metric(L: MetricLieAlgebra, q) -> MetricLieAlgebra:
     """Replace the inner product on the center by the SPD matrix q.
 
     The Lie algebra structure is unchanged; only the gram matrix is
     rebuilt so that the current orthonormal central basis has gram q.
     """
     split = split_two_step(L)
-    q = metric.q
+    q = np.asarray(q, dtype=float)
     if q.shape != (split.m, split.m):
         raise InputError(f"metric must be {split.m} x {split.m}")
-    zb = split.z_basis
-    W = L.gram @ zb.T  # functionals of the orthonormal central basis
-    gram = L.gram + W @ (q - np.eye(split.m)) @ W.T
-    return make_algebra(L.structure, gram)
+    require_spd(q, "metric parameter")
+    W = L.gram @ split.z_basis.T  # functionals of the orthonormal central basis
+    return make_algebra(L.structure, L.gram + W @ (q - np.eye(split.m)) @ W.T)
 
 
-def gordon_go_check(
-    L: MetricLieAlgebra,
-    metric: Optional[MetricParameter] = None,
-    config: SamplerConfig = SamplerConfig(),
-) -> GOCertificate:
+def gordon_go_check(L: MetricLieAlgebra, config: SamplerConfig = SamplerConfig()) -> GOCertificate:
     """Gordon's criterion: for X in z, Y in v find D in D(n) with
     D(X) = 0 and D(Y) = J_X(Y); sampled over a sweep plus random pairs."""
     require_spd(L.gram, "gram matrix")
-    if metric is not None:
-        L = apply_center_metric(L, metric)
     split = split_two_step(L)
     if not split.derived_equals_center:
         raise PreconditionError("[n, n] = z is required (strip the flat factor first)")
@@ -389,7 +368,7 @@ def tnc_check(
     infeasible sample.
     """
     N = Nprime.basis
-    if not _normalizes(N, V, 1e-7):
+    if not _normalizes(N, V):
         raise InputError("Nprime is not contained in the normalizer of V")
     return _adjudicate(
         config,

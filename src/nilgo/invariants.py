@@ -9,8 +9,12 @@ pairs is therefore invariant and separates non-isomorphic families.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
@@ -35,9 +39,12 @@ class ProjectiveRootSet:
 
     roots: tuple  # complex numbers and the marker "inf"
 
+    def real_roots(self) -> list:
+        return [r for r in self.roots if r == INFINITY or abs(complex(r).imag) < ROOT_TOL]
+
     @property
     def real_root_count(self) -> int:
-        return sum(1 for r in self.roots if r == INFINITY or abs(complex(r).imag) < ROOT_TOL)
+        return len(self.real_roots())
 
     def upper_half_roots(self) -> list[complex]:
         out = []
@@ -89,6 +96,68 @@ def pfaffian_roots(p: HomogeneousPolynomial2) -> ProjectiveRootSet:
         snapped.extend([mean] * len(group))
     snapped.sort(key=lambda z: (z.real, z.imag))
     return ProjectiveRootSet(tuple([INFINITY] * n_inf + snapped))
+
+
+def _sturm_root(coeffs) -> Optional[Fraction]:
+    """A real root of the rational polynomial with coefficients ``coeffs``
+    (highest first, the first nonzero), to within 2^-52 of its Cauchy
+    bound B, or None when it has none.  By Sturm's theorem V(a) - V(b),
+    V(x) the sign changes along the Sturm chain at x, counts the distinct
+    roots in (a, b]; bisecting (-B, B] keeps a half that holds one."""
+    p = [Fraction(c) for c in coeffs]
+    chain = [p, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]]
+    while len(chain[-1]) > 1:  # the chain goes on with -(r mod q)
+        r, q = chain[-2], chain[-1]
+        while len(r) >= len(q):
+            r = [a - r[0] / q[0] * b for a, b in zip(r[1:], q[1:] + [0] * (len(r) - len(q)))]
+        if not any(r):
+            break
+        chain.append([-c for c in itertools.dropwhile(lambda c: c == 0, r)])
+
+    def at(x) -> list:
+        return [functools.reduce(lambda acc, c: acc * x + c, q, 0) for q in chain]
+
+    def changes(values) -> int:
+        signs = [v > 0 for v in values if v]
+        return sum(u != v for u, v in zip(signs, signs[1:]))
+
+    bound = 1 + max(abs(c / p[0]) for c in p)
+    a, b = -bound, bound
+    va = changes(at(a))
+    if va == changes(at(b)):
+        return None
+    while b - a > bound / 2**52:
+        mid = (a + b) / 2
+        values = at(mid)
+        if values[0] == 0:
+            return mid
+        vm = changes(values)
+        if va > vm:  # a root in (a, mid]
+            b = mid
+        else:
+            a, va = mid, vm
+    return (a + b) / 2
+
+
+def real_root(p: HomogeneousPolynomial2) -> Optional[np.ndarray]:
+    """A unit (x, y) with p(x, y) = 0, or None when p has no real
+    projective root.
+
+    (0, 1) when p(0, 1) = 0, the zero form included; otherwise a root
+    (1, w) of p(1, w), found with Sturm's theorem over Q when p is exact
+    and by the root classifier of :func:`pfaffian_roots` when it is float.
+    """
+    if p.coeffs[0] == 0:
+        return np.array([0.0, 1.0])
+    if p.is_exact:
+        w = _sturm_root(p.coeffs)
+    else:
+        real = pfaffian_roots(p).real_roots()
+        w = real[0] if real else None
+    if w is None:
+        return None
+    Z = np.array([0.0, 1.0]) if w == INFINITY else np.array([1.0, complex(w).real])
+    return Z / np.linalg.norm(Z)
 
 
 def hyperbolic_distance(z: complex, w: complex) -> float:

@@ -457,9 +457,6 @@ class HomogeneousPolynomial2:
     def is_exact(self) -> bool:
         return all(isinstance(c, (Fraction, int)) for c in self.coeffs)
 
-    def float_coeffs(self) -> np.ndarray:
-        return np.array([float(c) for c in self.coeffs])
-
     def normalized_sign(self) -> "HomogeneousPolynomial2":
         """Flip the global sign so the leading nonzero coefficient is positive."""
         for c in self.coeffs:
@@ -525,11 +522,13 @@ def interpolate_homogeneous2(evals, degree: int) -> HomogeneousPolynomial2:
         if len(pivots) > degree + 1:
             raise InterpolationError("inconsistent evaluations")
         return HomogeneousPolynomial2(degree, tuple(_back_substitute(rows, pivots, degree + 1)))
-    A = np.array([[float(x) ** a * float(y) ** (degree - a) for a in range(degree + 1)] for x, y, v in pts])
-    b = np.array([float(v) for _, _, v in pts])
-    if len(nullspace(A)):
+    # the Vandermonde rows with the values as a last column; LAPACK cuts the rank at s <= TAU_RANK s_1
+    rows = [[float(x) ** a * float(y) ** (degree - a) for a in range(degree + 1)] + [float(v)] for x, y, v in pts]
+    Ab = as_matrix(rows)
+    A, b = Ab[:, :-1], Ab[:, -1]
+    coeffs, _, rank, _ = np.linalg.lstsq(A, b, rcond=TAU_RANK)
+    if rank <= degree:
         raise InterpolationError("evaluation points do not determine the polynomial")
-    coeffs, residual = least_squares(A, b)
-    if residual > 1e-9 * np.linalg.norm(b):
+    if np.linalg.norm(A @ coeffs - b) > 1e-9 * np.linalg.norm(b):
         raise InterpolationError("inconsistent evaluations")
     return HomogeneousPolynomial2(degree, tuple(float(c) for c in coeffs))

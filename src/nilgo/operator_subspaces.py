@@ -107,37 +107,36 @@ def span_matrices(mats, n: int) -> SkewOperatorSubspace:
 def _off_span(V: SkewOperatorSubspace, W: np.ndarray) -> np.ndarray:
     """The rows w of W (vectorized matrices) minus their projections onto
     span(V), through an orthonormal basis Q of the span from one thin QR."""
-    Q = np.linalg.qr(V.basis.reshape(V.dim, -1).T)[0]
+    Q = np.linalg.qr(V.basis.reshape(V.dim, V.ambient_dim**2).T)[0]
     return W - (W @ Q) @ Q.T
 
 
-def _in_span(V: SkewOperatorSubspace, W: np.ndarray, tol: float) -> bool:
-    """Whether every matrix w of the stack W satisfies |w - P w| <= tol max(1, |w|), P projecting onto span(V)."""
-    W = W.reshape(-1, W.shape[-1] ** 2)
-    if not len(W):
-        return True
-    off = np.linalg.norm(_off_span(V, W), axis=1)
-    return not np.any(off > tol * np.maximum(1.0, np.linalg.norm(W, axis=1)))
+def _span_gaps(V: SkewOperatorSubspace, W: np.ndarray) -> np.ndarray:
+    """|w - P w| for every matrix w of the stack W, P projecting onto span(V)."""
+    return np.linalg.norm(_off_span(V, W.reshape(-1, V.ambient_dim**2)), axis=1)
 
 
-def subspace_contains(outer: SkewOperatorSubspace, inner: SkewOperatorSubspace, tol: float = lc.TAU_RANK) -> bool:
-    return _in_span(outer, inner.basis, tol)
+def subspace_contains(outer: SkewOperatorSubspace, inner: SkewOperatorSubspace) -> bool:
+    """Whether every basis element w of ``inner`` lies within TAU_RANK |w| of span(outer)."""
+    norms = np.linalg.norm(inner.basis, axis=(1, 2))
+    return not np.any(_span_gaps(outer, inner.basis) > lc.TAU_RANK * norms)
 
 
 def subspaces_equal(a: SkewOperatorSubspace, b: SkewOperatorSubspace) -> bool:
     return a.dim == b.dim and subspace_contains(a, b) and subspace_contains(b, a)
 
 
-def _normalizes(N: np.ndarray, V: SkewOperatorSubspace, tol: float) -> bool:
+def _normalizes(N: np.ndarray, V: SkewOperatorSubspace) -> bool:
     """Whether every [N_p, B_q] (N_p in the stack N, B_q in V's basis) lies in
-    span(V) within ``tol`` as in :func:`subspace_contains`, i.e. N lies in the
-    normalizer of V, tested without building the normalizer.  The brackets
-    are taken of unit N_p and B_q, so the test does not depend on their scale."""
+    span(V), i.e. N lies in the normalizer of V, tested without building the
+    normalizer.  Each bracket of unit N_p and B_q must lie within TAU_RANK
+    of the span: bounded by its inputs, not by itself, since its round-off
+    can lie almost wholly off the span."""
 
     def unit(S):
         return S / np.linalg.norm(S, axis=(1, 2))[:, None, None]
 
-    return _in_span(V, brackets(unit(N), unit(V.basis)), tol)
+    return not np.any(_span_gaps(V, brackets(unit(N), unit(V.basis))) > lc.TAU_RANK)
 
 
 def derivation_defect(c: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -262,7 +261,7 @@ def _pair_brackets(V: SkewOperatorSubspace) -> np.ndarray:
 
 
 def is_subalgebra(V: SkewOperatorSubspace) -> bool:
-    return _normalizes(V.basis, V, lc.TAU_RANK)
+    return _normalizes(V.basis, V)
 
 
 def generated_subalgebra(V: SkewOperatorSubspace) -> SkewOperatorSubspace:

@@ -314,6 +314,17 @@ RANK_2_GENERATOR = [
     [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],
 ]
 
+def skew_sum(n, *pairs) -> np.ndarray:
+    """The integer n x n sum of E_ij = e_j e_i^T - e_i e_j^T over the pairs (i, j)."""
+    S = np.zeros((n, n), dtype=int)
+    for i, j in pairs:
+        S[i, j], S[j, i] = -1, 1
+    return S
+
+
+# m = 2 on R^4: J_Z = (3x + y)(E01 + E23) + y E02 has Pfaffian (3x + y)^2, and rank 2 at Z = (1, -3)
+DOUBLE_ROOT = np.array([3 * skew_sum(4, (0, 1), (2, 3)), skew_sum(4, (0, 1), (2, 3), (0, 2))])
+
 
 class TestNonsingularity:
     def test_n10_yes_exact(self):
@@ -342,6 +353,27 @@ class TestNonsingularity:
         r = is_nonsingular(algebra_from_jmaps(RANK_2_GENERATOR))
         assert r.status == "no" and r.exact
         assert np.array_equal(r.witness, [1.0, 0.0, 0.0])
+
+    def test_double_root_of_the_pfaffian_form(self):
+        # np.roots splits the double root by 3.7e-8 i: the exact form is decided
+        # by a Sturm count, the float one by the root classifier of pfaffian_roots
+        for generators, exact in ((DOUBLE_ROOT.tolist(), True), (DOUBLE_ROOT.astype(float), False)):
+            r = is_nonsingular(algebra_from_jmaps(generators))
+            assert (r.status, r.exact) == ("no", exact)
+            assert np.allclose(r.witness, np.array([1.0, -3.0]) / np.sqrt(10.0), rtol=0, atol=1e-12)
+
+    def test_odd_v_is_singular(self):
+        # every J_Z on R^3 is singular; the Pfaffian form needs an even n
+        r = is_nonsingular(algebra_from_jmaps([skew_sum(3, (0, 1)).tolist(), skew_sum(3, (0, 2)).tolist()]))
+        assert (r.status, r.exact) == ("no", True)
+        assert np.array_equal(r.witness, [1.0, 0.0])
+
+    def test_zero_pfaffian_form(self):
+        # J_Z = x (E02 + E34 + E45) + y (E12 + E35) on R^6 has rank 4 for every Z
+        generators = np.array([skew_sum(6, (0, 2), (3, 4), (4, 5)), skew_sum(6, (1, 2), (3, 5))])
+        for data, exact in ((generators.tolist(), True), (generators.astype(float), False)):
+            r = is_nonsingular(algebra_from_jmaps(data))
+            assert (r.status, r.exact) == ("no", exact)
 
     def test_sampled_for_large_center(self):
         r = is_nonsingular(h_type_clifford(4, 1))

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from nilgo import algebra_from_dict, algebra_to_dict, validate
+from nilgo import SkewOperatorSubspace, algebra_from_dict, algebra_to_dict, validate
 from nilgo.cli import main
+from nilgo.families import l_matrix
+from nilgo.operator_subspaces import is_subalgebra, skew_basis
 
 FAMILY_ARGS = [
     ("heisenberg", ["--k", "2"]),
@@ -139,6 +141,15 @@ class TestAnalysis:
             code, out = run(capsys, "tnc", str(path), "--nprime", nprime)
             assert code == 0
             assert json.loads(out)["status"] == "verified_sampled"
+
+    def test_tnc_self_rejects_a_perturbed_so3(self, capsys, tmp_path):
+        # span{L1, L2, L3 + 1e-8 E23} is not a subalgebra, so it is not in its own normalizer
+        basis = [l_matrix(1, 0, 0), l_matrix(0, 1, 0), l_matrix(0, 0, 1) + 1e-8 * skew_basis(4)[5]]
+        assert not is_subalgebra(SkewOperatorSubspace(4, basis))
+        path = tmp_path / "so3.json"
+        path.write_text(json.dumps({"n": 4, "basis": [B.tolist() for B in basis]}))
+        code, _ = run(capsys, "tnc", str(path), "--nprime", "self", "--samples", "5")
+        assert code == 64
 
     def test_geodesic_compare_json(self, capsys, tmp_path):
         path = tmp_path / "alg.json"

@@ -4,7 +4,6 @@ from conftest import change_basis
 from scipy import linalg as sla
 
 from nilgo import (
-    MetricParameter,
     compare_geodesic_orbit,
     geodesic_integrate,
     group_mult,
@@ -22,7 +21,7 @@ from nilgo.operator_subspaces import skew_derivations
 
 # a non-identity Gram and a non-GO metric
 KERNEL_ALGEBRAS = {
-    "n10_center_metric": lambda: apply_center_metric(n10(2), MetricParameter(np.array([[2.0, 0.5], [0.5, 1.0]]))),
+    "n10_center_metric": lambda: apply_center_metric(n10(2), np.array([[2.0, 0.5], [0.5, 1.0]])),
     "h_type_clifford_4": lambda: h_type_clifford(4),
 }
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from nilgo import (
-    MetricParameter,
     SamplerConfig,
     SkewOperatorSubspace,
     compare_geodesic_orbit,
@@ -120,8 +119,8 @@ class TestGordon:
             gordon_go_check(heisenberg_plus_flat, config=FAST)
 
     def test_metric_parameter(self):
-        q = MetricParameter(np.array([[2.0, 0.5], [0.5, 1.0]]))
-        cert = gordon_go_check(n10(2), metric=q, config=FAST)
+        q = np.array([[2.0, 0.5], [0.5, 1.0]])
+        cert = gordon_go_check(apply_center_metric(n10(2), q), config=FAST)
         assert cert.status == "verified_sampled"
         assert cert.max_residual <= 1e-9
 
@@ -161,17 +160,17 @@ class TestAdjudicator:
 
 class TestMetric:
     def test_apply_center_metric_gram(self):
-        q = MetricParameter(np.array([[2.0, 1.0], [1.0, 3.0]]))
+        q = np.array([[2.0, 1.0], [1.0, 3.0]])
         L2 = apply_center_metric(n10(2), q)
         split = split_two_step(L2)
         zg = split.z_basis @ L2.gram @ split.z_basis.T
         assert np.allclose(zg, np.eye(2))
-        assert np.allclose(L2.gram[:2, :2], q.q)
+        assert np.allclose(L2.gram[:2, :2], q)
         assert np.allclose(L2.gram[2:, 2:], np.eye(8))
 
     def test_rejects_non_spd(self):
         with pytest.raises(InputError):
-            MetricParameter(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            apply_center_metric(n10(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 class TestTnc:
@@ -197,6 +196,15 @@ class TestTnc:
         V = vt_subspace(2)
         with pytest.raises(InputError):
             tnc_check(V, V, FAST)  # V_t is not a subalgebra, not in its normalizer
+
+    def test_gate_agrees_with_is_subalgebra(self):
+        # span{L1, L2, L3 + 1e-8 E23} is not a subalgebra, so it does not normalize itself
+        V = SkewOperatorSubspace(
+            4, [l_matrix(1, 0, 0), l_matrix(0, 1, 0), l_matrix(0, 0, 1) + 1e-8 * skew_basis(4)[5]]
+        )
+        assert not naturally_reductive_flag(V)
+        with pytest.raises(InputError):
+            tnc_check(V, V, FAST)
 
     def test_resolve_residual_lands_in_centralizer(self):
         assert normalizer_resolve_residual(vt_subspace(2), FAST) <= 1e-9
@@ -867,7 +875,7 @@ class TestStructuralLeftNull:
     LOW_RANK = {
         "h_type_clifford(5, 1)": lambda: h_type_clifford(5, 1),
         "h_type_clifford(4, 1)": lambda: h_type_clifford(4, 1),
-        "n10(1), q": lambda: apply_center_metric(n10(1), MetricParameter([[2.0, 1.0], [1.0, 3.0]])),
+        "n10(1), q": lambda: apply_center_metric(n10(1), [[2.0, 1.0], [1.0, 3.0]]),
     }
 
     @pytest.mark.parametrize("name", sorted(LOW_RANK))

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as Q
 
@@ -16,7 +17,7 @@ from nilgo import (
     split_two_step,
 )
 from nilgo.errors import PreconditionError
-from nilgo.invariants import INFINITY, hyperbolic_distance
+from nilgo.invariants import INFINITY, hyperbolic_distance, real_root
 
 
 def form(*coeffs):
@@ -51,6 +52,36 @@ class TestRoots:
     def test_zero_form_rejected(self):
         with pytest.raises(PreconditionError):
             pfaffian_roots(form(0, 0, 0))
+
+
+
+class TestRealRoot:
+    def test_fourth_powers_of_linear_forms(self):
+        # (a x + b y)^4 vanishes at (b, -a); in floats the four-fold root splits
+        # past the classifier's tolerance for 30 of these 64 pairs
+        for a, b in itertools.product((1, 2, 3, 7, 13, 29, 38, 39), repeat=2):
+            Z = real_root(form(*(math.comb(4, k) * a**k * b ** (4 - k) for k in range(5))))
+            assert Z is not None and abs(a * Z[0] + b * Z[1]) <= 1e-12 * (a + b)
+
+    def test_irrational_and_zero_roots(self):
+        Z = real_root(form(1, 0, -2))  # y^2 - 2 x^2
+        assert abs(Z[1] ** 2 - 2 * Z[0] ** 2) <= 1e-15
+        assert np.array_equal(real_root(form(1, 3, 0)), [1.0, 0.0])  # y (y + 3 x) at y = 0
+
+    def test_definite_forms_have_none(self):
+        assert real_root(form(1, 0, 1)) is None
+        for t in (1, 2, 5):
+            assert real_root(pfaffian_form(split_two_step(n10(t)))) is None
+
+    def test_p01_zero_and_zero_form(self):
+        assert np.array_equal(real_root(form(0, 1, 0)), [0.0, 1.0])
+        assert np.array_equal(real_root(form(0, 0, 0)), [0.0, 1.0])
+
+    def test_float_forms_use_the_root_classifier(self):
+        # (3 x + y)^2: np.roots splits the double root by 3.7e-8 i, which the classifier clusters
+        Z = real_root(HomogeneousPolynomial2(2, (1.0, 6.0, 9.0)))
+        assert np.allclose(Z, np.array([1.0, -3.0]) / np.sqrt(10.0), rtol=0, atol=1e-12)
+        assert real_root(HomogeneousPolynomial2(2, (1.0, 0.0, 1.0))) is None
 
 
 class TestHyperbolicDistance:

@@ -477,7 +477,13 @@ class TestHomogeneousPolynomial:
         p = lc.HomogeneousPolynomial2(2, (1.0, 2.0, 3.0))
         pts = [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (2.0, 1.0)]
         rec = lc.interpolate_homogeneous2([((x, y), p(x, y)) for x, y in pts], 2)
-        assert np.allclose(rec.float_coeffs(), [1.0, 2.0, 3.0])
+        assert np.allclose(np.array(rec.coeffs, dtype=float), [1.0, 2.0, 3.0])
+
+    def test_interpolate_rejects_non_finite_values(self):
+        pts = [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(InputError):
+                lc.interpolate_homogeneous2([(p, v) for p, v in zip(pts, [1.0, bad, 2.0])], 1)
 
     def test_interpolate_underdetermined(self):
         with pytest.raises(InterpolationError):
@@ -487,6 +493,14 @@ class TestHomogeneousPolynomial:
         pts = [((Q(1), Q(1)), Q(1))] * 4
         with pytest.raises(InterpolationError):
             lc.interpolate_homogeneous2(pts, 3)
+
+    def test_interpolate_float_rank_cut(self):
+        # the rank of one lstsq at rcond = TAU_RANK: one repeated point fixes no cubic,
+        # and a second point 1e-3 off the first still fixes a line
+        with pytest.raises(InterpolationError, match="do not determine"):
+            lc.interpolate_homogeneous2([((1.0, 1.0), 1.0)] * 4, 3)
+        rec = lc.interpolate_homogeneous2([((1.0, 1.0), 2.0), ((1.0, 1.001), 2.001)], 1)
+        assert np.allclose(np.array(rec.coeffs, dtype=float), [1.0, 1.0])
 
     def test_interpolate_inconsistent(self):
         pts = [((Q(0), Q(1)), Q(1)), ((Q(1), Q(0)), Q(2)), ((Q(1), Q(1)), Q(3)), ((Q(1), Q(2)), Q(5))]
@@ -504,7 +518,7 @@ class TestHomogeneousPolynomial:
         p = lc.HomogeneousPolynomial2(4, (1.0, -2.0, 0.5, 3.0, 1.0))
         pts = [(1e-5 * x, 1e-5 * y) for x, y in [(0, 1), (1, 0), (1, 1), (1, 2), (1, -1), (2, 1)]]
         rec = lc.interpolate_homogeneous2([((x, y), p(x, y)) for x, y in pts], 4)
-        assert np.max(np.abs(rec.float_coeffs() - p.float_coeffs())) <= 1e-9 * 3.0
+        assert np.max(np.abs(np.array(rec.coeffs, dtype=float) - np.array(p.coeffs, dtype=float))) <= 1e-9 * 3.0
 
     def test_interpolate_degenerate_before_inconsistent(self):
         # the points fix no quadratic, whatever the values

@@ -3,7 +3,7 @@ import pytest
 
 import nilgo.linear_core as lc
 
-from nilgo import MetricParameter, SkewOperatorSubspace, heisenberg, n10, skew_derivations, split_two_step
+from nilgo import SkewOperatorSubspace, heisenberg, n10, skew_derivations, split_two_step
 from nilgo.errors import InputError, PreconditionError
 from nilgo.families import family_thm2, h_type_clifford, l_matrix, quaternionic_heisenberg, r_matrix, vt_subspace
 from nilgo.go_checker import SamplerConfig, apply_center_metric, normalizer_resolve_residual
@@ -75,6 +75,13 @@ class TestSubspaceBasics:
         assert subspace_contains(V, W)
         assert not subspace_contains(W, V)
         assert subspaces_equal(V, span_matrices(V.basis, 4))
+
+    def test_containment_is_relative_to_each_element(self):
+        # s E02 is as far from span{E01} as E02 is, at every scale s
+        E = skew_basis(3)
+        for s in (1e-10, 1.0, 1e10):
+            assert not subspace_contains(SkewOperatorSubspace(3, E[:1]), SkewOperatorSubspace(3, s * E[1:2]))
+            assert subspace_contains(SkewOperatorSubspace(3, E[:2]), SkewOperatorSubspace(3, s * (E[:1] + E[1:2])))
 
     def test_projector_idempotent(self):
         P = so3_l_copy().projector()
@@ -203,7 +210,7 @@ class TestDerivations:
 
 
 SPLIT_CASES = {
-    "n10(2) center metric": lambda: apply_center_metric(n10(2), MetricParameter(np.array([[2.0, 0.5], [0.5, 1.0]]))),
+    "n10(2) center metric": lambda: apply_center_metric(n10(2), np.array([[2.0, 0.5], [0.5, 1.0]])),
     "h_type_clifford(4)": lambda: h_type_clifford(4),
     "h_type_clifford(7)": lambda: h_type_clifford(7),
     "thm2 dim 22": lambda: family_thm2([2, 3, 5, 7]),
@@ -310,6 +317,16 @@ class TestSubalgebra:
 
     def test_vt_is_not(self):
         assert not is_subalgebra(vt_subspace(2))
+
+    def test_off_axis_abelian_span_is(self):
+        # [E01, E01 + E23] = 0; conjugated by an orthogonal Q the bracket of the
+        # unit basis is round-off (1.3e-16) lying almost wholly off the span
+        # (0.998 of its norm), so it is bounded by its unit inputs, not by itself
+        Q = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))[0]
+        E = skew_basis(4)
+        V = SkewOperatorSubspace(4, Q @ np.stack([E[0], E[0] + E[5]]) @ Q.T)
+        assert np.any(brackets(V.basis[:1], V.basis[1:]))
+        assert is_subalgebra(V)
 
     def test_one_dimensional_always(self):
         V = SkewOperatorSubspace(4, [l_matrix(1, 2, 3)])

@@ -145,7 +145,7 @@ def test_one_rank_threshold():
     # record; no function or field takes another cut or threshold
     from nilgo.go_checker import SamplerConfig
 
-    cuts = {"tau_rank", "cond_limit", "tau_feas", "tau_refute"}
+    cuts = {"tau_rank", "cond_limit", "tau_feas", "tau_refute", "tol"}
     takers = [name for name, params in _public_callables_and_fields() if params & cuts]
     assert takers == []
     assert SamplerConfig().tolerances() == {"tau_feas": 1e-8, "tau_refute": 1e-4, "tau_rank": 1e-9}
