@@ -34,8 +34,10 @@ class MetricLieAlgebra:
     # structure tensor is c_int / den and the Gram matrix g_int / gden
     structure_exact: Optional[tuple] = field(default=None, repr=False)
     gram_exact: Optional[tuple] = field(default=None, repr=False)
-    # the nilpotency class, filled in once by nilpotency_class
+    # the nilpotency class and [n, n] as (Euclidean-orthonormal rows, their
+    # rank cut's scale), filled in once by nilpotency_class and _derived_rows
     nil_class: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+    derived_rows: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 0 or self.dim > MAX_DIM:
@@ -168,21 +170,25 @@ def center(L: MetricLieAlgebra) -> np.ndarray:
     return _gram_orthonormalize(lc.nullspace(A), L.gram)
 
 
+def _derived_rows(L: MetricLieAlgebra) -> tuple[np.ndarray, float]:
+    """[n, n] = span{[e_i, e_j]} as Euclidean-orthonormal rows, and the
+    largest singular value of the brackets, computed once and kept."""
+    if L.derived_rows is None:
+        _, s, vt = np.linalg.svd(L.structure.reshape(L.dim**2, L.dim), full_matrices=False)
+        scale = float(s[0]) if s.size else 0.0
+        object.__setattr__(L, "derived_rows", (vt[: int(np.sum(s > lc.TAU_RANK * scale))], scale))
+    return L.derived_rows
+
+
 def derived(L: MetricLieAlgebra) -> np.ndarray:
     """Gram-orthonormal basis (rows) of span{[e_i, e_j]}."""
-    d = L.dim
-    vecs = L.structure.reshape(d * d, d)
-    if not np.any(vecs):
-        return np.zeros((0, d))
-    _, s, vt = np.linalg.svd(vecs, full_matrices=False)
-    rank = int(np.sum(s > lc.TAU_RANK * s[0]))
-    return _gram_orthonormalize(vt[:rank], L.gram)
+    return _gram_orthonormalize(_derived_rows(L)[0], L.gram)
 
 
 def nilpotency_class(L: MetricLieAlgebra) -> int:
     """Length of the lower central series n^1 = [n, n], n^(i+1) = [n, n^i],
     computed on first use and kept on the algebra.  A non-nilpotent algebra
-    keeps nothing and raises InputError on every call."""
+    keeps no class and raises InputError on every call."""
     if L.nil_class is None:
         object.__setattr__(L, "nil_class", _lower_central_series_length(L))
     return L.nil_class
@@ -190,9 +196,10 @@ def nilpotency_class(L: MetricLieAlgebra) -> int:
 
 def _lower_central_series_length(L: MetricLieAlgebra) -> int:
     d = L.dim
-    current = np.eye(d)
-    scale = None
-    for k in range(1, d + 2):
+    current, scale = _derived_rows(L)
+    if current.shape[0] == 0:
+        return 1
+    for k in range(2, d + 2):
         # span of [e_i, w] for all basis e_i and w in the current term
         images = np.einsum("ijk,wj->iwk", L.structure, current).reshape(-1, d)
         if not np.any(images):
@@ -201,7 +208,6 @@ def _lower_central_series_length(L: MetricLieAlgebra) -> int:
         # ranks are cut relative to [n, n]: round-off in a later term's
         # orthonormal basis leaves brackets of size eps * |c| that a cut
         # relative to the term itself would count
-        scale = s[0] if scale is None else scale
         rank = int(np.sum(s > lc.TAU_RANK * scale))
         if rank == 0:
             return k
@@ -256,7 +262,7 @@ def split_two_step(L: MetricLieAlgebra) -> TwoStepSplit:
     else:
         z, v = np.eye(L.dim)[list(zi)], np.eye(L.dim)[list(vi)]
     # derived subset of center always holds for 2-step; equality is the flag
-    flag = derived(L).shape[0] == z.shape[0]
+    flag = _derived_rows(L)[0].shape[0] == z.shape[0]
     return TwoStepSplit(L, z, v, flag, zi, vi)
 
 

@@ -14,7 +14,6 @@ import functools
 import io
 import json
 import math
-import os
 import sys
 import traceback
 from fractions import Fraction
@@ -80,19 +79,6 @@ def _parse_metric(spec: str):
             q[i][j] = v
             q[j][i] = v
     return q
-
-
-def _env_seed() -> int:
-    """The default ``--seed``: ``NILGO_SEED`` when set, else 0."""
-    raw = os.environ.get("NILGO_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"NILGO_SEED must be an integer, got {raw!r}") from None
-
-
-def _config_from_args(args) -> go_checker.SamplerConfig:
-    return go_checker.SamplerConfig(seed=args.seed, samples=args.samples)
 
 
 def _certificate_exit(cert: go_checker.GOCertificate) -> int:
@@ -165,7 +151,7 @@ def cmd_family(args) -> int:
 
 def cmd_go_check(args) -> int:
     L = _load_algebra(args.algebra)
-    config = _config_from_args(args)
+    config = go_checker.SamplerConfig(seed=args.seed, samples=args.samples)
     if args.criterion == "kv":
         cert = go_checker.kv_go_check(go_checker.isometry_decomposition(L), config)
     else:
@@ -214,7 +200,7 @@ def cmd_invariant(args) -> int:
 
 def cmd_tnc(args) -> int:
     V = _load_subspace(args.subspace)
-    config = _config_from_args(args)
+    config = go_checker.SamplerConfig(seed=args.seed, samples=args.samples)
     if args.nprime == "centralizer":
         cert = go_checker.centralizer_type_check(V, config)
     elif args.nprime == "self":
@@ -256,7 +242,7 @@ def _add_io(p):
 
 
 def _add_sampling(p):
-    p.add_argument("--seed", type=int, default=None, help="sampling seed (default: NILGO_SEED, else 0)")
+    p.add_argument("--seed", type=int, default=0, help="sampling seed")
     p.add_argument("--samples", type=int, default=200)
 
 
@@ -335,9 +321,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        env_seed = _env_seed()  # read per call: a malformed value exits 64 from every command
-        if "seed" in vars(args) and args.seed is None:
-            args.seed = env_seed
         # cmd_<subcommand>, looked up per call rather than bound into the cached parser
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except InputError as e:

@@ -98,12 +98,10 @@ def pfaffian_roots(p: HomogeneousPolynomial2) -> ProjectiveRootSet:
     return ProjectiveRootSet(tuple([INFINITY] * n_inf + snapped))
 
 
-def _sturm_root(coeffs) -> Optional[Fraction]:
-    """A real root of the rational polynomial with coefficients ``coeffs``
-    (highest first, the first nonzero), to within 2^-52 of its Cauchy
-    bound B, or None when it has none.  By Sturm's theorem V(a) - V(b),
-    V(x) the sign changes along the Sturm chain at x, counts the distinct
-    roots in (a, b]; bisecting (-B, B] keeps a half that holds one."""
+def _sturm_chain(coeffs):
+    """``(at, B)`` for the rational polynomial with coefficients ``coeffs``
+    (highest first, the first nonzero): ``at(x)`` evaluates its Sturm chain
+    at x and B is its Cauchy bound, which every real root lies inside."""
     p = [Fraction(c) for c in coeffs]
     chain = [p, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]]
     while len(chain[-1]) > 1:  # the chain goes on with -(r mod q)
@@ -117,26 +115,44 @@ def _sturm_root(coeffs) -> Optional[Fraction]:
     def at(x) -> list:
         return [functools.reduce(lambda acc, c: acc * x + c, q, 0) for q in chain]
 
-    def changes(values) -> int:
-        signs = [v > 0 for v in values if v]
-        return sum(u != v for u, v in zip(signs, signs[1:]))
+    return at, 1 + max(abs(c / p[0]) for c in p)
 
-    bound = 1 + max(abs(c / p[0]) for c in p)
+
+def _sign_changes(values) -> int:
+    signs = [v > 0 for v in values if v]
+    return sum(u != v for u, v in zip(signs, signs[1:]))
+
+
+def _sturm_root(coeffs) -> Optional[Fraction]:
+    """A real root of the rational polynomial with coefficients ``coeffs``
+    (highest first, the first nonzero), to within 2^-52 of its Cauchy
+    bound B, or None when it has none.  By Sturm's theorem V(a) - V(b),
+    V(x) the sign changes along the Sturm chain at x, counts the distinct
+    roots in (a, b]; bisecting (-B, B] keeps a half that holds one."""
+    at, bound = _sturm_chain(coeffs)
     a, b = -bound, bound
-    va = changes(at(a))
-    if va == changes(at(b)):
+    va = _sign_changes(at(a))
+    if va == _sign_changes(at(b)):
         return None
     while b - a > bound / 2**52:
         mid = (a + b) / 2
         values = at(mid)
         if values[0] == 0:
             return mid
-        vm = changes(values)
+        vm = _sign_changes(values)
         if va > vm:  # a root in (a, mid]
             b = mid
         else:
             a, va = mid, vm
     return (a + b) / 2
+
+
+def _distinct_real_roots(p: HomogeneousPolynomial2) -> int:
+    """The number of distinct real projective roots of a nonzero exact form:
+    infinity when the leading coefficient vanishes, and V(-B) - V(B) finite
+    roots of p(1, w)."""
+    at, bound = _sturm_chain(list(itertools.dropwhile(lambda c: c == 0, p.coeffs)))
+    return int(p.coeffs[0] == 0) + _sign_changes(at(-bound)) - _sign_changes(at(bound))
 
 
 def real_root(p: HomogeneousPolynomial2) -> Optional[np.ndarray]:
@@ -196,14 +212,19 @@ def distinguish(pa: HomogeneousPolynomial2, pb: HomogeneousPolynomial2) -> str:
     if pa.degree != pb.degree:
         return DISTINCT
     ra, rb = pfaffian_roots(pa), pfaffian_roots(pb)
-    if ra.real_root_count != rb.real_root_count:
+    if pa.is_exact and pb.is_exact:
+        # the float classifier splits multiple real roots; Sturm counts them exactly
+        real_a, real_b = _distinct_real_roots(pa), _distinct_real_roots(pb)
+    else:
+        real_a, real_b = ra.real_root_count, rb.real_root_count
+    if real_a != real_b:
         return DISTINCT
+    if real_a > 0:  # real roots have no hyperbolic position
+        return INCONCLUSIVE
     ups_a, ups_b = ra.upper_half_roots(), rb.upper_half_roots()
     if len(ups_a) != len(ups_b):
         return DISTINCT
-    if ra.real_root_count > 0 or len(ups_a) < 2:
-        # real roots or a single orbit point: the distance multiset is
-        # empty and cannot separate
+    if len(ups_a) < 2:  # a single orbit point: the distance multiset is empty
         return INCONCLUSIVE
     da, db = moebius_invariant(ra), moebius_invariant(rb)
     if any(abs(x - y) > DISTANCE_TOL for x, y in zip(da, db)):

@@ -83,12 +83,9 @@ def is_h_type(split: TwoStepSplit) -> bool:
 def pfaffian_form(split: TwoStepSplit) -> lc.HomogeneousPolynomial2:
     """The Pfaffian of J_{x Z_1 + y Z_2} as a homogeneous polynomial.
 
-    Exact rational interpolation at the integer points (0, 1), (1, j)
-    whenever the split carries exact data.  Float data is evaluated at the
-    unit vectors at angles pi k / (deg + 1), whose Vandermonde stays well
-    conditioned (below 2.2e8 up to degree 31), where the monomial points
-    reach 1e11 at degree 8.  Sign normalized so the leading nonzero
-    coefficient is positive.
+    Interpolated at :func:`linear_core.interpolation_points`: exactly at
+    integer points whenever the split carries exact data, else in floats.
+    Sign normalized so the leading nonzero coefficient is positive.
     """
     if split.m != 2:
         raise PreconditionError(f"pfaffian form needs a 2-dimensional center, got m={split.m}")
@@ -96,17 +93,14 @@ def pfaffian_form(split: TwoStepSplit) -> lc.HomogeneousPolynomial2:
         raise PreconditionError("v must be even-dimensional")
     fam = split_family(split)
     deg = split.n // 2
+    points = lc.interpolation_points(deg, fam.is_exact)
     if fam.is_exact:
         (G1, G2), den = fam.generators_exact
         scale = den**deg  # Pf(S / den) = Pf(S) / den^(n/2)
-        evals = [
-            ((Fraction(x), Fraction(y)), Fraction(lc.pfaffian_exact((x * G1 + y * G2).tolist()), scale))
-            for x, y in [(0, 1)] + [(1, j) for j in range(deg)]
-        ]
+        evals = [((x, y), Fraction(lc.pfaffian_exact((x * G1 + y * G2).tolist()), scale)) for x, y in points]
     else:
         G1, G2 = fam.generators
-        angles = np.pi * np.arange(deg + 1) / (deg + 1)
-        evals = [((x, y), lc.pfaffian_numeric(x * G1 + y * G2)) for x, y in zip(np.cos(angles), np.sin(angles))]
+        evals = [((x, y), lc.pfaffian_numeric(x * G1 + y * G2)) for x, y in points]
     return lc.interpolate_homogeneous2(evals, deg).normalized_sign()
 
 

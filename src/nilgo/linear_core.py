@@ -469,33 +469,22 @@ class HomogeneousPolynomial2:
     def substitute_linear(self, a, b, c, d) -> "HomogeneousPolynomial2":
         """Precompose with the substitution (x, y) -> (a x + b y, c x + d y)."""
         exact = self.is_exact and all(isinstance(v, (Fraction, int)) for v in (a, b, c, d))
-        zero = Fraction(0) if exact else 0.0
-        out = [zero] * (self.degree + 1)
-        one = Fraction(1) if exact else 1.0
-        for k, coef in enumerate(self.coeffs):
-            if coef == 0:
-                continue
-            # (a x + b y)^k * (c x + d y)^(degree-k), expanded by convolution
-            poly = [one]
-            for _ in range(k):
-                poly = _mul_linear(poly, a, b, zero)
-            for _ in range(self.degree - k):
-                poly = _mul_linear(poly, c, d, zero)
-            for i, v in enumerate(poly):
-                # poly[i] is the coefficient of x^(len-1-i) y^i; map into x^a y^(d-a)
-                xp = len(poly) - 1 - i
-                out[xp] = out[xp] + coef * v
-        return HomogeneousPolynomial2(self.degree, tuple(out))
+        evals = [((x, y), self(a * x + b * y, c * x + d * y)) for x, y in interpolation_points(self.degree, exact)]
+        return interpolate_homogeneous2(evals, self.degree)
 
 
-def _mul_linear(poly, u, v, zero):
-    # poly is a dense coefficient list for powers of (x, y) with poly[i] the
-    # coefficient of x^(len-1-i) y^i; multiply by (u x + v y)
-    out = [zero] * (len(poly) + 1)
-    for i, c in enumerate(poly):
-        out[i] = out[i] + c * u
-        out[i + 1] = out[i + 1] + c * v
-    return out
+def interpolation_points(degree: int, exact: bool) -> list:
+    """The degree + 1 points at which a form of ``degree`` is sampled.
+
+    Exact data takes the integer points (0, 1), (1, j).  Float data takes
+    the unit vectors at angles pi k / (degree + 1), whose Vandermonde stays
+    well conditioned (below 2.2e8 up to degree 31), where the monomial
+    points reach 1e11 at degree 8.
+    """
+    if exact:
+        return [(0, 1)] + [(1, j) for j in range(degree)]
+    angles = np.pi * np.arange(degree + 1) / (degree + 1)
+    return list(zip(np.cos(angles), np.sin(angles)))
 
 
 def interpolate_homogeneous2(evals, degree: int) -> HomogeneousPolynomial2:

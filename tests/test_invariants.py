@@ -144,6 +144,11 @@ class TestDistinguish:
 
     def test_real_root_degenerate_inconclusive(self):
         assert distinguish(form(1, 0, -1), form(1, 0, -4)) == "inconclusive"
+        # (x + y)^4 and (3x + y)^4 are equivalent under x -> 3x; the float
+        # classifier splits each four-fold root differently
+        assert distinguish(form(1, 4, 6, 4, 1), form(1, 12, 54, 108, 81)) == "inconclusive"
+        # x^2 and y^2: a double root at infinity and one at 0
+        assert distinguish(form(0, 0, 1), form(1, 0, 0)) == "inconclusive"
 
     def test_single_orbit_point_inconclusive(self):
         assert distinguish(form(1, 0, 1), form(1, 0, 2)) == "inconclusive"

@@ -149,3 +149,15 @@ def test_one_rank_threshold():
     takers = [name for name, params in _public_callables_and_fields() if params & cuts]
     assert takers == []
     assert SamplerConfig().tolerances() == {"tau_feas": 1e-8, "tau_refute": 1e-4, "tau_rank": 1e-9}
+
+
+def test_library_reads_no_environment():
+    # a certificate is reproducible only if it depends on its arguments and files alone
+    readers = {"environ", "environb", "getenv", "getenvb"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "nilgo").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and _identifiers(node) & readers
+    ]
+    assert found == []
