@@ -8,7 +8,6 @@ from .algebra import (
     center,
     derived,
     detect_flat_factor,
-    is_nonsingular,
     make_algebra,
     nilpotency_class,
     split_two_step,
@@ -37,7 +36,7 @@ from .go_checker import (
     tnc_check,
 )
 from .invariants import distinguish, moebius_invariant, pfaffian_roots
-from .jmaps import build_jmap, is_h_type, isotypic_test, pfaffian_form, radon_hurwitz
+from .jmaps import build_jmap, is_h_type, is_nonsingular, isotypic_test, pfaffian_form, radon_hurwitz
 from .linear_core import HomogeneousPolynomial2, interpolate_homogeneous2
 from .operator_subspaces import SkewOperatorSubspace, skew_derivations
 

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import invariants, linear_core as lc
+from . import linear_core as lc
 from .errors import InputError, NotTwoStepError, PreconditionError
 
 MAX_DIM = 64
@@ -57,9 +57,6 @@ class MetricLieAlgebra:
         X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)
         return np.einsum("i,j,ijk->k", X, Y, self.structure)
-
-    def inner(self, X, Y) -> float:
-        return float(np.asarray(X) @ self.gram @ np.asarray(Y))
 
 
 def _over_common_denominator(a: np.ndarray) -> tuple[np.ndarray, int]:
@@ -306,70 +303,6 @@ def restrict_to_span(L: MetricLieAlgebra, rows: np.ndarray) -> MetricLieAlgebra:
             structure[a, b] = coords
             structure[b, a] = -coords
     return MetricLieAlgebra(k, structure, gram)
-
-
-@dataclass(frozen=True)
-class NonsingularityResult:
-    status: str  # "yes" | "no" | "sampled_yes"
-    witness: Optional[np.ndarray] = None  # Z in orthonormal z-coordinates
-    exact: bool = False
-
-    def __bool__(self) -> bool:
-        return self.status != "no"
-
-
-def is_nonsingular(L: MetricLieAlgebra) -> NonsingularityResult:
-    """Decide whether every nonzero J_Z is invertible.
-
-    An odd n answers no at once, exactly: every skew J_Z of odd size is
-    singular.  For m = 1 the answer is the Pfaffian of J_1; for m = 2 the
-    real projective roots of the Pfaffian form
-    (:func:`invariants.real_root`), decided exactly with Sturm's theorem
-    over Q for rational data and by the root classifier of
-    :func:`invariants.pfaffian_roots` for float data.  For m >= 3 it is
-    sampled on the central basis vectors and then 1000 unit vectors drawn
-    from ``default_rng(0)`` (the basis witnesses are re-checked with the
-    exact rank when rational data is available).  For m = 1 and m >= 3
-    a float J_Z counts as singular when its smallest singular value is at
-    most TAU_RANK times its largest, so the answer does not depend on the
-    scale of the brackets.
-    """
-    from . import jmaps
-
-    split = split_two_step(L)
-    if not split.derived_equals_center:
-        raise PreconditionError("[n, n] = z is required for non-singularity analysis")
-    m, n = split.m, split.n
-    if n % 2:  # every skew J_Z of odd size is singular
-        return NonsingularityResult("no", np.eye(m)[0], exact=True)
-    fam = jmaps.split_family(split)
-    if m == 1:
-        if fam.is_exact:  # Pf(J / den) vanishes with Pf(J)
-            pf = lc.pfaffian_exact(fam.generators_exact[0][0].tolist())
-            if pf != 0:
-                return NonsingularityResult("yes", exact=True)
-            return NonsingularityResult("no", np.array([1.0]), exact=True)
-        s = np.linalg.svd(fam.generators[0], compute_uv=False)
-        if s[-1] > lc.TAU_RANK * s[0]:
-            return NonsingularityResult("yes")
-        return NonsingularityResult("no", np.array([1.0]))
-    if m == 2:
-        poly = jmaps.pfaffian_form(split)
-        Z = invariants.real_root(poly)
-        if Z is None:
-            return NonsingularityResult("yes", exact=poly.is_exact)
-        return NonsingularityResult("no", Z, exact=poly.is_exact)
-    # m >= 3: sampled decision, the basis vectors first, on one stacked SVD
-    draws = np.random.default_rng(0).standard_normal((1000, m))
-    candidates = np.vstack([np.eye(m), draws / np.linalg.norm(draws, axis=1, keepdims=True)])
-    pencils = (candidates @ fam.generators.reshape(m, n * n)).reshape(-1, n, n)
-    s = np.linalg.svd(pencils, compute_uv=False)
-    singular = np.flatnonzero(s[:, -1] <= lc.TAU_RANK * s[:, 0])
-    if not singular.size:
-        return NonsingularityResult("sampled_yes")
-    idx = singular[0]
-    exact = bool(fam.is_exact and idx < m and lc.bareiss_rank(fam.generators_exact[0][idx].tolist()) < n)
-    return NonsingularityResult("no", candidates[idx], exact=exact)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import algebra, families, geodesics, go_checker, invariants, jmaps
 from .errors import InputError, NilgoError
-from .operator_subspaces import SkewOperatorSubspace
+from .operator_subspaces import SkewOperatorSubspace, normalizer_in_so, skew_derivations
 
 EXIT_PASS = 0
 EXIT_REFUTED = 1
@@ -161,10 +161,7 @@ def cmd_go_check(args) -> int:
 
 
 def cmd_derivations(args) -> int:
-    L = _load_algebra(args.algebra)
-    from .operator_subspaces import skew_derivations
-
-    ders = skew_derivations(L)
+    ders = skew_derivations(_load_algebra(args.algebra))
     _emit_json(args, {"dim": ders.dim, "basis": ders.basis.tolist()})
     return EXIT_PASS
 
@@ -206,8 +203,6 @@ def cmd_tnc(args) -> int:
     elif args.nprime == "self":
         cert = go_checker.tnc_check(V, V, config)
     else:
-        from .operator_subspaces import normalizer_in_so
-
         cert = go_checker.tnc_check(V, normalizer_in_so(V), config)
     _emit_json(args, cert.to_dict())
     return _certificate_exit(cert)

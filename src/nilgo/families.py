@@ -370,19 +370,6 @@ def thm2_subspace(ts) -> SkewOperatorSubspace:
     return _float_subspace(thm2_generators(ts))
 
 
-def thm2_diagonal_centralizer(k: int) -> SkewOperatorSubspace:
-    """The subalgebra diag(D, D, ..., D) inside so(4k+4)."""
-    n = 4 * (k + 1)
-    mats = []
-    for e in np.eye(3):
-        D = r_matrix(*e)
-        M = np.zeros((n, n))
-        for c in range(k + 1):
-            M[4 * c: 4 * c + 4, 4 * c: 4 * c + 4] = D
-        mats.append(M)
-    return SkewOperatorSubspace(n, mats)
-
-
 # ---------------------------------------------------------------------------
 # CLI dispatcher
 # ---------------------------------------------------------------------------

@@ -98,12 +98,12 @@ def pfaffian_roots(p: HomogeneousPolynomial2) -> ProjectiveRootSet:
     return ProjectiveRootSet(tuple([INFINITY] * n_inf + snapped))
 
 
-def _sturm_chain(coeffs):
-    """``(at, B)`` for the rational polynomial with coefficients ``coeffs``
-    (highest first, the first nonzero): ``at(x)`` evaluates its Sturm chain
-    at x and B is its Cauchy bound, which every real root lies inside."""
+def _sturm_chain(coeffs) -> list:
+    """The Sturm chain of the rational polynomial with coefficients
+    ``coeffs`` (highest first, the first nonzero), each member highest
+    coefficient first with that coefficient nonzero."""
     p = [Fraction(c) for c in coeffs]
-    chain = [p, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]]
+    chain = [p, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]] if len(p) > 1 else [p]
     while len(chain[-1]) > 1:  # the chain goes on with -(r mod q)
         r, q = chain[-2], chain[-1]
         while len(r) >= len(q):
@@ -111,11 +111,7 @@ def _sturm_chain(coeffs):
         if not any(r):
             break
         chain.append([-c for c in itertools.dropwhile(lambda c: c == 0, r)])
-
-    def at(x) -> list:
-        return [functools.reduce(lambda acc, c: acc * x + c, q, 0) for q in chain]
-
-    return at, 1 + max(abs(c / p[0]) for c in p)
+    return chain
 
 
 def _sign_changes(values) -> int:
@@ -129,7 +125,13 @@ def _sturm_root(coeffs) -> Optional[Fraction]:
     bound B, or None when it has none.  By Sturm's theorem V(a) - V(b),
     V(x) the sign changes along the Sturm chain at x, counts the distinct
     roots in (a, b]; bisecting (-B, B] keeps a half that holds one."""
-    at, bound = _sturm_chain(coeffs)
+    chain = _sturm_chain(coeffs)
+    p = chain[0]
+    bound = 1 + max(abs(c / p[0]) for c in p)  # every real root lies in (-B, B)
+
+    def at(x) -> list:
+        return [functools.reduce(lambda acc, c: acc * x + c, q, 0) for q in chain]
+
     a, b = -bound, bound
     va = _sign_changes(at(a))
     if va == _sign_changes(at(b)):
@@ -149,10 +151,11 @@ def _sturm_root(coeffs) -> Optional[Fraction]:
 
 def _distinct_real_roots(p: HomogeneousPolynomial2) -> int:
     """The number of distinct real projective roots of a nonzero exact form:
-    infinity when the leading coefficient vanishes, and V(-B) - V(B) finite
-    roots of p(1, w)."""
-    at, bound = _sturm_chain(list(itertools.dropwhile(lambda c: c == 0, p.coeffs)))
-    return int(p.coeffs[0] == 0) + _sign_changes(at(-bound)) - _sign_changes(at(bound))
+    infinity when the leading coefficient vanishes, and V(-inf) - V(+inf)
+    finite roots of p(1, w), read off the chain's leading coefficients."""
+    chain = _sturm_chain(list(itertools.dropwhile(lambda c: c == 0, p.coeffs)))
+    at_minus_inf = [q[0] if len(q) % 2 else -q[0] for q in chain]  # the sign of lc * (-1)^deg
+    return int(p.coeffs[0] == 0) + _sign_changes(at_minus_inf) - _sign_changes(q[0] for q in chain)
 
 
 def real_root(p: HomogeneousPolynomial2) -> Optional[np.ndarray]:

@@ -280,27 +280,6 @@ def pfaffian_numeric(S) -> float:
     return float(pf)
 
 
-def pfaffian_combinatorial(S) -> float:
-    """Recursive expansion along the first row; kept as a cross-check (dim <= 6)."""
-    S = _check_skew(S)
-    if S.shape[0] > 6:
-        raise InputError("combinatorial expansion is limited to dimension 6")
-
-    def rec(a: np.ndarray) -> float:
-        n = a.shape[0]
-        if n == 0:
-            return 1.0
-        total = 0.0
-        rest = list(range(1, n))
-        for pos, j in enumerate(rest):
-            keep = [i for i in rest if i != j]
-            sub = a[np.ix_(keep, keep)]
-            total += (-1.0) ** pos * a[0, j] * rec(sub)
-        return total
-
-    return float(rec(S))
-
-
 # ---------------------------------------------------------------------------
 # exact rational path
 # ---------------------------------------------------------------------------

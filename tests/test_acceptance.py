@@ -36,7 +36,7 @@ from nilgo import (
     riehm_predict,
     split_two_step,
 )
-from nilgo.algebra import is_nonsingular
+from nilgo.jmaps import is_nonsingular
 from nilgo.errors import NotTwoStepError
 from nilgo.families import (
     _c_block,

@@ -23,9 +23,10 @@ from nilgo import (
     split_two_step,
     validate,
 )
-from nilgo.algebra import is_nonsingular, restrict_to_span
+from nilgo.algebra import restrict_to_span
 from nilgo.errors import InputError, NotTwoStepError, PreconditionError
 from nilgo.families import algebra_from_jmaps
+from nilgo.jmaps import is_nonsingular
 from nilgo.linear_core import bareiss_rank
 
 

@@ -28,13 +28,13 @@ from nilgo.families import (
     l_matrix,
     n10_second_generators,
     r_matrix,
-    thm2_diagonal_centralizer,
     thm2_generators,
     thm2_subspace,
     vt_generators,
     vt_subspace,
 )
 from nilgo.operator_subspaces import SkewOperatorSubspace, centralizer_in_so, subspace_contains, subspaces_equal
+from oracles import thm2_diagonal_centralizer
 from rational_oracles import rat_inv
 
 

@@ -161,7 +161,7 @@ class TestCompare:
 
 def _reference_rate(L, v):
     # Euler-Arnold: (dv/dt, e_j) = ([v, e_j], v) for every basis vector
-    r = np.array([L.inner(L.bracket(v, e), v) for e in np.eye(L.dim)])
+    r = np.array([L.bracket(v, e) @ L.gram @ v for e in np.eye(L.dim)])
     return np.linalg.solve(L.gram, r)
 
 

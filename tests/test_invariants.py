@@ -17,7 +17,7 @@ from nilgo import (
     split_two_step,
 )
 from nilgo.errors import PreconditionError
-from nilgo.invariants import INFINITY, hyperbolic_distance, real_root
+from nilgo.invariants import INFINITY, _distinct_real_roots, hyperbolic_distance, real_root
 
 
 def form(*coeffs):
@@ -53,6 +53,34 @@ class TestRoots:
         with pytest.raises(PreconditionError):
             pfaffian_roots(form(0, 0, 0))
 
+
+
+def _times(a, b):
+    """Coefficients of the product of two forms (coeffs[a] multiplies x^a y^(d-a))."""
+    out = [Q(0)] * (len(a) + len(b) - 1)
+    for i, s in enumerate(a):
+        for j, t in enumerate(b):
+            out[i + j] += s * t
+    return out
+
+
+def test_distinct_real_roots_of_forms_built_from_known_factors():
+    # y - r x vanishes at (1, r), the definite y^2 + b x y + c x^2 (b^2 < 4c)
+    # nowhere, and x at infinity: a product has one real root per distinct
+    # real linear factor, whatever the multiplicities and the scalar
+    linear = [(1, -r) for r in (Q(-2), Q(1, 3), Q(5))]
+    definite = [(1, 0, 1), (1, 1, 1), (2, -3, 5)]
+    for k, mult in enumerate(itertools.product(range(3), repeat=5)):
+        *lin, quad, at_inf = mult
+        factors = [f for f, e in zip(linear, lin) for _ in range(e)]
+        factors += [definite[k % 3]] * quad + [(0, 1)] * at_inf
+        if not factors:
+            continue
+        coeffs = [Q(-3 if k % 2 else 1)]
+        for f in factors:
+            coeffs = _times(coeffs, f)
+        expected = sum(e > 0 for e in lin) + (at_inf > 0)
+        assert _distinct_real_roots(form(*coeffs)) == expected, mult
 
 
 class TestRealRoot:

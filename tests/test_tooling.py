@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import graphlib
 import importlib
 import importlib.util
 import inspect
@@ -16,17 +17,6 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 SRC = str(ROOT / "src")
-
-# test oracles and paper objects that only the unit tests call, on purpose:
-# the combinatorial Pfaffian of linear_core, the diagonal centralizer of
-# the 4k+6 family and the metric pairing that is the reference of the
-# geodesic rate test (tests/test_geodesics.py::_reference_rate)
-ORACLES = (
-    "inner",
-    "pfaffian_combinatorial",
-    "thm2_diagonal_centralizer",
-)
-
 
 def _tracer_targets() -> dict:
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
@@ -114,7 +104,7 @@ def test_every_public_definition_is_reachable():
             others += [member for member in top.body if member is not node]
             kinds = ast.Attribute
             reached = name in external_attributes
-        if not (reached or name in ORACLES or any(name in _uses(other, kinds) for other in others)):
+        if not (reached or any(name in _uses(other, kinds) for other in others)):
             unreached.append(f"{module}.{qualname}")
     assert not unreached, f"public definitions no live root reaches: {unreached}"
 
@@ -161,3 +151,29 @@ def test_library_reads_no_environment():
         if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and _identifiers(node) & readers
     ]
     assert found == []
+
+
+def test_library_imports_are_module_level_and_acyclic():
+    # an import inside a function hides a dependency, and a cycle between the
+    # modules would make the import order decide which names exist
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted((ROOT / "src" / "nilgo").glob("*.py"))}
+    local = [
+        f"{module}.py:{node.lineno}"
+        for module, tree in trees.items()
+        for scope in ast.walk(tree)
+        if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        for node in ast.walk(scope)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert local == []
+    # module -> the sibling modules its top-level relative imports name
+    edges = {
+        module: {
+            target
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for target in ([node.module] if node.module else [alias.name for alias in node.names])
+        }
+        for module, tree in trees.items()
+    }
+    graphlib.TopologicalSorter(edges).prepare()  # raises CycleError naming the cycle
