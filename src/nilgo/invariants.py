@@ -163,16 +163,16 @@ def real_root(p: HomogeneousPolynomial2) -> Optional[np.ndarray]:
     projective root.
 
     (0, 1) when p(0, 1) = 0, the zero form included; otherwise a root
-    (1, w) of p(1, w), found with Sturm's theorem over Q when p is exact
-    and by the root classifier of :func:`pfaffian_roots` when it is float.
+    (1, w) of p(1, w), found with Sturm's theorem over Q when p is exact.
+    A float p takes the real roots of the classifier of
+    :func:`pfaffian_roots`, and when it finds none, Sturm's theorem on the
+    exact values of the coefficients, which sees the multiple real roots
+    the classifier splits off the real line.
     """
     if p.coeffs[0] == 0:
         return np.array([0.0, 1.0])
-    if p.is_exact:
-        w = _sturm_root(p.coeffs)
-    else:
-        real = pfaffian_roots(p).real_roots()
-        w = real[0] if real else None
+    real = [] if p.is_exact else pfaffian_roots(p).real_roots()
+    w = real[0] if real else _sturm_root(p.coeffs)
     if w is None:
         return None
     Z = np.array([0.0, 1.0]) if w == INFINITY else np.array([1.0, complex(w).real])

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import invariants, linear_core as lc
-from .algebra import MetricLieAlgebra, TwoStepSplit, split_two_step
+from .algebra import MetricLieAlgebra, TwoStepSplit, _over_common_denominator, split_two_step
 from .errors import InputError, PreconditionError
 
 # entrywise tolerance of the Clifford relations in is_h_type and isotypic_test
@@ -84,9 +84,11 @@ def is_h_type(split: TwoStepSplit) -> bool:
 def pfaffian_form(split: TwoStepSplit) -> lc.HomogeneousPolynomial2:
     """The Pfaffian of J_{x Z_1 + y Z_2} as a homogeneous polynomial.
 
-    Interpolated at :func:`linear_core.interpolation_points`: exactly at
-    integer points whenever the split carries exact data, else in floats.
-    Sign normalized so the leading nonzero coefficient is positive.
+    Pfaffians of integer matrices divided by ``den^(n/2)``, interpolated
+    exactly at :func:`linear_core.interpolation_points`.  Float generators
+    are taken at their exact values over one common denominator, and each
+    coefficient of their form is rounded once to float.  Sign normalized
+    so the leading nonzero coefficient is positive.
     """
     if split.m != 2:
         raise PreconditionError(f"pfaffian form needs a 2-dimensional center, got m={split.m}")
@@ -94,15 +96,15 @@ def pfaffian_form(split: TwoStepSplit) -> lc.HomogeneousPolynomial2:
         raise PreconditionError("v must be even-dimensional")
     fam = split_family(split)
     deg = split.n // 2
-    points = lc.interpolation_points(deg, fam.is_exact)
     if fam.is_exact:
         (G1, G2), den = fam.generators_exact
-        scale = den**deg  # Pf(S / den) = Pf(S) / den^(n/2)
-        evals = [((x, y), Fraction(lc.pfaffian_exact((x * G1 + y * G2).tolist()), scale)) for x, y in points]
     else:
-        G1, G2 = fam.generators
-        evals = [((x, y), lc.pfaffian_numeric(x * G1 + y * G2)) for x, y in points]
-    return lc.interpolate_homogeneous2(evals, deg).normalized_sign()
+        (G1, G2), den = _over_common_denominator(np.frompyfunc(lc._exact, 1, 1)(fam.generators))
+    scale = den**deg  # Pf(S / den) = Pf(S) / den^(n/2)
+    points = lc.interpolation_points(deg)
+    evals = [((x, y), Fraction(lc.pfaffian_exact((x * G1 + y * G2).tolist()), scale)) for x, y in points]
+    form = lc.interpolate_homogeneous2(evals, deg).normalized_sign()
+    return form if fam.is_exact else form.rounded()
 
 
 def radon_hurwitz(n: int) -> int:

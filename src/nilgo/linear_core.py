@@ -240,46 +240,6 @@ def _svd_residuals(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return residual
 
 
-def _check_skew(S: np.ndarray) -> np.ndarray:
-    S = as_matrix(S)
-    n, m = S.shape
-    if n != m:
-        raise InputError("pfaffian needs a square matrix")
-    if n % 2 != 0:
-        raise InputError("pfaffian needs even dimension")
-    if np.linalg.norm(S + S.T) > 1e-12 * np.linalg.norm(S):
-        raise InputError("matrix is not skew-symmetric")
-    return S
-
-
-def pfaffian_numeric(S) -> float:
-    """Pfaffian of a skew-symmetric matrix.
-
-    Uses skew-symmetric elimination (Parlett--Reid) with full pivoting;
-    Pf of the 2x2 block [[0, a], [-a, 0]] is a.
-    """
-    S = _check_skew(S)
-    A = S.copy()
-    n = A.shape[0]
-    pf = 1.0
-    for k in range(0, n, 2):
-        # pivot: bring the largest entry of row k into position (k, k+1)
-        j = k + 1 + int(np.argmax(np.abs(A[k, k + 1:])))
-        if A[k, j] == 0.0:
-            return 0.0
-        if j != k + 1:
-            A[[k + 1, j]] = A[[j, k + 1]]
-            A[:, [k + 1, j]] = A[:, [j, k + 1]]
-            pf = -pf
-        pivot = A[k, k + 1]
-        pf *= pivot
-        if k + 2 < n:
-            f = A[k, k + 2:] / pivot
-            A[k + 2:, :] -= np.outer(f, A[k + 1, :])
-            A[:, k + 2:] -= np.outer(A[:, k + 1], f)
-    return float(pf)
-
-
 # ---------------------------------------------------------------------------
 # exact rational path
 # ---------------------------------------------------------------------------
@@ -445,25 +405,39 @@ class HomogeneousPolynomial2:
                 break
         return self
 
+    def rounded(self) -> "HomogeneousPolynomial2":
+        """The form with each coefficient rounded once to float; InputError past the float range."""
+        try:
+            return HomogeneousPolynomial2(self.degree, tuple(float(c) for c in self.coeffs))
+        except OverflowError:
+            raise InputError("a form coefficient is too large for a float") from None
+
     def substitute_linear(self, a, b, c, d) -> "HomogeneousPolynomial2":
-        """Precompose with the substitution (x, y) -> (a x + b y, c x + d y)."""
-        exact = self.is_exact and all(isinstance(v, (Fraction, int)) for v in (a, b, c, d))
-        evals = [((x, y), self(a * x + b * y, c * x + d * y)) for x, y in interpolation_points(self.degree, exact)]
-        return interpolate_homogeneous2(evals, self.degree)
+        """Precompose with the substitution (x, y) -> (a x + b y, c x + d y).
+
+        Computed on the exact values of the coefficients and of a, b, c, d;
+        the result is rounded once to float unless all of them are exact.
+        """
+        exact = all(isinstance(v, (Fraction, int)) for v in (*self.coeffs, a, b, c, d))
+        p = HomogeneousPolynomial2(self.degree, tuple(map(_exact, self.coeffs)))
+        a, b, c, d = map(_exact, (a, b, c, d))
+        evals = [((x, y), p(a * x + b * y, c * x + d * y)) for x, y in interpolation_points(self.degree)]
+        q = interpolate_homogeneous2(evals, self.degree)
+        return q if exact else q.rounded()
 
 
-def interpolation_points(degree: int, exact: bool) -> list:
-    """The degree + 1 points at which a form of ``degree`` is sampled.
+def _exact(v):
+    """The exact value of an int, a Fraction or a finite float; InputError when it is not finite."""
+    if isinstance(v, (int, Fraction)):
+        return v
+    if not math.isfinite(v):
+        raise InputError("values must be finite")
+    return Fraction(v)
 
-    Exact data takes the integer points (0, 1), (1, j).  Float data takes
-    the unit vectors at angles pi k / (degree + 1), whose Vandermonde stays
-    well conditioned (below 2.2e8 up to degree 31), where the monomial
-    points reach 1e11 at degree 8.
-    """
-    if exact:
-        return [(0, 1)] + [(1, j) for j in range(degree)]
-    angles = np.pi * np.arange(degree + 1) / (degree + 1)
-    return list(zip(np.cos(angles), np.sin(angles)))
+
+def interpolation_points(degree: int) -> list:
+    """The degree + 1 integer points (0, 1), (1, j) at which a form of ``degree`` is sampled."""
+    return [(0, 1)] + [(1, j) for j in range(degree)]
 
 
 def interpolate_homogeneous2(evals, degree: int) -> HomogeneousPolynomial2:

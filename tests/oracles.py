@@ -1,6 +1,6 @@
-"""Float reference objects of the unit tests: the combinatorial Pfaffian,
-the cross-check of ``linear_core.pfaffian_numeric``, and the diagonal
-centralizer of the 4k+6 family."""
+"""Reference objects of the unit tests: the combinatorial Pfaffian, the
+oracle of ``linear_core.pfaffian_exact``, and the diagonal centralizer of
+the 4k+6 family."""
 
 import numpy as np
 
@@ -8,24 +8,25 @@ from nilgo.families import r_matrix
 from nilgo.operator_subspaces import SkewOperatorSubspace
 
 
-def pfaffian_combinatorial(S) -> float:
-    """Recursive expansion of the Pfaffian of a skew matrix along its first row (dim <= 6)."""
-    S = np.asarray(S, dtype=float)
+def pfaffian_combinatorial(S):
+    """Recursive expansion of the Pfaffian of a skew matrix along its first
+    row (dim <= 6), in the arithmetic of its entries: exact on Fractions."""
+    S = np.asarray(S)
     assert S.shape[0] <= 6, "combinatorial expansion is limited to dimension 6"
 
-    def rec(a: np.ndarray) -> float:
+    def rec(a: np.ndarray):
         n = a.shape[0]
         if n == 0:
-            return 1.0
-        total = 0.0
+            return 1
+        total = 0
         rest = list(range(1, n))
         for pos, j in enumerate(rest):
             keep = [i for i in rest if i != j]
             sub = a[np.ix_(keep, keep)]
-            total += (-1.0) ** pos * a[0, j] * rec(sub)
+            total += (-1) ** pos * a[0, j] * rec(sub)
         return total
 
-    return float(rec(S))
+    return rec(S)
 
 
 def thm2_diagonal_centralizer(k: int) -> SkewOperatorSubspace:

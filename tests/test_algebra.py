@@ -26,7 +26,7 @@ from nilgo import (
 from nilgo.algebra import restrict_to_span
 from nilgo.errors import InputError, NotTwoStepError, PreconditionError
 from nilgo.families import algebra_from_jmaps
-from nilgo.jmaps import is_nonsingular
+from nilgo.jmaps import is_nonsingular, pfaffian_form
 from nilgo.linear_core import bareiss_rank
 
 
@@ -326,6 +326,12 @@ def skew_sum(n, *pairs) -> np.ndarray:
 # m = 2 on R^4: J_Z = (3x + y)(E01 + E23) + y E02 has Pfaffian (3x + y)^2, and rank 2 at Z = (1, -3)
 DOUBLE_ROOT = np.array([3 * skew_sum(4, (0, 1), (2, 3)), skew_sum(4, (0, 1), (2, 3), (0, 2))])
 
+# m = 2 on R^8: two copies of DOUBLE_ROOT, Pfaffian (3x + y)^4
+FOUR_FOLD_ROOT = np.array([
+    3 * skew_sum(8, (0, 1), (2, 3), (4, 5), (6, 7)),
+    skew_sum(8, (0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6)),
+])
+
 
 class TestNonsingularity:
     def test_n10_yes_exact(self):
@@ -360,6 +366,16 @@ class TestNonsingularity:
         # by a Sturm count, the float one by the root classifier of pfaffian_roots
         for generators, exact in ((DOUBLE_ROOT.tolist(), True), (DOUBLE_ROOT.astype(float), False)):
             r = is_nonsingular(algebra_from_jmaps(generators))
+            assert (r.status, r.exact) == ("no", exact)
+            assert np.allclose(r.witness, np.array([1.0, -3.0]) / np.sqrt(10.0), rtol=0, atol=1e-12)
+
+    def test_four_fold_root_of_the_pfaffian_form(self):
+        # the root classifier finds no real root of the float form (3x + y)^4;
+        # Sturm's theorem on the exact values of its coefficients does
+        for generators, exact in ((FOUR_FOLD_ROOT.tolist(), True), (FOUR_FOLD_ROOT.astype(float), False)):
+            L = algebra_from_jmaps(generators)
+            assert pfaffian_form(split_two_step(L)).coeffs == (1, 12, 54, 108, 81)
+            r = is_nonsingular(L)
             assert (r.status, r.exact) == ("no", exact)
             assert np.allclose(r.witness, np.array([1.0, -3.0]) / np.sqrt(10.0), rtol=0, atol=1e-12)
 

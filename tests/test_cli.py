@@ -4,7 +4,7 @@ import pytest
 
 from nilgo import SkewOperatorSubspace, algebra_from_dict, algebra_to_dict, validate
 from nilgo.cli import main
-from nilgo.families import l_matrix
+from nilgo.families import algebra_from_jmaps, l_matrix
 from nilgo.operator_subspaces import is_subalgebra, skew_basis
 
 FAMILY_ARGS = [
@@ -412,6 +412,19 @@ class TestOverflowingCoefficients:
         assert code == 64
         assert captured.out == ""
         assert "too large for a float" in captured.err
+
+    def test_pfaffian_form_past_float_range_exit_64(self, capsys, tmp_path):
+        # finite generators 1e200 (E01 + E23), 1e200 (E02 - E13): the form 1e400 (x^2 + y^2) has no float
+        a = 1e200
+        G1 = [[0, a, 0, 0], [-a, 0, 0, 0], [0, 0, 0, a], [0, 0, -a, 0]]
+        G2 = [[0, 0, a, 0], [0, 0, 0, -a], [-a, 0, 0, 0], [0, a, 0, 0]]
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(algebra_to_dict(algebra_from_jmaps([G1, G2]))))
+        code = main(["pfaffian", str(path)])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert captured.err.startswith("input error:")
 
 
 class TestGeodesicCompareContract:

@@ -21,6 +21,7 @@ from nilgo import (
 from nilgo.errors import InputError, PreconditionError
 from nilgo.invariants import distinguish
 from nilgo.jmaps import build_jmap_family, split_family
+from nilgo.linear_core import pfaffian_exact
 
 
 def _pair_loop_generators(split):
@@ -146,13 +147,12 @@ class TestPfaffianForm:
         assert p.coeffs == (Q(1), Q(0), Q(2), Q(0), Q(1))
 
     def test_evaluates_to_pfaffian(self, rng):
-        from nilgo.linear_core import pfaffian_numeric
-
+        # J_{xZ1+yZ2} of n10(2) has entries ±x, ±y, ±2x: its float build is exact
         split = split_two_step(n10(2))
         p = pfaffian_form(split)
         for _ in range(5):
             x, y = rng.standard_normal(2)
-            assert np.isclose(float(p(x, y)), pfaffian_numeric(build_jmap(split, [x, y])), atol=1e-8)
+            assert p(Q(x), Q(y)) == pfaffian_exact(build_jmap(split, [x, y]))
 
     def test_requires_m2(self):
         with pytest.raises(PreconditionError):
@@ -161,7 +161,7 @@ class TestPfaffianForm:
     def test_float_path(self):
         p = pfaffian_form(split_two_step(n10(2.0)))
         assert not p.is_exact
-        assert np.allclose(np.array(p.coeffs, dtype=float), [1.0, 0.0, 5.0, 0.0, 4.0])
+        assert p.coeffs == (1.0, 0.0, 5.0, 0.0, 4.0)
 
     @pytest.mark.parametrize("ts", [(Q(3, 2), 2, 3), (2, 3, 5, 7)])
     def test_float_path_matches_exact_at_high_degree(self, ts):

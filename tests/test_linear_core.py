@@ -272,34 +272,35 @@ class TestBareissIntegerRows:
 class TestPfaffian:
     def test_two_by_two(self):
         S = np.array([[0.0, 5.0], [-5.0, 0.0]])
-        assert np.isclose(lc.pfaffian_numeric(S), 5.0)
+        assert lc.pfaffian_exact(S) == 5
         assert np.isclose(pfaffian_combinatorial(S), 5.0)
 
     def test_matches_combinatorial(self, rng):
+        # the float matrices at their exact values, against the expansion in Fractions
         for n in (2, 4, 6):
             for _ in range(5):
                 S = random_skew(rng, n)
-                assert np.isclose(lc.pfaffian_numeric(S), pfaffian_combinatorial(S), atol=1e-9)
+                assert lc.pfaffian_exact(S) == pfaffian_combinatorial(np.vectorize(Q, otypes=[object])(S))
 
     def test_square_is_determinant(self, rng):
         S = random_skew(rng, 8)
-        assert np.isclose(lc.pfaffian_numeric(S) ** 2, np.linalg.det(S))
+        assert np.isclose(float(lc.pfaffian_exact(S)) ** 2, np.linalg.det(S))
 
     def test_odd_dimension_rejected(self):
         with pytest.raises(InputError):
-            lc.pfaffian_numeric(np.zeros((3, 3)))
+            lc.pfaffian_exact(np.zeros((3, 3)))
 
     def test_not_skew_rejected(self):
         with pytest.raises(InputError):
-            lc.pfaffian_numeric(np.eye(2))
+            lc.pfaffian_exact(np.eye(2))
 
     @pytest.mark.parametrize("s", [1e-20, 1e-8, 1.0, 1e8])
     def test_skewness_is_relative(self, s):
         S = np.array([[0.0, 1.0], [-0.8, 0.0]])  # off skew by a fifth of its norm
         with pytest.raises(InputError):
-            lc.pfaffian_numeric(s * S)
-        assert lc.pfaffian_numeric(s * np.array([[0.0, 1.0], [-1.0, 0.0]])) == s
-        assert lc.pfaffian_numeric(np.zeros((2, 2))) == 0.0
+            lc.pfaffian_exact(s * S)
+        assert lc.pfaffian_exact(s * np.array([[0.0, 1.0], [-1.0, 0.0]])) == s
+        assert lc.pfaffian_exact(np.zeros((2, 2))) == 0
 
     def test_exact(self):
         S = [[Q(0), Q(1, 2), Q(3), Q(0)],
@@ -308,8 +309,8 @@ class TestPfaffian:
              [Q(0), Q(-2), Q(-5), Q(0)]]
         pf = lc.pfaffian_exact(S)
         assert pf == Q(1, 2) * Q(5) - Q(3) * Q(2) + Q(0) * Q(1)
-        dense = np.array([[float(x) for x in row] for row in S])
-        assert np.isclose(float(pf), lc.pfaffian_numeric(dense))
+        dense = np.array([[float(x) for x in row] for row in S])  # dyadic entries: the same values
+        assert lc.pfaffian_exact(dense) == pf
 
     def test_exact_matches_expansion(self):
         # fraction-free elimination vs expansion along the first row, in Fractions
@@ -466,6 +467,17 @@ class TestHomogeneousPolynomial:
         q = p.substitute_linear(Q(2), Q(0), Q(1), Q(1, 2))
         for x, y in [(1, 0), (0, 1), (1, 1), (2, -3)]:
             assert q(x, y) == p(2 * x, x + Q(1, 2) * y)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_substitute_linear_rejects_non_finite_values(self, bad):
+        with pytest.raises(InputError):
+            lc.HomogeneousPolynomial2(2, (1.0, bad, 0.0)).substitute_linear(1.0, 0.0, 0.0, 1.0)
+        with pytest.raises(InputError):
+            lc.HomogeneousPolynomial2(2, (Q(1), Q(0), Q(1))).substitute_linear(Q(1), bad, Q(0), Q(1))
+
+    def test_rounded_past_float_range(self):
+        with pytest.raises(InputError, match="too large for a float"):
+            lc.HomogeneousPolynomial2(1, (Q(10) ** 400, Q(1))).rounded()
 
     def test_interpolate_exact(self):
         p = lc.HomogeneousPolynomial2(3, (Q(1), Q(-2), Q(0), Q(5)))

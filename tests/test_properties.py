@@ -1,9 +1,12 @@
-"""Properties of the documents the CLI reads, over generated inputs.
+"""Properties of the documents the CLI reads and of Pfaffian forms, over
+generated inputs.
 
 Every command answers any document with an exit code of its contract
 (0, 1, 2 or 64), never with an internal error, and on a two-step document
 the two GO criteria, which both characterize GO, never contradict each
-other.  Commands run in-process through ``cli.main`` with few samples;
+other.  Commands run in-process through ``cli.main`` with few samples.
+A float Pfaffian form, and a float substitution into it, is the exact one
+of the same float values with each coefficient rounded once.
 ``derandomize=True`` makes the examples the same on every run.
 """
 
@@ -13,11 +16,14 @@ import itertools
 import json
 import os
 import tempfile
+from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from nilgo import cli
+from nilgo import HomogeneousPolynomial2, NotTwoStepError, cli, pfaffian_form, split_two_step
+from nilgo.families import algebra_from_jmaps
+from nilgo.jmaps import split_family
 
 CONTRACT = {cli.EXIT_PASS, cli.EXIT_REFUTED, cli.EXIT_INCONCLUSIVE, cli.EXIT_INPUT}
 SAMPLING = ["--samples", "8"]
@@ -132,3 +138,35 @@ def test_gordon_and_kv_never_contradict(doc):
         gordon, kv = (_run(["go-check", path, "--criterion", c, *SAMPLING]) for c in ("gordon", "kv"))
     if {gordon, kv} <= {cli.EXIT_PASS, cli.EXIT_REFUTED}:
         assert gordon == kv
+
+
+@st.composite
+def skew_pairs(draw):
+    """Two skew n x n integer matrices with entries in [-3, 3], n even and at most 8."""
+    n = draw(st.sampled_from([2, 4, 6, 8]))
+    pairs = list(itertools.combinations(range(n), 2))
+    J = np.zeros((2, n, n), dtype=int)
+    for k in range(2):
+        upper = draw(st.lists(st.integers(-3, 3), min_size=len(pairs), max_size=len(pairs)))
+        for (a, b), c in zip(pairs, upper):
+            J[k, a, b], J[k, b, a] = c, -c
+    return J
+
+
+@PROPERTY
+@given(skew_pairs(), st.lists(st.floats(-4, 4, allow_subnormal=False), min_size=4, max_size=4))
+def test_float_pfaffian_forms_are_the_exact_forms_rounded_once(J, substitution):
+    try:
+        split = split_two_step(algebra_from_jmaps(J.astype(float)))
+    except NotTwoStepError:  # both matrices zero
+        split = None
+    assume(split is not None and split.m == 2)
+    # the float split may relabel its bases, so the exact copy is built from the J-pair it chose
+    chosen = np.frompyfunc(Fraction, 1, 1)(split_family(split).generators)
+    exact = pfaffian_form(split_two_step(algebra_from_jmaps(chosen)))
+    form = pfaffian_form(split)
+    assert exact.is_exact and not form.is_exact
+    assert form.coeffs == tuple(float(c) for c in exact.coeffs)
+    exact_values = HomogeneousPolynomial2(form.degree, tuple(map(Fraction, form.coeffs)))
+    moved = exact_values.substitute_linear(*map(Fraction, substitution))
+    assert form.substitute_linear(*substitution).coeffs == tuple(float(c) for c in moved.coeffs)
