@@ -23,7 +23,7 @@ from .families import (
     n10_second,
     quaternionic_heisenberg,
 )
-from .geodesics import compare_geodesic_orbit, geodesic_integrate, group_mult, orbit_integrate
+from .geodesics import compare_geodesic_orbit, geodesic_integrate, orbit_integrate
 from .go_checker import (
     GOCertificate,
     SamplerConfig,

@@ -109,18 +109,6 @@ def l_matrix(b1, b2, b3) -> np.ndarray:
     )
 
 
-def r_matrix(g1, g2, g3) -> np.ndarray:
-    return np.array(
-        [
-            [0, -g1, -g2, -g3],
-            [g1, 0, g3, -g2],
-            [g2, -g3, 0, g1],
-            [g3, g2, -g1, 0],
-        ],
-        dtype=float,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Clifford-module generators (quaternions and octonions)
 # ---------------------------------------------------------------------------
@@ -294,19 +282,6 @@ def n10_second(q=None) -> MetricLieAlgebra:
     return algebra_from_jmaps(n10_second_generators(), q)
 
 
-def centralizer_basis_n10() -> SkewOperatorSubspace:
-    """The 6 generators diag(D_1(e_i), 0), diag(0, D_2(e_j)) of the centralizer of V_t."""
-    mats = []
-    zeros = np.zeros((4, 4))
-    for e in np.eye(3):
-        D = r_matrix(*e)
-        mats.append(np.block([[D, zeros], [zeros, zeros]]))
-    for e in np.eye(3):
-        D = r_matrix(*e)
-        mats.append(np.block([[zeros, zeros], [zeros, D]]))
-    return SkewOperatorSubspace(8, mats)
-
-
 @dataclass(frozen=True)
 class AlphaSolution:
     alphas: tuple  # (a1..a6)
@@ -343,7 +318,7 @@ def alpha_closed_form(t, x, y, X) -> AlphaSolution:
 
 
 def d_matrix_exact(a1, a2, a3) -> list[list[Fraction]]:
-    """The centralizer block D(a1, a2, a3) (same pattern as r_matrix), exact."""
+    """The centralizer block D(a1, a2, a3), right multiplication by a1 i + a2 j + a3 k on H = R^4, exact."""
     a1, a2, a3 = Q(a1), Q(a2), Q(a3)
     return [
         [Q(0), -a1, -a2, -a3],

@@ -55,18 +55,6 @@ def expm(A) -> np.ndarray:
     return R
 
 
-def group_mult(L: MetricLieAlgebra, a, b) -> np.ndarray:
-    """Baker-Campbell-Hausdorff product in exponential coordinates.
-
-    Exact for nilpotency class at most 2, where the series truncates.
-    """
-    if nilpotency_class(L) > 2:
-        raise PreconditionError("closed-form product needs nilpotency class <= 2")
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return a + b + 0.5 * L.bracket(a, b)
-
-
 def _bracket_tensor(L: MetricLieAlgebra) -> np.ndarray:
     """C with [x, y] = C @ kron(x, y)."""
     d = L.dim

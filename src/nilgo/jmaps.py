@@ -8,7 +8,6 @@ skew operators on v defined by (J_{Z_i} X, Y) = ([X, Y], Z_i).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -84,11 +83,13 @@ def is_h_type(split: TwoStepSplit) -> bool:
 def pfaffian_form(split: TwoStepSplit) -> lc.HomogeneousPolynomial2:
     """The Pfaffian of J_{x Z_1 + y Z_2} as a homogeneous polynomial.
 
-    Pfaffians of integer matrices divided by ``den^(n/2)``, interpolated
-    exactly at :func:`linear_core.interpolation_points`.  Float generators
-    are taken at their exact values over one common denominator, and each
-    coefficient of their form is rounded once to float.  Sign normalized
-    so the leading nonzero coefficient is positive.
+    The integer Pfaffians of ``x G1 + y G2`` (the generators times their
+    common denominator ``den``) are interpolated exactly at
+    :func:`linear_core.interpolation_points`, and each coefficient is then
+    divided once by ``den^(n/2)``.  Float generators are taken at their
+    exact values over one common denominator, and each coefficient of their
+    form is rounded once to float.  Sign normalized so the leading nonzero
+    coefficient is positive.
     """
     if split.m != 2:
         raise PreconditionError(f"pfaffian form needs a 2-dimensional center, got m={split.m}")
@@ -100,10 +101,11 @@ def pfaffian_form(split: TwoStepSplit) -> lc.HomogeneousPolynomial2:
         (G1, G2), den = fam.generators_exact
     else:
         (G1, G2), den = _over_common_denominator(np.frompyfunc(lc._exact, 1, 1)(fam.generators))
-    scale = den**deg  # Pf(S / den) = Pf(S) / den^(n/2)
     points = lc.interpolation_points(deg)
-    evals = [((x, y), Fraction(lc.pfaffian_exact((x * G1 + y * G2).tolist()), scale)) for x, y in points]
-    form = lc.interpolate_homogeneous2(evals, deg).normalized_sign()
+    evals = [((x, y), lc.pfaffian_exact((x * G1 + y * G2).tolist())) for x, y in points]
+    scale = den**deg  # Pf(S / den) = Pf(S) / den^(n/2)
+    coeffs = lc.interpolate_homogeneous2(evals, deg).coeffs
+    form = lc.HomogeneousPolynomial2(deg, tuple(c / scale for c in coeffs)).normalized_sign()
     return form if fam.is_exact else form.rounded()
 
 

@@ -441,36 +441,22 @@ def interpolation_points(degree: int) -> list:
 
 
 def interpolate_homogeneous2(evals, degree: int) -> HomogeneousPolynomial2:
-    """Recover a homogeneous bivariate polynomial from point evaluations.
+    """Recover a homogeneous bivariate polynomial from exact point evaluations.
 
-    Uses exact rational solving whenever every input is rational, otherwise
-    floating least squares with the rank cut at ``TAU_RANK`` and a
-    consistency check at 1e-9 relative to the values.
+    Every point coordinate and value must be an int or a Fraction
+    (InputError otherwise).  One exact elimination of the augmented
+    Vandermonde rows gives the rank and the consistency.
     """
     if degree < 0:
         raise InputError("degree must be non-negative")
     if len(evals) < degree + 1:
         raise InterpolationError(f"need at least {degree + 1} evaluation points")
     pts = [(p[0], p[1], v) for (p, v) in evals]
-    exact = all(
-        isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction)) and isinstance(v, (int, Fraction))
-        for x, y, v in pts
-    )
-    if exact:
-        # one elimination of the augmented Vandermonde rows gives the rank and the consistency
-        rows, pivots = _echelon([[x**a * y ** (degree - a) for a in range(degree + 1)] + [v] for x, y, v in pts])
-        if pivots[: degree + 1] != list(range(degree + 1)):
-            raise InterpolationError("evaluation points do not determine the polynomial")
-        if len(pivots) > degree + 1:
-            raise InterpolationError("inconsistent evaluations")
-        return HomogeneousPolynomial2(degree, tuple(_back_substitute(rows, pivots, degree + 1)))
-    # the Vandermonde rows with the values as a last column; LAPACK cuts the rank at s <= TAU_RANK s_1
-    rows = [[float(x) ** a * float(y) ** (degree - a) for a in range(degree + 1)] + [float(v)] for x, y, v in pts]
-    Ab = as_matrix(rows)
-    A, b = Ab[:, :-1], Ab[:, -1]
-    coeffs, _, rank, _ = np.linalg.lstsq(A, b, rcond=TAU_RANK)
-    if rank <= degree:
+    if not all(isinstance(u, (int, Fraction)) for pt in pts for u in pt):
+        raise InputError("interpolation needs exact points and values (int or Fraction)")
+    rows, pivots = _echelon([[x**a * y ** (degree - a) for a in range(degree + 1)] + [v] for x, y, v in pts])
+    if pivots[: degree + 1] != list(range(degree + 1)):
         raise InterpolationError("evaluation points do not determine the polynomial")
-    if np.linalg.norm(A @ coeffs - b) > 1e-9 * np.linalg.norm(b):
+    if len(pivots) > degree + 1:
         raise InterpolationError("inconsistent evaluations")
-    return HomogeneousPolynomial2(degree, tuple(float(c) for c in coeffs))
+    return HomogeneousPolynomial2(degree, tuple(_back_substitute(rows, pivots, degree + 1)))

@@ -122,10 +122,6 @@ def subspace_contains(outer: SkewOperatorSubspace, inner: SkewOperatorSubspace) 
     return not np.any(_span_gaps(outer, inner.basis) > lc.TAU_RANK * norms)
 
 
-def subspaces_equal(a: SkewOperatorSubspace, b: SkewOperatorSubspace) -> bool:
-    return a.dim == b.dim and subspace_contains(a, b) and subspace_contains(b, a)
-
-
 def _normalizes(N: np.ndarray, V: SkewOperatorSubspace) -> bool:
     """Whether every [N_p, B_q] (N_p in the stack N, B_q in V's basis) lies in
     span(V), i.e. N lies in the normalizer of V, tested without building the

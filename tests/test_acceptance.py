@@ -24,13 +24,11 @@ from nilgo import (
     heisenberg,
     isotypic_test,
     kv_go_check,
-    moebius_invariant,
     n10,
     n10_second,
     naturally_reductive_flag,
     nilpotency_class,
     pfaffian_form,
-    pfaffian_roots,
     quaternionic_heisenberg,
     radon_hurwitz,
     riehm_predict,
@@ -41,7 +39,6 @@ from nilgo.errors import NotTwoStepError
 from nilgo.families import (
     _c_block,
     alpha_closed_form,
-    centralizer_basis_n10,
     d_matrix_exact,
     l_matrix,
     n10_second_generators,
@@ -58,7 +55,6 @@ from nilgo.operator_subspaces import (
     compact_split,
     generated_subalgebra,
     subspace_contains,
-    subspaces_equal,
 )
 
 CONFIG = SamplerConfig(seed=0, samples=200)

@@ -22,19 +22,17 @@ from nilgo.errors import InputError
 from nilgo.families import (
     algebra_from_jmaps,
     alpha_closed_form,
-    centralizer_basis_n10,
     clifford_generators,
     d_matrix_exact,
     l_matrix,
     n10_second_generators,
-    r_matrix,
     thm2_generators,
     thm2_subspace,
     vt_generators,
     vt_subspace,
 )
-from nilgo.operator_subspaces import SkewOperatorSubspace, centralizer_in_so, subspace_contains, subspaces_equal
-from oracles import thm2_diagonal_centralizer
+from nilgo.operator_subspaces import SkewOperatorSubspace, centralizer_in_so, subspace_contains
+from oracles import centralizer_basis_n10, r_matrix, subspaces_equal, thm2_diagonal_centralizer
 from rational_oracles import rat_inv
 
 

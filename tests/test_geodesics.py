@@ -6,7 +6,6 @@ from scipy import linalg as sla
 from nilgo import (
     compare_geodesic_orbit,
     geodesic_integrate,
-    group_mult,
     h_type_clifford,
     heisenberg,
     kv_solve,
@@ -45,34 +44,6 @@ class TestExpm:
     def test_edge_inputs(self):
         assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))
         assert np.all(np.isnan(expm(np.full((2, 2), np.inf))))
-
-
-class TestGroupMult:
-    def test_heisenberg_commutator(self):
-        L = heisenberg(1)
-        a = np.array([1.0, 0.0, 0.0])
-        b = np.array([0.0, 1.0, 0.0])
-        ab = group_mult(L, a, b)
-        ba = group_mult(L, b, a)
-        assert np.allclose(ab, [1.0, 1.0, 0.5])
-        assert np.allclose(ab - ba, [0.0, 0.0, 1.0])
-
-    def test_associativity(self, rng):
-        L = n10(2)
-        for _ in range(5):
-            a, b, c = (rng.standard_normal(10) for _ in range(3))
-            lhs = group_mult(L, group_mult(L, a, b), c)
-            rhs = group_mult(L, a, group_mult(L, b, c))
-            assert np.allclose(lhs, rhs)
-
-    def test_inverse_is_negative(self, rng):
-        L = heisenberg(2)
-        a = rng.standard_normal(5)
-        assert np.allclose(group_mult(L, a, -a), 0.0)
-
-    def test_rejects_three_step(self, three_step):
-        with pytest.raises(PreconditionError):
-            group_mult(three_step, np.zeros(5), np.zeros(5))
 
 
 class TestGeodesicIntegrate:

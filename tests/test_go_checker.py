@@ -49,7 +49,6 @@ from nilgo.operator_subspaces import (
     normalizer_in_so,
     skew_basis,
     split_derivations,
-    subspaces_equal,
 )
 
 FAST = SamplerConfig(samples=20)

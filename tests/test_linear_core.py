@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as Q
 
 import numpy as np
@@ -487,10 +488,14 @@ class TestHomogeneousPolynomial:
         assert rec.is_exact
 
     def test_interpolate_float(self):
-        p = lc.HomogeneousPolynomial2(2, (1.0, 2.0, 3.0))
-        pts = [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (2.0, 1.0)]
-        rec = lc.interpolate_homogeneous2([((x, y), p(x, y)) for x, y in pts], 2)
-        assert np.allclose(np.array(rec.coeffs, dtype=float), [1.0, 2.0, 3.0])
+        # a float point coordinate or value is rejected, even one with an exact value
+        p = lc.HomogeneousPolynomial2(2, (Q(1), Q(2), Q(3)))
+        evals = [((x, y), p(x, y)) for x, y in [(0, 1), (1, 0), (1, 1), (2, 1)]]
+        for i, j in itertools.product(range(len(evals)), range(3)):
+            bad = [[x, y, v] for (x, y), v in evals]
+            bad[i][j] = float(bad[i][j])
+            with pytest.raises(InputError, match="exact"):
+                lc.interpolate_homogeneous2([((x, y), v) for x, y, v in bad], 2)
 
     def test_interpolate_rejects_non_finite_values(self):
         pts = [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
@@ -507,31 +512,23 @@ class TestHomogeneousPolynomial:
         with pytest.raises(InterpolationError):
             lc.interpolate_homogeneous2(pts, 3)
 
-    def test_interpolate_float_rank_cut(self):
-        # the rank of one lstsq at rcond = TAU_RANK: one repeated point fixes no cubic,
-        # and a second point 1e-3 off the first still fixes a line
-        with pytest.raises(InterpolationError, match="do not determine"):
-            lc.interpolate_homogeneous2([((1.0, 1.0), 1.0)] * 4, 3)
-        rec = lc.interpolate_homogeneous2([((1.0, 1.0), 2.0), ((1.0, 1.001), 2.001)], 1)
-        assert np.allclose(np.array(rec.coeffs, dtype=float), [1.0, 1.0])
-
     def test_interpolate_inconsistent(self):
         pts = [((Q(0), Q(1)), Q(1)), ((Q(1), Q(0)), Q(2)), ((Q(1), Q(1)), Q(3)), ((Q(1), Q(2)), Q(5))]
         with pytest.raises(InterpolationError, match="inconsistent"):
             lc.interpolate_homogeneous2(pts, 1)
 
     def test_interpolate_inconsistent_at_small_scale(self):
-        # the data of test_interpolate_inconsistent in floats, values scaled by 1e-12
-        pts = [((0.0, 1.0), 1.0), ((1.0, 0.0), 2.0), ((1.0, 1.0), 3.0), ((1.0, 2.0), 5.0)]
+        # the data of test_interpolate_inconsistent, values scaled by 10^-12
+        pts = [((Q(0), Q(1)), Q(1)), ((Q(1), Q(0)), Q(2)), ((Q(1), Q(1)), Q(3)), ((Q(1), Q(2)), Q(5))]
         with pytest.raises(InterpolationError, match="inconsistent"):
-            lc.interpolate_homogeneous2([(p, 1e-12 * v) for p, v in pts], 1)
+            lc.interpolate_homogeneous2([(p, v / 10**12) for p, v in pts], 1)
 
     def test_interpolate_at_small_points(self):
-        # a quartic sampled at points scaled by 1e-5: the values are about 1e-20
-        p = lc.HomogeneousPolynomial2(4, (1.0, -2.0, 0.5, 3.0, 1.0))
-        pts = [(1e-5 * x, 1e-5 * y) for x, y in [(0, 1), (1, 0), (1, 1), (1, 2), (1, -1), (2, 1)]]
+        # a quartic sampled at points scaled by 10^-5: the values are about 10^-20
+        p = lc.HomogeneousPolynomial2(4, (Q(1), Q(-2), Q(1, 2), Q(3), Q(1)))
+        pts = [(Q(x, 10**5), Q(y, 10**5)) for x, y in [(0, 1), (1, 0), (1, 1), (1, 2), (1, -1), (2, 1)]]
         rec = lc.interpolate_homogeneous2([((x, y), p(x, y)) for x, y in pts], 4)
-        assert np.max(np.abs(np.array(rec.coeffs, dtype=float) - np.array(p.coeffs, dtype=float))) <= 1e-9 * 3.0
+        assert rec.coeffs == p.coeffs
 
     def test_interpolate_degenerate_before_inconsistent(self):
         # the points fix no quadratic, whatever the values

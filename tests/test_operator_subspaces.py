@@ -5,7 +5,7 @@ import nilgo.linear_core as lc
 
 from nilgo import SkewOperatorSubspace, heisenberg, n10, skew_derivations, split_two_step
 from nilgo.errors import InputError, PreconditionError
-from nilgo.families import family_thm2, h_type_clifford, l_matrix, quaternionic_heisenberg, r_matrix, vt_subspace
+from nilgo.families import family_thm2, h_type_clifford, l_matrix, quaternionic_heisenberg, vt_subspace
 from nilgo.go_checker import SamplerConfig, apply_center_metric, normalizer_resolve_residual
 from nilgo.jmaps import split_family
 from nilgo.operator_subspaces import (
@@ -22,8 +22,8 @@ from nilgo.operator_subspaces import (
     span_matrices,
     split_derivation_system,
     subspace_contains,
-    subspaces_equal,
 )
+from oracles import r_matrix, subspaces_equal
 
 
 def so3_l_copy():

@@ -6,7 +6,8 @@ Every command answers any document with an exit code of its contract
 the two GO criteria, which both characterize GO, never contradict each
 other.  Commands run in-process through ``cli.main`` with few samples.
 A float Pfaffian form, and a float substitution into it, is the exact one
-of the same float values with each coefficient rounded once.
+of the same float values with each coefficient rounded once, and changing
+the center basis by g substitutes g into the form.
 ``derandomize=True`` makes the examples the same on every run.
 """
 
@@ -170,3 +171,27 @@ def test_float_pfaffian_forms_are_the_exact_forms_rounded_once(J, substitution):
     exact_values = HomogeneousPolynomial2(form.degree, tuple(map(Fraction, form.coeffs)))
     moved = exact_values.substitute_linear(*map(Fraction, substitution))
     assert form.substitute_linear(*substitution).coeffs == tuple(float(c) for c in moved.coeffs)
+
+
+@st.composite
+def invertible_rational_2x2(draw):
+    """(g11, g12, g21, g22) with entries p / q, |p| <= 3 and 1 <= q <= 3, and nonzero determinant."""
+    g = draw(st.lists(st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)), min_size=4, max_size=4))
+    assume(g[0] * g[3] != g[1] * g[2])
+    return g
+
+
+@PROPERTY
+@given(skew_pairs(), invertible_rational_2x2())
+def test_pfaffian_forms_are_covariant_under_a_change_of_center_basis(J, g):
+    # Pf(x (g11 G1 + g12 G2) + y (g21 G1 + g22 G2)) = Pf((g11 x + g21 y) G1 + (g12 x + g22 y) G2)
+    g11, g12, g21, g22 = g
+    G1, G2 = J.astype(object)
+    try:
+        split = split_two_step(algebra_from_jmaps([G1, G2]))
+    except NotTwoStepError:  # both matrices zero
+        split = None
+    assume(split is not None and split.m == 2)
+    moved = pfaffian_form(split_two_step(algebra_from_jmaps([g11 * G1 + g12 * G2, g21 * G1 + g22 * G2])))
+    assert moved.is_exact
+    assert moved.coeffs == pfaffian_form(split).substitute_linear(g11, g21, g12, g22).normalized_sign().coeffs
