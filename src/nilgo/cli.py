@@ -47,8 +47,6 @@ def _emit(args, payload: str):
             fh.write(payload)
     else:
         sys.stdout.write(payload)
-    if not payload.endswith("\n"):
-        sys.stdout.write("\n")
 
 
 def _emit_json(args, obj) -> None:

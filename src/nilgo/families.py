@@ -1,10 +1,11 @@
 """Constructors for the built-in algebra families.
 
 Heisenberg and quaternionic Heisenberg groups, H-type algebras from
-Clifford-module generators (hard-coded octonion left multiplication),
-the 10-dimensional non-singular families with two-dimensional center,
-their 4k+6-dimensional generalization, and the so(4) = so(3) + so(3)
-blocks of their centralizers.
+Clifford-module generators (quaternion and octonion left multiplication,
+built from the exact quaternion blocks of the so(4) machinery), the
+10-dimensional non-singular families with two-dimensional center, their
+4k+6-dimensional generalization, and the so(4) = so(3) + so(3) blocks of
+their centralizers.
 """
 
 from __future__ import annotations
@@ -109,68 +110,20 @@ def l_matrix(b1, b2, b3) -> np.ndarray:
     )
 
 
+def d_matrix_exact(a1, a2, a3) -> list[list[Fraction]]:
+    """The centralizer block D(a1, a2, a3), right multiplication by a1 i + a2 j + a3 k on H = R^4, exact."""
+    a1, a2, a3 = Q(a1), Q(a2), Q(a3)
+    return [
+        [Q(0), -a1, -a2, -a3],
+        [a1, Q(0), a3, -a2],
+        [a2, -a3, Q(0), a1],
+        [a3, a2, -a1, Q(0)],
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Clifford-module generators (quaternions and octonions)
 # ---------------------------------------------------------------------------
-
-
-def _quaternion_mult_table():
-    # t[i][j] = (sign, k) with q_i * q_j = sign * q_k, basis (1, i, j, k)
-    t = [[None] * 4 for _ in range(4)]
-    for i in range(4):
-        t[0][i] = (1, i)
-        t[i][0] = (1, i)
-    t[1][1] = t[2][2] = t[3][3] = (-1, 0)
-    t[1][2], t[2][1] = (1, 3), (-1, 3)
-    t[2][3], t[3][2] = (1, 1), (-1, 1)
-    t[3][1], t[1][3] = (1, 2), (-1, 2)
-    return t
-
-
-_QT = _quaternion_mult_table()
-
-
-def _qmul(a, b):
-    out = [0, 0, 0, 0]
-    for i in range(4):
-        if a[i] == 0:
-            continue
-        for j in range(4):
-            if b[j] == 0:
-                continue
-            sign, k = _QT[i][j]
-            out[k] += sign * a[i] * b[j]
-    return out
-
-
-def _qconj(a):
-    return [a[0], -a[1], -a[2], -a[3]]
-
-
-def _octonion_mult(x, y):
-    # Cayley--Dickson: (a, b)(c, d) = (ac - conj(d) b, d a + b conj(c))
-    a, b = x[:4], x[4:]
-    c, d = y[:4], y[4:]
-    first = [p - q for p, q in zip(_qmul(a, c), _qmul(_qconj(d), b))]
-    second = [p + q for p, q in zip(_qmul(d, a), _qmul(b, _qconj(c)))]
-    return first + second
-
-
-def _left_mult_matrix(mult, unit: int, dim: int) -> list[list[int]]:
-    cols = []
-    for j in range(dim):
-        e_u = [1 if t == unit else 0 for t in range(dim)]
-        e_j = [1 if t == j else 0 for t in range(dim)]
-        cols.append(mult(e_u, e_j))
-    return [[cols[j][k] for j in range(dim)] for k in range(dim)]  # [k][j]
-
-
-def _quat_left(unit: int) -> list[list[int]]:
-    return _left_mult_matrix(lambda a, b: _qmul(a, b), unit, 4)
-
-
-def _oct_left(unit: int) -> list[list[int]]:
-    return _left_mult_matrix(_octonion_mult, unit, 8)
 
 
 def _block_diag(blocks) -> list[list]:
@@ -185,22 +138,39 @@ def _block_diag(blocks) -> list[list]:
     return out
 
 
+def _clifford_units(m: int) -> list[np.ndarray]:
+    """Left multiplications by the first m imaginary units, as integer arrays.
+
+    m=1: i on C = R^2.  m=2,3: i, j, k on H = R^4, where L_q = -K R_q K for
+    the conjugation K = diag(1, -1, -1, -1) and R_q = d_matrix_exact.
+    m=4..7: (i, 0), (j, 0), (k, 0), (0, 1), (0, i), (0, j), (0, k) on
+    O = H + H with (a, b)(c, d) = (ac - conj(d) b, da + b conj(c)), so
+    (q, 0) acts as diag(L_q, R_q) and (0, p) as [[0, -R_p K], [L_p K, 0]].
+    """
+    if m == 1:
+        return [np.array([[0, -1], [1, 0]])]
+    K, Z = np.diag([1, -1, -1, -1]), np.zeros((4, 4), dtype=int)
+    R = [np.eye(4, dtype=int)] + [np.array(d_matrix_exact(*e), dtype=int) for e in np.eye(3, dtype=int).tolist()]
+    L = R[:1] + [-K @ r @ K for r in R[1:]]
+    if m <= 3:
+        return L[1: m + 1]
+    units = [np.block([[l, Z], [Z, r]]) for l, r in zip(L[1:], R[1:])]
+    return (units + [np.block([[Z, -r @ K], [l @ K, Z]]) for l, r in zip(L, R)])[:m]
+
+
 def clifford_generators(m: int, copies: int = 1) -> list[list[list[Fraction]]]:
     """m anticommuting orthogonal complex structures on the smallest module.
 
-    m=1 on R^(2 copies), m=2,3 on R^(4 copies) (quaternions), m=4..7 on
-    R^(8 copies) (octonion left multiplication).
+    m=1 on R^(2 copies), m=2,3 on R^(4 copies) (quaternion left
+    multiplication), m=4..7 on R^(8 copies) (octonion left multiplication);
+    see :func:`_clifford_units`.
     """
     if not 1 <= m <= 7:
         raise InputError("m must be in 1..7")
     if copies < 1:
         raise InputError("copies must be >= 1")
     _require_dim(m + (2 if m == 1 else 4 if m <= 3 else 8) * copies)
-    if m == 1:
-        units = [[[0, -1], [1, 0]]]
-    else:
-        units = [(_quat_left if m <= 3 else _oct_left)(i + 1) for i in range(m)]
-    return [_block_diag([[[Q(x) for x in row] for row in U]] * copies) for U in units]
+    return [_block_diag([[[Q(x) for x in row] for row in U.tolist()]] * copies) for U in _clifford_units(m)]
 
 
 def h_type_clifford(m: int, copies: int = 1, q=None) -> MetricLieAlgebra:
@@ -315,17 +285,6 @@ def alpha_closed_form(t, x, y, X) -> AlphaSolution:
         a5 = (t * x * (x5 * x5 - x6 * x6 + x7 * x7 - x8 * x8) - 2 * y * (x5 * x6 + x7 * x8)) / s2
         a6 = (-2 * t * x * (x5 * x6 - x7 * x8) - y * (x5 * x5 - x6 * x6 - x7 * x7 + x8 * x8)) / s2
     return AlphaSolution((a1, a2, a3, a4, a5, a6), free_first=s1 == 0, free_second=s2 == 0)
-
-
-def d_matrix_exact(a1, a2, a3) -> list[list[Fraction]]:
-    """The centralizer block D(a1, a2, a3), right multiplication by a1 i + a2 j + a3 k on H = R^4, exact."""
-    a1, a2, a3 = Q(a1), Q(a2), Q(a3)
-    return [
-        [Q(0), -a1, -a2, -a3],
-        [a1, Q(0), a3, -a2],
-        [a2, -a3, Q(0), a1],
-        [a3, a2, -a1, Q(0)],
-    ]
 
 
 def thm2_generators(ts) -> list[list[list[Fraction]]]:

@@ -22,19 +22,10 @@ H_TYPE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class JMapFamily:
-    split: TwoStepSplit
     generators: np.ndarray  # (m, n, n) skew float array
     # (J_int, den): the generators are J_int[i] / den, J_int an (m, n, n)
     # integer object array
     generators_exact: Optional[tuple] = field(default=None, repr=False)
-
-    @property
-    def m(self) -> int:
-        return len(self.generators)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.generators_exact is not None
 
 
 def build_jmap_family(split: TwoStepSplit) -> JMapFamily:
@@ -53,7 +44,7 @@ def build_jmap_family(split: TwoStepSplit) -> JMapFamily:
         pairings = (brackets @ L.gram).reshape(n, n, d) @ split.z_basis.T
     # kept below the diagonal and mirrored, so every generator is exactly skew
     lower = np.tril(pairings.transpose(2, 1, 0), -1)
-    return JMapFamily(split, lower - lower.transpose(0, 2, 1), gens_exact)
+    return JMapFamily(lower - lower.transpose(0, 2, 1), gens_exact)
 
 
 def build_jmap(split: TwoStepSplit, Z) -> np.ndarray:
@@ -97,7 +88,7 @@ def pfaffian_form(split: TwoStepSplit) -> lc.HomogeneousPolynomial2:
         raise PreconditionError("v must be even-dimensional")
     fam = split_family(split)
     deg = split.n // 2
-    if fam.is_exact:
+    if split.is_exact:
         (G1, G2), den = fam.generators_exact
     else:
         (G1, G2), den = _over_common_denominator(np.frompyfunc(lc._exact, 1, 1)(fam.generators))
@@ -106,7 +97,7 @@ def pfaffian_form(split: TwoStepSplit) -> lc.HomogeneousPolynomial2:
     scale = den**deg  # Pf(S / den) = Pf(S) / den^(n/2)
     coeffs = lc.interpolate_homogeneous2(evals, deg).coeffs
     form = lc.HomogeneousPolynomial2(deg, tuple(c / scale for c in coeffs)).normalized_sign()
-    return form if fam.is_exact else form.rounded()
+    return form if split.is_exact else form.rounded()
 
 
 def radon_hurwitz(n: int) -> int:
@@ -173,7 +164,7 @@ def is_nonsingular(L: MetricLieAlgebra) -> NonsingularityResult:
         return NonsingularityResult("no", np.eye(m)[0], exact=True)
     fam = split_family(split)
     if m == 1:
-        if fam.is_exact:  # Pf(J / den) vanishes with Pf(J)
+        if split.is_exact:  # Pf(J / den) vanishes with Pf(J)
             pf = lc.pfaffian_exact(fam.generators_exact[0][0].tolist())
             if pf != 0:
                 return NonsingularityResult("yes", exact=True)
@@ -197,5 +188,5 @@ def is_nonsingular(L: MetricLieAlgebra) -> NonsingularityResult:
     if not singular.size:
         return NonsingularityResult("sampled_yes")
     idx = singular[0]
-    exact = bool(fam.is_exact and idx < m and lc.bareiss_rank(fam.generators_exact[0][idx].tolist()) < n)
+    exact = bool(split.is_exact and idx < m and lc.bareiss_rank(fam.generators_exact[0][idx].tolist()) < n)
     return NonsingularityResult("no", candidates[idx], exact=exact)

@@ -443,7 +443,7 @@ def _nonsingular_loop(L, samples=1000, seed=0):
     for idx, Z in enumerate(candidates):
         J = jmaps.build_jmap(split, Z)
         if np.linalg.svd(J, compute_uv=False)[-1] <= 1e-9 * np.linalg.norm(J, 2):
-            exact = fam.is_exact and idx < m and lc.bareiss_rank(fam.generators_exact[0][idx].tolist()) < n
+            exact = split.is_exact and idx < m and lc.bareiss_rank(fam.generators_exact[0][idx].tolist()) < n
             return "no", Z, exact
     return "sampled_yes", None, False
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as Q
 
@@ -79,6 +80,16 @@ class TestCliffordGenerators:
         L = h_type_clifford(5, 1)
         split = split_two_step(L)
         assert (split.m, split.n) == (5, 8)
+
+    def test_generators_and_documents_pinned(self):
+        # entries, signs, order and Fraction type of every generator, and the
+        # document of every H-type algebra built on them
+        digest = hashlib.sha256()
+        for m in range(1, 8):
+            for c in (1, 2, 3):
+                digest.update(repr(clifford_generators(m, c)).encode())
+                digest.update(json.dumps(algebra_to_dict(h_type_clifford(m, c)), sort_keys=True).encode())
+        assert digest.hexdigest() == "43ec49c6dd61fbc28d991121abc1a05d788527d6e92385209163714faddede4a"
 
 
 class TestSo4Machinery:

@@ -73,7 +73,7 @@ class TestJmapDefinition:
             lhs = (J @ Xc) @ Yc
             rhs = L.bracket(X, Y) @ L.gram @ Z
             assert np.isclose(lhs, rhs)
-        assert fam.is_exact
+        assert fam.generators_exact is not None
 
     @pytest.mark.parametrize("name", sorted(LOOP_ALGEBRAS))
     def test_generators_equal_pair_loop(self, name):
@@ -109,7 +109,7 @@ class TestJmapDefinition:
         assert split_family(split) is fam
         other = split_two_step(L)
         assert split_family(other) is not fam
-        assert split_family(other).split is other
+        assert other.jmap_family is split_family(other)
 
 
 class TestHType:
