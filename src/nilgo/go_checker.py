@@ -262,8 +262,8 @@ def gordon_refute_exact(split: TwoStepSplit, X, Y) -> bool:
 
     The unknowns are the pairs (A, C) of :func:`split_derivations`.  The
     derivation rows are :func:`split_derivation_system` on the integer
-    generators ``J_int = den * J`` of the exact split, in int64 while
-    ``2 max |J_int|`` fits and on Python ints past that.  X and Y enter as
+    generators ``J_int = den * J`` of the exact split, Python ints that the
+    rows copy without a product.  X and Y enter as
     the integer vectors ``lx * X`` and ``ly * Y`` (lx, ly the lcm of their
     denominators), in the witness rows ``C (lx X) = 0`` and ``den lx A (ly
     Y) = sum_i (lx X)_i J_int,i (ly Y)``.  Every row is a rational row
@@ -277,9 +277,7 @@ def gordon_refute_exact(split: TwoStepSplit, X, Y) -> bool:
     if any(abs(float(a) - float(b)) > 1e-12 for q, w in ((Xq, X), (Yq, Y)) for a, b in zip(q, list(w))):
         raise PreconditionError("witness is not rational")
     J, den = jmaps.split_family(split).generators_exact
-    # each entry of the derivation rows is at most two entries of J_int, up to sign
-    exact_dtype = np.int64 if 2 * max(map(abs, J.flat)) <= np.iinfo(np.int64).max else object
-    rows = split_derivation_system(J.astype(exact_dtype))
+    rows = split_derivation_system(J)
     lx, ly = math.lcm(*(v.denominator for v in Xq)), math.lcm(*(v.denominator for v in Yq))
     Xi = np.array([int(v * lx) for v in Xq], dtype=object)
     Yi = np.array([int(v * ly) for v in Yq], dtype=object)

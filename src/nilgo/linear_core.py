@@ -202,13 +202,14 @@ def _qr_residuals(A, b, anorm, seed) -> tuple[np.ndarray, np.ndarray]:
     np.matmul(A, _mixer(k, seed), out=M[:, :, :k])
     M[:, :, k] = b
     R = np.linalg.qr(M, mode="r")
+    del M
     cut = TAU_RANK * anorm
     lead = np.logical_and.accumulate(np.abs(np.diagonal(R, axis1=1, axis2=2)[:, :n]) > cut[:, None], axis=1)
+    inorm = _leading_inverse_norm(R, lead)
     trail = np.ones(R.shape[:2])
     trail[:, :n] = ~lead
-    colsq = np.einsum("bi,bij->bj", trail, np.square(R))  # squared column norms of R[rho:]
+    colsq = np.einsum("bi,bij->bj", trail, np.square(R, out=R))  # squared column norms of R[rho:]
     r22 = np.sqrt(colsq[:, :k].sum(axis=1))
-    inorm = _leading_inverse_norm(R, lead)
     certified = r22 <= cut / math.sqrt(n)
     certified &= (r22 + n * np.finfo(float).eps / 2 * anorm) * inorm <= 1e-12
     return np.sqrt(colsq[:, k]), certified
@@ -225,7 +226,9 @@ def _leading_inverse_norm(R, lead) -> np.ndarray:
     eye = np.eye(p)
     for i in range(p - 1, -1, -1):
         X[:, i] = (eye[i] - (R11[:, i, None, i + 1:] @ X[:, i + 1:])[:, 0]) / R11[:, i, i, None]
-    return np.linalg.norm(X * lead[:, :p, None], axis=(1, 2))
+    del R11
+    X *= lead[:, :p, None]
+    return np.sqrt(np.square(X, out=X).sum(axis=(1, 2)))
 
 
 def _svd_residuals(A: np.ndarray, b: np.ndarray) -> np.ndarray:

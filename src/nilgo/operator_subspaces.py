@@ -191,6 +191,34 @@ def _skew_from_upper(coeffs: np.ndarray, n: int) -> np.ndarray:
     return S
 
 
+@functools.lru_cache(maxsize=32)
+def _commutator_terms(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Where the entries of J land in the upper triangles of the commutators
+    ``[J, E_pq]`` with the skew basis (:func:`skew_basis`): entry a < b is
+    ``J_ap [q=b] - J_aq [p=b] - [a=p] J_qb + [a=q] J_pb``.
+
+    Four groups of ``(row pair (a, b), column pair (p, q), J row, J
+    column)`` index arrays, one per term in that order; no group holds a
+    (row pair, column pair) twice.  Built once per n and read-only.
+    """
+    iu, ju = _upper_pairs(n)
+    pair = np.zeros((n, n), dtype=np.intp)
+    pair[iu, ju] = pair[ju, iu] = np.arange(len(iu))
+    k, c = (x.ravel() for x in np.indices((len(iu), n)))
+    a, b = iu[k], ju[k]
+    groups = (
+        (c < b, pair[c, b], a, c),  # J_ap at (p, q) = (c, b)
+        (c > b, pair[b, c], a, c),  # J_aq at (p, q) = (b, c)
+        (c > a, pair[a, c], c, b),  # J_qb at (p, q) = (a, c)
+        (c < a, pair[c, a], c, b),  # J_pb at (p, q) = (c, a)
+    )
+    terms = tuple(tuple(x[keep] for x in (k, col, row, j_col)) for keep, col, row, j_col in groups)
+    for group in terms:
+        for x in group:
+            x.flags.writeable = False
+    return terms
+
+
 def split_derivation_system(J: np.ndarray) -> np.ndarray:
     """Linear system of ``[J_i, A] = sum_j C_ij J_j`` over ``so(n) + so(m)``.
 
@@ -201,14 +229,30 @@ def split_derivation_system(J: np.ndarray) -> np.ndarray:
     those of so(m) as C; one row per generator i and pair a < b
     (generator-major).  The solutions are the skew derivations D = (A, C)
     (Eberlein 1994).
+
+    Every entry is at most two entries of J, so the rows are assembled by
+    index (:func:`_commutator_terms`), in J's dtype and without a product.
+    Each entry rounds as the products ``J E_k - E_k J`` and ``-(F_l J)``
+    would (F_l the skew basis of so(m)): every term is added to a zero,
+    and the C columns are negated last.
     """
     m, n = J.shape[0], J.shape[-1]
     iu, ju = _upper_pairs(n)
-    # the unit entries of the skew bases in J's dtype (Python ints for an object J)
-    E, F = (skew_basis(k).astype(np.int64).astype(J.dtype) for k in (n, m))
-    rows_a = brackets(J, E)[:, :, iu, ju].transpose(0, 2, 1).reshape(m * len(iu), len(E))
-    CJ = np.tensordot(F, J, 1)[:, :, iu, ju]
-    return np.hstack([rows_a, -CJ.transpose(1, 2, 0).reshape(m * len(iu), -1)])
+    s, t = _upper_pairs(m)
+    (k1, l1, r1, c1), (k2, l2, r2, c2), (k3, l3, r3, c3), (k4, l4, r4, c4) = _commutator_terms(n)
+    P = len(iu)
+    system = np.zeros((m, P, P + len(s)), dtype=J.dtype)
+    A, C = system[:, :, :P], system[:, :, P:]
+    A[:, k1, l1] += J[:, r1, c1]
+    A[:, k2, l2] -= J[:, r2, c2]
+    A[:, k3, l3] -= J[:, r3, c3]
+    A[:, k4, l4] += J[:, r4, c4]
+    # column l = (s, t) of so(m) holds -(F_l J)_i: -J_t for i = s, +J_s for i = t
+    upper, cols = J[:, iu, ju], np.arange(len(s))
+    C[s, :, cols] += upper[t]
+    C[t, :, cols] -= upper[s]
+    np.negative(C, out=C)
+    return system.reshape(m * P, P + len(s))
 
 
 def split_derivations(split: TwoStepSplit) -> tuple[np.ndarray, np.ndarray]:

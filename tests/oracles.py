@@ -1,11 +1,13 @@
 """Reference objects of the unit tests: the combinatorial Pfaffian, the
-oracle of ``linear_core.pfaffian_exact``; the right-multiplication blocks of
-so(4) and the centralizers of n10 and of the 4k+6 family built from them;
-and equality of operator subspaces as mutual containment."""
+oracle of ``linear_core.pfaffian_exact``; the split derivation system from
+the products of the generators with the skew bases, the oracle of
+``operator_subspaces.split_derivation_system``; the right-multiplication
+blocks of so(4) and the centralizers of n10 and of the 4k+6 family built
+from them; and equality of operator subspaces as mutual containment."""
 
 import numpy as np
 
-from nilgo.operator_subspaces import SkewOperatorSubspace, subspace_contains
+from nilgo.operator_subspaces import SkewOperatorSubspace, _upper_pairs, brackets, skew_basis, subspace_contains
 
 
 def pfaffian_combinatorial(S):
@@ -27,6 +29,19 @@ def pfaffian_combinatorial(S):
         return total
 
     return rec(S)
+
+
+def split_derivation_system_products(J):
+    """The rows of ``[J_i, A] = sum_j C_ij J_j`` from the products: the
+    commutators ``J_i E_k - E_k J_i`` with the skew basis E of so(n) as the
+    A columns, ``-(F_l J)_i`` with the skew basis F of so(m) as the C
+    columns, each kept at the pairs a < b, in J's dtype."""
+    m, n = J.shape[0], J.shape[-1]
+    iu, ju = _upper_pairs(n)
+    E, F = (skew_basis(k).astype(np.int64).astype(J.dtype) for k in (n, m))
+    rows_a = brackets(J, E)[:, :, iu, ju].transpose(0, 2, 1).reshape(m * len(iu), len(E))
+    CJ = np.tensordot(F, J, 1)[:, :, iu, ju]
+    return np.hstack([rows_a, -CJ.transpose(1, 2, 0).reshape(m * len(iu), -1)])
 
 
 def r_matrix(g1, g2, g3) -> np.ndarray:

@@ -81,6 +81,25 @@ class TestGoCheck:
         assert code == 0
         assert json.loads(out)["status"] == "verified_sampled"
 
+    def test_gordon_working_set_thm2_dim22(self, capsys, tmp_path):
+        # the split derivation system is assembled in place and the
+        # least-squares certificate keeps no full-size copies: 3.1 MB traced
+        import tracemalloc
+
+        path = str(tmp_path / "thm2.json")
+        argv = ["go-check", path, "--criterion", "gordon"]
+        assert main(["family", "thm2", "--ts", "2,3,5,7", "-o", path]) == 0
+        assert main(argv) == 0  # warm-up: the per-size caches
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak < 3.5 * 2**20
+
 
 class TestAnalysis:
     def test_pfaffian(self, capsys, tmp_path):

@@ -241,6 +241,26 @@ class TestBatchResiduals:
         with pytest.raises(InputError):
             lc.batch_residuals(A, b)
 
+    def test_leading_inverse_norm_mixed_runs(self, rng):
+        # leading runs of 4, 2, 0, 5 and 1 of 5, and rows past the run that
+        # would change the inverse if they were read
+        R = np.triu(rng.standard_normal((5, 6, 6))) + 3 * np.eye(6)
+        runs = [4, 2, 0, 5, 1]
+        lead = np.arange(5) < np.array(runs)[:, None]
+        ref = [np.linalg.norm(np.linalg.inv(R[i, :p, :p])) if p else 0.0 for i, p in enumerate(runs)]
+        assert np.allclose(lc._leading_inverse_norm(R, lead), ref, rtol=1e-13, atol=0)
+        assert lc._leading_inverse_norm(R, lead)[2] == 0.0
+        assert lc._leading_inverse_norm(R[:, :0, :0], np.zeros((5, 0), bool)).tolist() == [0.0] * 5
+
+    def test_leading_inverse_norm_overflow(self):
+        # R11^-1 has entries (1e-200)^-2 past the largest float
+        R = np.array([[[1e-200, 1.0], [0.0, 1e-200]], [[1.0, 0.0], [0.0, 1.0]]])
+        lead = np.ones((2, 2), bool)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            inorm = lc._leading_inverse_norm(R, lead)
+        assert not np.isfinite(inorm[0])
+        assert inorm[1] == np.sqrt(2.0)
+
     def test_overflowing_residual_rejected(self):
         # finite entries whose residual norm overflows float64
         A = np.zeros((1, 2, 1))

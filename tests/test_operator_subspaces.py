@@ -1,5 +1,9 @@
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nilgo.linear_core as lc
 
@@ -23,7 +27,7 @@ from nilgo.operator_subspaces import (
     split_derivation_system,
     subspace_contains,
 )
-from oracles import r_matrix, subspaces_equal
+from oracles import r_matrix, split_derivation_system_products, subspaces_equal
 
 
 def so3_l_copy():
@@ -240,9 +244,16 @@ class TestSplitNativeDerivations:
         assert np.linalg.norm(general - (general @ C.T) @ C) <= 1e-10
 
     def test_system_size_thm2_dim22(self):
-        split = split_two_step(family_thm2([2, 3, 5, 7]))
-        A = split_derivation_system(np.array(split_family(split).generators))
+        # the 0.55 MB result is the only array of its size the build makes
+        J = split_family(split_two_step(family_thm2([2, 3, 5, 7]))).generators
+        tracemalloc.start()
+        try:
+            A = split_derivation_system(J)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert A.shape == (380, 191)
+        assert A.nbytes <= peak < 2**20
 
     def test_flat_factor_uses_split(self, heisenberg_plus_flat):
         # class two with a Euclidean factor: so(2) on v, so(2) on the flat
@@ -252,6 +263,52 @@ class TestSplitNativeDerivations:
         for D in ders.basis:
             assert np.allclose(D, -D.T, atol=1e-12)
             assert np.allclose(derivation_defect(heisenberg_plus_flat.structure, D), 0.0, atol=1e-12)
+
+
+ASSEMBLY_CASES = {
+    **{f"thm2 dim {4 * len(ts) + 6}": (lambda ts=ts: family_thm2(ts))
+       for ts in ([2, 3], [Fraction(3, 2), 2, 3], [2, 3, 5, 7], [2, 3, 5, 7, 11])},
+    **{f"h_type_clifford({m}, {c})": (lambda m=m, c=c: h_type_clifford(m, c))
+       for m, c in [(1, 1), (1, 2), (1, 3), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (7, 1)]},
+    "n10(2)": lambda: n10(2),
+    "n10(2) center metric": lambda: n10(2, q=[[2, 1], [1, 3]]),
+    "n10(3/2) center metric": lambda: n10(Fraction(3, 2), q=[[1.5, 0.25], [0.25, 0.75]]),
+}
+
+
+def _identical(a, b) -> bool:
+    """Same dtype, shape and bytes; Python ints of the same values for object arrays."""
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    if a.dtype == object:
+        return a.tolist() == b.tolist() and all(type(x) is type(y) is int for x, y in zip(a.flat, b.flat))
+    return a.tobytes() == b.tobytes()
+
+
+class TestSplitDerivationSystemAssembly:
+    """The system assembled by index is the products' system entry for entry:
+    float64 bytes, signed zeros included, and int64 and Python int values."""
+
+    @pytest.mark.parametrize("name", sorted(ASSEMBLY_CASES))
+    def test_families_match_products(self, name):
+        fam = split_family(split_two_step(ASSEMBLY_CASES[name]()))
+        stacks = [fam.generators]
+        if fam.generators_exact is not None:
+            J_int = fam.generators_exact[0]
+            stacks += [J_int.astype(np.int64), J_int]
+        for J in stacks:
+            assert _identical(split_derivation_system(J), split_derivation_system_products(J))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.integers(1, 4), st.integers(2, 7), st.booleans(), st.data())
+    def test_random_stacks_match_products(self, m, n, skew, data):
+        entry = st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300, 3.0e17]) | st.floats(-4, 4)
+        J = np.array(data.draw(st.lists(entry, min_size=m * n * n, max_size=m * n * n))).reshape(m, n, n)
+        if skew:
+            J = J - J.transpose(0, 2, 1)
+        J_int = np.trunc(J).astype(np.int64)
+        for stack in (J, J_int, J_int.astype(object)):
+            assert _identical(split_derivation_system(stack), split_derivation_system_products(stack))
 
 
 class TestNormalizerCentralizer:
