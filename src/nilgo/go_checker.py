@@ -144,6 +144,7 @@ def _adjudicate(config: SamplerConfig, dims, system, witness) -> GOCertificate:
                 if not np.all(np.isfinite(scale)):
                     raise InputError("residual scale is not finite")
                 rel.append(lc.batch_residuals(A, b) / np.maximum(scale, 1e-300))
+                del A, b, scale  # the loop keeps no block past its solve
         rel = np.concatenate(rel)
         over = rel > TAU_FEAS
         refuting = np.flatnonzero(over & (rel > TAU_REFUTE))
@@ -212,7 +213,11 @@ def _gordon_blocks(split, maps, X, Y):
     C, A = maps
     J = jmaps.split_family(split).generators
     JXY = (np.tensordot(X, J, 1) @ Y[:, :, None])[:, :, 0]
-    M = np.concatenate([_apply(C, X), _apply(A, Y)], axis=1)
+    k, m, _ = C.shape
+    # in the memory order of _apply's products: the parts copy straight in
+    M = np.empty((k, m + A.shape[1], len(X))).transpose(2, 1, 0)
+    M[:, :m] = _apply(C, X)
+    M[:, m:] = _apply(A, Y)
     b = np.concatenate([np.zeros_like(X), JXY], axis=1)
     scale = np.linalg.norm(J, axis=(1, 2)).max() * np.linalg.norm(X, axis=1) * np.linalg.norm(Y, axis=1)
     return [(M, b, scale)]

@@ -180,6 +180,10 @@ def _mixer(k: int, seed: int) -> np.ndarray:
     return q
 
 
+# systems per np.linalg.qr call of _qr_residuals
+_QR_SLICE = 64
+
+
 def _qr_residuals(A, b, anorm, seed) -> tuple[np.ndarray, np.ndarray]:
     """Residuals from the R of ``[A[i] Ω | b[i]]`` (Ω = :func:`_mixer`), and
     which of them R proves to be the SVD's residual within ``1e-12 |b[i]|``.
@@ -201,8 +205,12 @@ def _qr_residuals(A, b, anorm, seed) -> tuple[np.ndarray, np.ndarray]:
     M = np.empty((B, r, k + 1))
     np.matmul(A, _mixer(k, seed), out=M[:, :, :k])
     M[:, :, k] = b
-    R = np.linalg.qr(M, mode="r")
-    del M
+    # numpy copies its input and returns a new R: one slice at a time keeps
+    # both slice-sized, and each slice's R overwrites its own systems
+    rows = min(r, k + 1)
+    for s in range(0, B, _QR_SLICE):
+        M[s:s + _QR_SLICE, :rows] = np.linalg.qr(M[s:s + _QR_SLICE], mode="r")
+    R = M[:, :rows]
     cut = TAU_RANK * anorm
     lead = np.logical_and.accumulate(np.abs(np.diagonal(R, axis1=1, axis2=2)[:, :n]) > cut[:, None], axis=1)
     inorm = _leading_inverse_norm(R, lead)
@@ -221,12 +229,12 @@ def _leading_inverse_norm(R, lead) -> np.ndarray:
     (a leading run), by back substitution over the stack; inf or nan
     where R11^-1 overflows."""
     p = int(lead.sum(axis=1).max(initial=0))
-    R11 = np.where(lead[:, None, :p], R[:, :p, :p], np.eye(p))  # padded by the identity
-    X = np.zeros_like(R11)
+    X = np.where(lead[:, None, :p], R[:, :p, :p], np.eye(p))  # R11 padded by the identity
     eye = np.eye(p)
+    # row i of R11^-1 reads row i of R11 and the rows of R11^-1 below it,
+    # so it overwrites row i of R11
     for i in range(p - 1, -1, -1):
-        X[:, i] = (eye[i] - (R11[:, i, None, i + 1:] @ X[:, i + 1:])[:, 0]) / R11[:, i, i, None]
-    del R11
+        X[:, i] = (eye[i] - (X[:, i, None, i + 1:] @ X[:, i + 1:])[:, 0]) / X[:, i, i, None]
     X *= lead[:, :p, None]
     return np.sqrt(np.square(X, out=X).sum(axis=(1, 2)))
 

@@ -1,12 +1,18 @@
 """Reference objects of the unit tests: the combinatorial Pfaffian, the
 oracle of ``linear_core.pfaffian_exact``; the split derivation system from
 the products of the generators with the skew bases, the oracle of
-``operator_subspaces.split_derivation_system``; the right-multiplication
-blocks of so(4) and the centralizers of n10 and of the 4k+6 family built
-from them; and equality of operator subspaces as mutual containment."""
+``operator_subspaces.split_derivation_system``; the QR certificate of a
+whole stack in one call and R11^-1 beside R11, the oracles of
+``linear_core._qr_residuals`` and ``_leading_inverse_norm``; the
+right-multiplication blocks of so(4) and the centralizers of n10 and of
+the 4k+6 family built from them; and equality of operator subspaces as
+mutual containment."""
+
+import math
 
 import numpy as np
 
+from nilgo import linear_core as lc
 from nilgo.operator_subspaces import SkewOperatorSubspace, _upper_pairs, brackets, skew_basis, subspace_contains
 
 
@@ -42,6 +48,40 @@ def split_derivation_system_products(J):
     rows_a = brackets(J, E)[:, :, iu, ju].transpose(0, 2, 1).reshape(m * len(iu), len(E))
     CJ = np.tensordot(F, J, 1)[:, :, iu, ju]
     return np.hstack([rows_a, -CJ.transpose(1, 2, 0).reshape(m * len(iu), -1)])
+
+
+def leading_inverse_norm_two_buffers(R, lead):
+    """``linear_core._leading_inverse_norm`` with R11^-1 back-substituted
+    into a buffer of its own, beside R11."""
+    p = int(lead.sum(axis=1).max(initial=0))
+    R11 = np.where(lead[:, None, :p], R[:, :p, :p], np.eye(p))  # padded by the identity
+    X = np.zeros_like(R11)
+    eye = np.eye(p)
+    for i in range(p - 1, -1, -1):
+        X[:, i] = (eye[i] - (R11[:, i, None, i + 1:] @ X[:, i + 1:])[:, 0]) / R11[:, i, i, None]
+    return np.sqrt(np.square(X * lead[:, :p, None]).sum(axis=(1, 2)))
+
+
+def qr_residuals_whole_stack(A, b, anorm, seed):
+    """``linear_core._qr_residuals`` with one ``np.linalg.qr`` call over the
+    whole mixed stack and :func:`leading_inverse_norm_two_buffers`.
+    Callers silence the floating-point warnings."""
+    B, r, k = A.shape
+    n = min(r, k)
+    M = np.empty((B, r, k + 1))
+    np.matmul(A, lc._mixer(k, seed), out=M[:, :, :k])
+    M[:, :, k] = b
+    R = np.linalg.qr(M, mode="r")
+    cut = lc.TAU_RANK * anorm
+    lead = np.logical_and.accumulate(np.abs(np.diagonal(R, axis1=1, axis2=2)[:, :n]) > cut[:, None], axis=1)
+    inorm = leading_inverse_norm_two_buffers(R, lead)
+    trail = np.ones(R.shape[:2])
+    trail[:, :n] = ~lead
+    colsq = np.einsum("bi,bij->bj", trail, np.square(R))  # squared column norms of R[rho:]
+    r22 = np.sqrt(colsq[:, :k].sum(axis=1))
+    certified = r22 <= cut / math.sqrt(n)
+    certified &= (r22 + n * np.finfo(float).eps / 2 * anorm) * inorm <= 1e-12
+    return np.sqrt(colsq[:, k]), certified
 
 
 def r_matrix(g1, g2, g3) -> np.ndarray:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import nilgo.linear_core as lc
 from nilgo.errors import InputError, InterpolationError
-from oracles import pfaffian_combinatorial
+from oracles import leading_inverse_norm_two_buffers, pfaffian_combinatorial, qr_residuals_whole_stack
 from rational_oracles import rat_inv, rat_rank, rat_rref, rat_solve, rational_matrix
 
 
@@ -241,6 +241,46 @@ class TestBatchResiduals:
         with pytest.raises(InputError):
             lc.batch_residuals(A, b)
 
+    @staticmethod
+    def _slice_stacks(rng, B):
+        """Stacks of B systems: tall, wide, of rank 2 of 5 columns, and with a
+        trailing singular value near the cut, which the first mixer leaves
+        to the second or to the SVD."""
+        yield rng.standard_normal((B, 9, 4)), rng.standard_normal((B, 9))
+        yield rng.standard_normal((B, 3, 7)), rng.standard_normal((B, 3))
+        yield rng.standard_normal((B, 8, 2)) @ rng.standard_normal((B, 2, 5)), rng.standard_normal((B, 8))
+        ratios = rng.choice([1e-8, 2e-9, 1.2e-9, 1e-9, 8e-10, 1e-13], B)
+        near = [TestBatchResiduals._permuted_diagonal(rng, 7, 6, [3.0, 1.0, 2.0, 3.0 * q])[0] for q in ratios]
+        yield np.array(near), rng.standard_normal((B, 7))
+
+    @pytest.mark.parametrize("B", [1, 63, 64, 65, 129, 256, 257])
+    def test_qr_slices_match_the_whole_stack(self, rng, monkeypatch, B):
+        # the QR runs over slices of the stack and R11^-1 overwrites R11:
+        # residuals, flags and errors are those of one QR call, byte for byte
+        sliced = lc._qr_residuals
+        retried = False
+        # the overflowing scales make inf and nan on both sides
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for A, b in self._slice_stacks(rng, B):
+                retried |= not sliced(A, b, np.linalg.norm(A, axis=(1, 2)), 0)[1].all()
+                scales = [np.ones(B), 10.0 ** rng.uniform(-300, 300, B), np.full(B, 1e-300), np.full(B, 1e300)]
+                for s in scales:
+                    As, bs = A * s[:, None, None], b * s[:, None]
+                    anorm = np.linalg.norm(As, axis=(1, 2))
+                    for seed in (0, 1):
+                        got = sliced(As, bs, anorm, seed)
+                        want = qr_residuals_whole_stack(As, bs, anorm, seed)
+                        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+                    outcomes = []
+                    for kernel in (sliced, qr_residuals_whole_stack):
+                        monkeypatch.setattr(lc, "_qr_residuals", kernel)
+                        try:
+                            outcomes.append(lc.batch_residuals(As, bs).tobytes())
+                        except InputError as e:
+                            outcomes.append(str(e))
+                    assert outcomes[0] == outcomes[1]
+        assert retried  # some system needed the second mixer
+
     def test_leading_inverse_norm_mixed_runs(self, rng):
         # leading runs of 4, 2, 0, 5 and 1 of 5, and rows past the run that
         # would change the inverse if they were read
@@ -248,8 +288,10 @@ class TestBatchResiduals:
         runs = [4, 2, 0, 5, 1]
         lead = np.arange(5) < np.array(runs)[:, None]
         ref = [np.linalg.norm(np.linalg.inv(R[i, :p, :p])) if p else 0.0 for i, p in enumerate(runs)]
-        assert np.allclose(lc._leading_inverse_norm(R, lead), ref, rtol=1e-13, atol=0)
-        assert lc._leading_inverse_norm(R, lead)[2] == 0.0
+        inorm = lc._leading_inverse_norm(R, lead)
+        assert np.allclose(inorm, ref, rtol=1e-13, atol=0)
+        assert inorm.tobytes() == leading_inverse_norm_two_buffers(R, lead).tobytes()  # R11^-1 in place
+        assert inorm[2] == 0.0
         assert lc._leading_inverse_norm(R[:, :0, :0], np.zeros((5, 0), bool)).tolist() == [0.0] * 5
 
     def test_leading_inverse_norm_overflow(self):
@@ -258,6 +300,7 @@ class TestBatchResiduals:
         lead = np.ones((2, 2), bool)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             inorm = lc._leading_inverse_norm(R, lead)
+            assert inorm.tobytes() == leading_inverse_norm_two_buffers(R, lead).tobytes()
         assert not np.isfinite(inorm[0])
         assert inorm[1] == np.sqrt(2.0)
 
