@@ -31,7 +31,6 @@ from .go_checker import (
     gordon_go_check,
     kv_go_check,
     kv_solve,
-    naturally_reductive_flag,
     riehm_predict,
     tnc_check,
 )

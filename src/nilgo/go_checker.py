@@ -28,7 +28,6 @@ from .operator_subspaces import (
     _upper_pairs,
     brackets,
     centralizer_in_so,
-    is_subalgebra,
     normalizer_in_so,
     skew_basis,
     skew_derivations,
@@ -407,11 +406,6 @@ def normalizer_resolve_residual(V: SkewOperatorSubspace, config: SamplerConfig =
 def centralizer_type_check(V: SkewOperatorSubspace, config: SamplerConfig = SamplerConfig()) -> GOCertificate:
     """TNC with Nprime = the centralizer of V in so(n)."""
     return tnc_check(V, centralizer_in_so(V), config)
-
-
-def naturally_reductive_flag(V: SkewOperatorSubspace) -> bool:
-    """V generates a naturally reductive GO-nilmanifold iff V is a subalgebra."""
-    return is_subalgebra(V)
 
 
 def riehm_predict(m: int, n: int, isotypic: Optional[str] = None) -> bool:

@@ -219,6 +219,16 @@ def _commutator_terms(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
     return terms
 
 
+def _add_commutators(J: np.ndarray, A: np.ndarray) -> None:
+    """Add the upper triangle of ``[J_i, E_k]`` to ``A[i, :, k]`` for every
+    generator J_i and skew basis element E_k, term by term."""
+    (k1, l1, r1, c1), (k2, l2, r2, c2), (k3, l3, r3, c3), (k4, l4, r4, c4) = _commutator_terms(J.shape[-1])
+    A[:, k1, l1] += J[:, r1, c1]
+    A[:, k2, l2] -= J[:, r2, c2]
+    A[:, k3, l3] -= J[:, r3, c3]
+    A[:, k4, l4] += J[:, r4, c4]
+
+
 def split_derivation_system(J: np.ndarray) -> np.ndarray:
     """Linear system of ``[J_i, A] = sum_j C_ij J_j`` over ``so(n) + so(m)``.
 
@@ -239,14 +249,10 @@ def split_derivation_system(J: np.ndarray) -> np.ndarray:
     m, n = J.shape[0], J.shape[-1]
     iu, ju = _upper_pairs(n)
     s, t = _upper_pairs(m)
-    (k1, l1, r1, c1), (k2, l2, r2, c2), (k3, l3, r3, c3), (k4, l4, r4, c4) = _commutator_terms(n)
     P = len(iu)
     system = np.zeros((m, P, P + len(s)), dtype=J.dtype)
     A, C = system[:, :, :P], system[:, :, P:]
-    A[:, k1, l1] += J[:, r1, c1]
-    A[:, k2, l2] -= J[:, r2, c2]
-    A[:, k3, l3] -= J[:, r3, c3]
-    A[:, k4, l4] += J[:, r4, c4]
+    _add_commutators(J, A)
     # column l = (s, t) of so(m) holds -(F_l J)_i: -J_t for i = s, +J_s for i = t
     upper, cols = J[:, iu, ju], np.arange(len(s))
     C[s, :, cols] += upper[t]
@@ -265,18 +271,18 @@ def split_derivations(split: TwoStepSplit) -> tuple[np.ndarray, np.ndarray]:
     return _skew_from_upper(sol[:, :k], split.n), _skew_from_upper(sol[:, k:], split.m)
 
 
-def _constrained_so_subspace(V: SkewOperatorSubspace, project_out_span: bool) -> SkewOperatorSubspace:
+def normalizer_in_so(V: SkewOperatorSubspace) -> SkewOperatorSubspace:
+    """{X in so(n) : [X, V] in span(V)}."""
     n = V.ambient_dim
     sb = skew_basis(n)
     if V.dim == 0:
         return SkewOperatorSubspace(n, sb)
     W = brackets(sb, V.basis).reshape(len(sb), V.dim, n * n)  # [p, q] = [S_p, B_q]
-    if project_out_span:
-        # a bracket inside span(V) leaves only round-off off the span: zero it
-        # relative to the largest bracket entry, or the nullspace counts it as rank
-        cut = 1e-12 * np.abs(W).max()
-        W = _off_span(V, W)
-        W[np.abs(W) <= cut] = 0.0
+    # a bracket inside span(V) leaves only round-off off the span: zero it
+    # relative to the largest bracket entry, or the nullspace counts it as rank
+    cut = 1e-12 * np.abs(W).max()
+    W = _off_span(V, W)
+    W[np.abs(W) <= cut] = 0.0
     coeffs = lc.nullspace(W.reshape(len(sb), -1).T)
     # sum_p a_p S_p: the skew matrices with upper triangle a_p.  "+ 0.0" turns
     # their negative zeros positive, as a sum from zero does: the SVD in
@@ -284,14 +290,15 @@ def _constrained_so_subspace(V: SkewOperatorSubspace, project_out_span: bool) ->
     return span_matrices(_skew_from_upper(coeffs, n) + 0.0, n)
 
 
-def normalizer_in_so(V: SkewOperatorSubspace) -> SkewOperatorSubspace:
-    """{X in so(n) : [X, V] in span(V)}."""
-    return _constrained_so_subspace(V, project_out_span=True)
-
-
 def centralizer_in_so(V: SkewOperatorSubspace) -> SkewOperatorSubspace:
-    """{X in so(n) : [X, V] = 0}."""
-    return _constrained_so_subspace(V, project_out_span=False)
+    """{X in so(n) : [X, V] = 0}: the nullspace of the so(n) columns of
+    :func:`split_derivation_system` on V's basis, built alone (C = 0)."""
+    n, P = V.ambient_dim, V.ambient_dim * (V.ambient_dim - 1) // 2
+    if V.dim == 0:
+        return SkewOperatorSubspace(n, skew_basis(n))
+    system = np.zeros((V.dim, P, P))
+    _add_commutators(V.basis, system)
+    return span_matrices(_skew_from_upper(lc.nullspace(system.reshape(-1, P)), n), n)
 
 
 def _pair_brackets(V: SkewOperatorSubspace) -> np.ndarray:

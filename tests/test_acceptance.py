@@ -26,7 +26,6 @@ from nilgo import (
     kv_go_check,
     n10,
     n10_second,
-    naturally_reductive_flag,
     nilpotency_class,
     pfaffian_form,
     quaternionic_heisenberg,
@@ -54,6 +53,7 @@ from nilgo.operator_subspaces import (
     centralizer_in_so,
     compact_split,
     generated_subalgebra,
+    is_subalgebra,
     subspace_contains,
 )
 
@@ -289,12 +289,12 @@ def test_criterion_06_clifford_classification_cross_check():
 
 
 def test_criterion_07_naturally_reductive_flag():
-    assert not naturally_reductive_flag(vt_subspace(2))
-    assert not naturally_reductive_flag(vt_subspace(5))
+    assert not is_subalgebra(vt_subspace(2))
+    assert not is_subalgebra(vt_subspace(5))
     for mat in (l_matrix(1, 0, 0), l_matrix(2, -1, 3), np.array(n10_second_generators()[0], dtype=float)):
-        assert naturally_reductive_flag(SkewOperatorSubspace(len(mat), [np.asarray(mat, dtype=float)]))
+        assert is_subalgebra(SkewOperatorSubspace(len(mat), [np.asarray(mat, dtype=float)]))
     so3 = SkewOperatorSubspace(4, [l_matrix(*e) for e in np.eye(3)])
-    assert naturally_reductive_flag(so3)
+    assert is_subalgebra(so3)
     _report(7, "subalgebra flag false for the deformed planes, true for lines and the so(3) copy")
 
 

@@ -17,12 +17,11 @@ from nilgo import (
     kv_solve,
     make_algebra,
     n10,
-    naturally_reductive_flag,
     riehm_predict,
     split_two_step,
     tnc_check,
 )
-from nilgo import go_checker, linear_core as lc
+from nilgo import go_checker, linear_core as lc, operator_subspaces
 from nilgo.errors import InputError, NotTwoStepError, PreconditionError
 from nilgo.families import (
     algebra_from_jmaps,
@@ -46,6 +45,7 @@ from nilgo.operator_subspaces import (
     DerivationAlgebra,
     centralizer_in_so,
     derivation_system,
+    is_subalgebra,
     normalizer_in_so,
     skew_basis,
     split_derivations,
@@ -201,7 +201,7 @@ class TestTnc:
         V = SkewOperatorSubspace(
             4, [l_matrix(1, 0, 0), l_matrix(0, 1, 0), l_matrix(0, 0, 1) + 1e-8 * skew_basis(4)[5]]
         )
-        assert not naturally_reductive_flag(V)
+        assert not is_subalgebra(V)
         with pytest.raises(InputError):
             tnc_check(V, V, FAST)
 
@@ -216,15 +216,15 @@ class TestTnc:
 
 class TestNaturallyReductive:
     def test_vt_false(self):
-        assert not naturally_reductive_flag(vt_subspace(2))
-        assert not naturally_reductive_flag(vt_subspace(5))
+        assert not is_subalgebra(vt_subspace(2))
+        assert not is_subalgebra(vt_subspace(5))
 
     def test_one_dimensional_true(self):
-        assert naturally_reductive_flag(SkewOperatorSubspace(4, [l_matrix(2, 1, 0)]))
+        assert is_subalgebra(SkewOperatorSubspace(4, [l_matrix(2, 1, 0)]))
 
     def test_l_copy_true(self):
         V = SkewOperatorSubspace(4, [l_matrix(*e) for e in np.eye(3)])
-        assert naturally_reductive_flag(V)
+        assert is_subalgebra(V)
 
 
 class TestStructureOps:
@@ -724,6 +724,22 @@ TNC_SPANS = {
 NPRIMES = {"centralizer": centralizer_in_so, "normalizer": normalizer_in_so, "self": lambda V: V}
 # "self" only where V is a subalgebra (V normalizes itself)
 TNC_CASES = [(v, n) for v in TNC_SPANS for n in NPRIMES if n != "self" or v in ("clifford(3)", "zero")]
+
+
+class TestCentralizerWithoutDenseBrackets:
+    @pytest.mark.parametrize("span", [v for v in TNC_SPANS if v != "zero"])
+    def test_no_skew_basis_tables(self, monkeypatch, span):
+        # the centralizer of a nonzero span comes from the so(n) columns of the
+        # split derivation system, with no (P, n, n) skew basis and no dense brackets
+        V = TNC_SPANS[span]()
+        expected = centralizer_in_so(V)
+
+        def forbidden(*args):
+            raise AssertionError("dense skew-basis path")
+
+        monkeypatch.setattr(operator_subspaces, "skew_basis", forbidden)
+        monkeypatch.setattr(operator_subspaces, "brackets", forbidden)
+        assert centralizer_in_so(V).basis.tobytes() == expected.basis.tobytes()
 
 
 class TestTncBlocksAgainstPerSample:

@@ -30,6 +30,12 @@ from nilgo.operator_subspaces import (
 from oracles import r_matrix, split_derivation_system_products, subspaces_equal
 
 
+def _rotated(B):
+    """Q B_i Q^T for a fixed orthogonal Q, seeded by the size of B."""
+    Q = np.linalg.qr(np.random.default_rng(len(B[0])).standard_normal((len(B[0]),) * 2))[0]
+    return Q @ B @ Q.T
+
+
 def so3_l_copy():
     return SkewOperatorSubspace(4, [l_matrix(*e) for e in np.eye(3)])
 
@@ -177,10 +183,54 @@ class TestStackedFormat:
         ids=["so3_copy", "vt_2", "clifford_4", "thm2_2_3"],
     )
     def test_constrained_subspaces_match_pair_loop(self, build):
-        # the same products and sums as the loop over skew-basis/basis pairs: the same bytes
+        # the normalizer: the same products and sums as the loop over
+        # skew-basis/basis pairs, so the same bytes
         V = build()
-        for project, computed in ((True, normalizer_in_so(V)), (False, centralizer_in_so(V))):
-            assert computed.basis.tobytes() == _constrained_pair_loop(V, project).basis.tobytes()
+        assert normalizer_in_so(V).basis.tobytes() == _constrained_pair_loop(V, True).basis.tobytes()
+
+    @pytest.mark.parametrize(
+        "transform",
+        [lambda B: B, lambda B: 1e-150 * B, lambda B: 1e150 * B, _rotated],
+        ids=["unit", "1e-150", "1e150", "rotated"],
+    )
+    @pytest.mark.parametrize(
+        "build",
+        [
+            so3_l_copy,
+            lambda: vt_subspace(2),
+            lambda: _j_span(h_type_clifford(4)),
+            lambda: _j_span(family_thm2([2, 3])),
+            lambda: SkewOperatorSubspace(3, skew_basis(3)),
+        ],
+        ids=["so3_copy", "vt_2", "clifford_4", "thm2_2_3", "so3"],
+    )
+    def test_centralizer_spans_pair_loop_centralizer(self, build, transform):
+        # the commutator system by index and the dense pair loop span the same
+        # subspace, and the computed basis is Frobenius-orthonormal
+        V = build()
+        V = SkewOperatorSubspace(V.ambient_dim, transform(V.basis))
+        computed, reference = centralizer_in_so(V), _constrained_pair_loop(V, False)
+        assert computed.dim == reference.dim
+        assert subspace_contains(computed, reference) and subspace_contains(reference, computed)
+        gram = np.einsum("pij,qij->pq", computed.basis, computed.basis)
+        assert np.allclose(gram, np.eye(computed.dim), rtol=0, atol=1e-14)
+
+    def test_constrained_subspaces_of_the_zero_span(self):
+        for computed in (normalizer_in_so(SkewOperatorSubspace(4, [])), centralizer_in_so(SkewOperatorSubspace(4, []))):
+            assert computed.basis.tobytes() == skew_basis(4).tobytes()
+
+    def test_centralizer_working_set_dim_v_above_n(self):
+        # V = so(12), dim V = 66 > n: the (66 * 66, 66) system by index traces
+        # 2.7 MiB; the (66, 66, 12, 12) bracket tensor path traced 9.6 MiB
+        V = SkewOperatorSubspace(12, skew_basis(12))
+        centralizer_in_so(V)  # warm-up: the per-size index tables
+        tracemalloc.start()
+        try:
+            assert centralizer_in_so(V).dim == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_brackets(self, rng):
         A, B = rng.standard_normal((3, 4, 4)), rng.standard_normal((2, 4, 4))
