@@ -22,7 +22,7 @@ import numpy as np
 
 from . import algebra, families, geodesics, go_checker, invariants, jmaps
 from .errors import InputError, NilgoError
-from .operator_subspaces import SkewOperatorSubspace, normalizer_in_so, skew_derivations
+from .operator_subspaces import SkewOperatorSubspace, centralizer_in_so, normalizer_in_so, skew_derivations
 
 EXIT_PASS = 0
 EXIT_REFUTED = 1
@@ -193,15 +193,14 @@ def cmd_invariant(args) -> int:
     return EXIT_PASS
 
 
+# the N' of `tnc --nprime`, by name
+NPRIMES = {"normalizer": normalizer_in_so, "centralizer": centralizer_in_so, "self": lambda V: V}
+
+
 def cmd_tnc(args) -> int:
     V = _load_subspace(args.subspace)
     config = go_checker.SamplerConfig(seed=args.seed, samples=args.samples)
-    if args.nprime == "centralizer":
-        cert = go_checker.centralizer_type_check(V, config)
-    elif args.nprime == "self":
-        cert = go_checker.tnc_check(V, V, config)
-    else:
-        cert = go_checker.tnc_check(V, normalizer_in_so(V), config)
+    cert = go_checker.tnc_check(V, NPRIMES[args.nprime](V), config)
     _emit_json(args, cert.to_dict())
     return _certificate_exit(cert)
 
@@ -289,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tnc", help="transitive normalizer condition for an operator subspace")
     p.add_argument("subspace", help="subspace JSON {n, basis} or an algebra document")
-    p.add_argument("--nprime", choices=("normalizer", "centralizer", "self"), default="normalizer")
+    p.add_argument("--nprime", choices=tuple(NPRIMES), default="normalizer")
     _add_sampling(p)
     _add_io(p)
 

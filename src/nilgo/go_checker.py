@@ -27,9 +27,7 @@ from .operator_subspaces import (
     _normalizes,
     _upper_pairs,
     brackets,
-    centralizer_in_so,
     normalizer_in_so,
-    skew_basis,
     skew_derivations,
     split_derivation_system,
     split_derivations,
@@ -261,6 +259,14 @@ def gordon_go_check(L: MetricLieAlgebra, config: SamplerConfig = SamplerConfig()
 _bareiss_pivots = lc.bareiss_pivots
 
 
+def _skew_basis_times(x: np.ndarray) -> np.ndarray:
+    """Column k = (i, j) is E_k x for the skew basis E_k: +x_j in row i, -x_i in row j."""
+    iu, ju = _upper_pairs(len(x))
+    out = np.zeros((len(x), len(iu)), dtype=object)
+    out[iu, np.arange(len(iu))], out[ju, np.arange(len(iu))] = x[ju], -x[iu]
+    return out
+
+
 def gordon_refute_exact(split: TwoStepSplit, X, Y) -> bool:
     """Exact infeasibility check of the Gordon system for rational X, Y.
 
@@ -285,9 +291,9 @@ def gordon_refute_exact(split: TwoStepSplit, X, Y) -> bool:
     lx, ly = math.lcm(*(v.denominator for v in Xq)), math.lcm(*(v.denominator for v in Yq))
     Xi = np.array([int(v * lx) for v in Xq], dtype=object)
     Yi = np.array([int(v * ly) for v in Yq], dtype=object)
-    E, F = skew_basis(split.n).astype(np.int64), skew_basis(split.m).astype(np.int64)
-    rows_x = np.hstack([np.zeros((split.m, len(E)), dtype=object), (F @ Xi).T])
-    rows_y = np.hstack([den * lx * (E @ Yi).T, np.zeros((split.n, len(F)), dtype=object)])
+    FX, EY = _skew_basis_times(Xi), den * lx * _skew_basis_times(Yi)
+    rows_x = np.hstack([np.zeros((split.m, EY.shape[1]), dtype=object), FX])
+    rows_y = np.hstack([EY, np.zeros((split.n, FX.shape[1]), dtype=object)])
     lhs = np.vstack([rows, rows_x, rows_y])
     rhs = np.concatenate([np.zeros(len(rows) + split.m, dtype=object), np.einsum("i,iab,b->a", Xi, J, Yi)])
     pivots = _bareiss_pivots(np.column_stack([lhs, rhs]).tolist())
@@ -401,11 +407,6 @@ def normalizer_resolve_residual(V: SkewOperatorSubspace, config: SamplerConfig =
             X_mat = X_mat / xnorm
             worst = max(worst, float(np.max(np.abs(X_mat @ Bs - Bs @ X_mat))))
     return worst
-
-
-def centralizer_type_check(V: SkewOperatorSubspace, config: SamplerConfig = SamplerConfig()) -> GOCertificate:
-    """TNC with Nprime = the centralizer of V in so(n)."""
-    return tnc_check(V, centralizer_in_so(V), config)
 
 
 def riehm_predict(m: int, n: int, isotypic: Optional[str] = None) -> bool:

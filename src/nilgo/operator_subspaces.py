@@ -104,16 +104,12 @@ def span_matrices(mats, n: int) -> SkewOperatorSubspace:
     return SkewOperatorSubspace(n, vt[:rank].reshape(rank, n, n))
 
 
-def _off_span(V: SkewOperatorSubspace, W: np.ndarray) -> np.ndarray:
-    """The rows w of W (vectorized matrices) minus their projections onto
-    span(V), through an orthonormal basis Q of the span from one thin QR."""
-    Q = np.linalg.qr(V.basis.reshape(V.dim, V.ambient_dim**2).T)[0]
-    return W - (W @ Q) @ Q.T
-
-
 def _span_gaps(V: SkewOperatorSubspace, W: np.ndarray) -> np.ndarray:
-    """|w - P w| for every matrix w of the stack W, P projecting onto span(V)."""
-    return np.linalg.norm(_off_span(V, W.reshape(-1, V.ambient_dim**2)), axis=1)
+    """|w - P w| for every matrix w of the stack W, P projecting onto span(V)
+    through an orthonormal basis Q of the span from one thin QR."""
+    Q = np.linalg.qr(V.basis.reshape(V.dim, V.ambient_dim**2).T)[0]
+    W = W.reshape(-1, V.ambient_dim**2)
+    return np.linalg.norm(W - (W @ Q) @ Q.T, axis=1)
 
 
 def subspace_contains(outer: SkewOperatorSubspace, inner: SkewOperatorSubspace) -> bool:
@@ -271,34 +267,36 @@ def split_derivations(split: TwoStepSplit) -> tuple[np.ndarray, np.ndarray]:
     return _skew_from_upper(sol[:, :k], split.n), _skew_from_upper(sol[:, k:], split.m)
 
 
-def normalizer_in_so(V: SkewOperatorSubspace) -> SkewOperatorSubspace:
-    """{X in so(n) : [X, V] in span(V)}."""
-    n = V.ambient_dim
-    sb = skew_basis(n)
-    if V.dim == 0:
-        return SkewOperatorSubspace(n, sb)
-    W = brackets(sb, V.basis).reshape(len(sb), V.dim, n * n)  # [p, q] = [S_p, B_q]
-    # a bracket inside span(V) leaves only round-off off the span: zero it
-    # relative to the largest bracket entry, or the nullspace counts it as rank
-    cut = 1e-12 * np.abs(W).max()
-    W = _off_span(V, W)
-    W[np.abs(W) <= cut] = 0.0
-    coeffs = lc.nullspace(W.reshape(len(sb), -1).T)
-    # sum_p a_p S_p: the skew matrices with upper triangle a_p.  "+ 0.0" turns
-    # their negative zeros positive, as a sum from zero does: the SVD in
-    # span_matrices can depend on the sign of a zero
-    return span_matrices(_skew_from_upper(coeffs, n) + 0.0, n)
-
-
-def centralizer_in_so(V: SkewOperatorSubspace) -> SkewOperatorSubspace:
-    """{X in so(n) : [X, V] = 0}: the nullspace of the so(n) columns of
-    :func:`split_derivation_system` on V's basis, built alone (C = 0)."""
+def _constrained_so_subspace(V: SkewOperatorSubspace, off_span: bool) -> SkewOperatorSubspace:
+    """{X in so(n) : [X, V] = 0}, or {X : [X, V] in span(V)} with ``off_span``: the
+    nullspace of the upper triangles of [B_q, E_p] (B_q in V's basis, E_p in the skew
+    basis), by index as (dim V, P, P) blocks, each taken off span(V) with ``off_span``
+    (Frobenius products of skew matrices are twice those of their upper triangles)."""
     n, P = V.ambient_dim, V.ambient_dim * (V.ambient_dim - 1) // 2
     if V.dim == 0:
         return SkewOperatorSubspace(n, skew_basis(n))
     system = np.zeros((V.dim, P, P))
     _add_commutators(V.basis, system)
+    if off_span:
+        iu, ju = _upper_pairs(n)
+        Q = np.linalg.qr(V.basis[:, iu, ju].T)[0]
+        # a commutator inside span(V) leaves only round-off off the span: zero it relative
+        # to the largest commutator entry, or the nullspace counts it as rank
+        cut = 1e-12 * np.abs(system).max()
+        for S in system:
+            S -= Q @ (Q.T @ S)
+            S[np.abs(S) <= cut] = 0.0
     return span_matrices(_skew_from_upper(lc.nullspace(system.reshape(-1, P)), n), n)
+
+
+def normalizer_in_so(V: SkewOperatorSubspace) -> SkewOperatorSubspace:
+    """{X in so(n) : [X, V] in span(V)}."""
+    return _constrained_so_subspace(V, True)
+
+
+def centralizer_in_so(V: SkewOperatorSubspace) -> SkewOperatorSubspace:
+    """{X in so(n) : [X, V] = 0}."""
+    return _constrained_so_subspace(V, False)
 
 
 def _pair_brackets(V: SkewOperatorSubspace) -> np.ndarray:

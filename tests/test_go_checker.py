@@ -35,7 +35,6 @@ from nilgo.go_checker import (
     _sample_plan,
     _sweep,
     apply_center_metric,
-    centralizer_type_check,
     gordon_refute_exact,
     isometry_decomposition,
     normalizer_resolve_residual,
@@ -103,6 +102,19 @@ class TestGordon:
         X = np.eye(4)[0]
         Y = np.eye(8)[0] + np.eye(8)[4]
         assert gordon_refute_exact(split, X, Y)
+
+    def test_refute_exact_without_skew_basis(self, monkeypatch):
+        # criterion 6's (4, 8) witness: the witness rows F X and E Y are built
+        # by index, with no skew-basis table, also none imported into go_checker
+        L = h_type_clifford(4, 1)
+        witness = gordon_go_check(L, config=FAST).witness
+
+        def forbidden(*args):
+            raise AssertionError("skew-basis table")
+
+        monkeypatch.setattr(operator_subspaces, "skew_basis", forbidden)
+        monkeypatch.setattr(go_checker, "skew_basis", forbidden, raising=False)
+        assert gordon_refute_exact(split_two_step(L), witness["X"], witness["Y"])
 
     def test_refute_exact_feasible_case(self):
         L = n10(2)
@@ -175,7 +187,8 @@ class TestMetric:
 class TestTnc:
     def test_centralizer_type_vt(self):
         for t in (2, 5):
-            cert = centralizer_type_check(vt_subspace(t), FAST)
+            V = vt_subspace(t)
+            cert = tnc_check(V, centralizer_in_so(V), FAST)
             assert cert.status == "verified_sampled"
 
     def test_one_dim_self(self):
@@ -266,9 +279,10 @@ class TestBatchedAdjudicator:
         "gordon verified": lambda c: gordon_go_check(n10(2), config=c),
         "kv refuted": lambda c: kv_go_check(isometry_decomposition(h_type_clifford(4, 1)), c),
         "kv verified": lambda c: kv_go_check(isometry_decomposition(n10(2)), c),
-        "tnc refuted": lambda c: centralizer_type_check(SkewOperatorSubspace(
-            8, [np.array(G, dtype=float) for G in clifford_generators(4)]), c),
-        "tnc verified": lambda c: centralizer_type_check(vt_subspace(2), c),
+        "tnc refuted": lambda c: tnc_check(
+            V := SkewOperatorSubspace(8, [np.array(G, dtype=float) for G in clifford_generators(4)]),
+            centralizer_in_so(V), c),
+        "tnc verified": lambda c: tnc_check(V := vt_subspace(2), centralizer_in_so(V), c),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -342,7 +356,7 @@ class TestNonFiniteResiduals:
             lambda: gordon_go_check(_huge_heisenberg(), config=FAST),
             lambda: kv_go_check(isometry_decomposition(_huge_heisenberg()), FAST),
             lambda: tnc_check(_huge_subspace(), _huge_subspace(), FAST),
-            lambda: centralizer_type_check(_huge_subspace(), FAST),
+            lambda: tnc_check(_huge_subspace(), centralizer_in_so(_huge_subspace()), FAST),
         ],
         ids=["gordon", "kv", "tnc_self", "tnc_centralizer"],
     )
@@ -540,7 +554,7 @@ class TestSamplePlan:
         monkeypatch.setattr(np.random, "default_rng", lambda *a: calls.append(a) or real(*a))
         gordon_go_check(n10(2), config=SamplerConfig(seed=4, samples=50))
         kv_go_check(isometry_decomposition(n10(2)), SamplerConfig(seed=4, samples=50))
-        centralizer_type_check(vt_subspace(2), SamplerConfig(seed=4, samples=50))
+        tnc_check(vt_subspace(2), centralizer_in_so(vt_subspace(2)), SamplerConfig(seed=4, samples=50))
         assert calls == [(4,)] * 3
 
     @pytest.mark.parametrize("dims", PLAN_DIMS)
@@ -634,7 +648,7 @@ class TestBlockPlanAgainstPerSamplePlan:
     @pytest.mark.parametrize("name", ["n10(2)", "thm2 2,3"])
     def test_tnc_centralizer(self, monkeypatch, name):
         V = _j_span(GO_GRID[name]())
-        _same_verdict(*self._both(monkeypatch, lambda: centralizer_type_check(V, self.CONFIG)))
+        _same_verdict(*self._both(monkeypatch, lambda: tnc_check(V, centralizer_in_so(V), self.CONFIG)))
 
 
 def _commutant_scaled_per_z(nprime, z, Z_mat):
@@ -652,9 +666,9 @@ class TestTncScale:
     """The N' norm computed once per check gives the bytes of the per-Z scale."""
 
     CASES = {
-        "centralizer vt(2)": lambda c: centralizer_type_check(vt_subspace(2), c),
-        "centralizer thm2 2,3": lambda c: centralizer_type_check(_j_span(family_thm2([2, 3])), c),
-        "centralizer clifford(4)": lambda c: centralizer_type_check(_j_span(h_type_clifford(4, 1)), c),
+        "centralizer vt(2)": lambda c: tnc_check(V := vt_subspace(2), centralizer_in_so(V), c),
+        "centralizer thm2 2,3": lambda c: tnc_check(V := _j_span(family_thm2([2, 3])), centralizer_in_so(V), c),
+        "centralizer clifford(4)": lambda c: tnc_check(V := _j_span(h_type_clifford(4, 1)), centralizer_in_so(V), c),
         "normalizer vt(2)": lambda c: tnc_check(vt_subspace(2), normalizer_in_so(vt_subspace(2)), c),
         "normalizer clifford(3)": lambda c: tnc_check(_j_span(h_type_clifford(3, 1)),
                                                       normalizer_in_so(_j_span(h_type_clifford(3, 1))), c),
@@ -682,7 +696,7 @@ class TestTncScale:
         calls = []
         real = gc._nprime
         monkeypatch.setattr(gc, "_nprime", lambda *a: calls.append(1) or real(*a))
-        centralizer_type_check(vt_subspace(2), SamplerConfig(samples=30))
+        tnc_check(vt_subspace(2), centralizer_in_so(vt_subspace(2)), SamplerConfig(samples=30))
         normalizer_resolve_residual(vt_subspace(2), SamplerConfig(samples=30))
         assert len(calls) == 2
 
@@ -727,19 +741,20 @@ TNC_CASES = [(v, n) for v in TNC_SPANS for n in NPRIMES if n != "self" or v in (
 
 
 class TestCentralizerWithoutDenseBrackets:
+    @pytest.mark.parametrize("nprime", ["centralizer", "normalizer"])
     @pytest.mark.parametrize("span", [v for v in TNC_SPANS if v != "zero"])
-    def test_no_skew_basis_tables(self, monkeypatch, span):
-        # the centralizer of a nonzero span comes from the so(n) columns of the
-        # split derivation system, with no (P, n, n) skew basis and no dense brackets
+    def test_no_skew_basis_tables(self, monkeypatch, span, nprime):
+        # the centralizer and the normalizer of a nonzero span come from the
+        # commutator system by index, with no (P, n, n) skew basis and no dense brackets
         V = TNC_SPANS[span]()
-        expected = centralizer_in_so(V)
+        expected = NPRIMES[nprime](V)
 
         def forbidden(*args):
             raise AssertionError("dense skew-basis path")
 
         monkeypatch.setattr(operator_subspaces, "skew_basis", forbidden)
         monkeypatch.setattr(operator_subspaces, "brackets", forbidden)
-        assert centralizer_in_so(V).basis.tobytes() == expected.basis.tobytes()
+        assert NPRIMES[nprime](V).basis.tobytes() == expected.basis.tobytes()
 
 
 class TestTncBlocksAgainstPerSample:
