@@ -110,7 +110,7 @@ def _load_subspace(path: str) -> SkewOperatorSubspace:
             raise InputError(f"n {n} outside [1, {algebra.MAX_DIM}]")
         return SkewOperatorSubspace(n, data["basis"])
     split = algebra.split_two_step(_metric_algebra(data))
-    return SkewOperatorSubspace(split.n, jmaps.build_jmap_family(split).generators)
+    return SkewOperatorSubspace(split.n, jmaps.split_family(split).generators)
 
 
 def cmd_validate(args) -> int:

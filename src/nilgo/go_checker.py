@@ -10,7 +10,6 @@ when rational data is available, an exact infeasibility re-check).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -40,6 +39,7 @@ INCONCLUSIVE = "inconclusive"
 # the residual thresholds of every certificate, relative to each sample's scale (see _adjudicate)
 TAU_FEAS = 1e-8
 TAU_REFUTE = 1e-4
+_SCALE_FLOOR = math.sqrt(np.finfo(float).tiny)  # below it the squares behind a residual underflow
 
 
 @dataclass(frozen=True)
@@ -90,13 +90,13 @@ def isometry_decomposition(L: MetricLieAlgebra) -> DerivationAlgebra:
     return skew_derivations(L)
 
 
-def _sweep(k: int, sums: bool = True) -> np.ndarray:
-    """Basis vectors of R^k, then (if ``sums``) every e_i + e_j with i < j, as rows."""
+def _sweep(k: int) -> np.ndarray:
+    """Basis vectors of R^k, then every e_i + e_j with i < j, as rows."""
     eye, (iu, ju) = np.eye(k), _upper_pairs(k)
-    return np.vstack([eye, eye[iu] + eye[ju]]) if sums else eye
+    return np.vstack([eye, eye[iu] + eye[ju]])
 
 
-def _sample_plan(config: SamplerConfig, dims, sums: bool = True) -> tuple[tuple, int]:
+def _sample_plan(config: SamplerConfig, dims) -> tuple[tuple, int]:
     """One array of sample vectors per entry of ``dims``, and the sweep length.
 
     The sweep (all combinations of the per-factor sweeps, the first factor
@@ -105,7 +105,7 @@ def _sample_plan(config: SamplerConfig, dims, sums: bool = True) -> tuple[tuple,
     ``samples x sum(dims)`` normals, split by factor and normalised, so
     the first k random rows do not depend on ``samples``.
     """
-    sweeps = [_sweep(k, sums) for k in dims]
+    sweeps = [_sweep(k) for k in dims]
     combos = np.indices([len(s) for s in sweeps]).reshape(len(dims), -1)
     block = np.random.default_rng(config.seed).standard_normal((config.samples, sum(dims)))
     draws = np.split(block, np.cumsum(dims)[:-1], axis=1)
@@ -121,28 +121,29 @@ CHUNK = 256  # samples per stacked solve: bounds the memory of one batch
 def _adjudicate(config: SamplerConfig, dims, system, witness) -> GOCertificate:
     """Sampled certificate that the systems on the plan of ``dims`` are solvable.
 
-    ``system`` maps a chunk of the plan (one array per factor) to blocks
-    ``(A, b, scale)`` of stacked systems ``A[i] z = b[i]`` in plan order;
-    each block is one :func:`linear_core.batch_residuals` call.  Scanning
-    in plan order, the first sample whose residual relative to its scale
-    exceeds both TAU_FEAS and TAU_REFUTE refutes, with
+    ``system`` maps a chunk of the plan (one array per factor) to one
+    stacked system ``A[i] z = b[i]`` with scales, ``(A, b, scale)`` in plan
+    order, solved by one :func:`linear_core.batch_residuals` call.
+    Scanning in plan order, the first sample whose residual relative to
+    its scale exceeds both TAU_FEAS and TAU_REFUTE refutes, with
     ``witness(sample, residual, from_sweep)``; any other sample above
-    TAU_FEAS makes the result inconclusive.  Non-finite systems, scales
-    or residuals raise InputError.
+    TAU_FEAS makes the result inconclusive.  Non-finite systems, scales or
+    residuals, and scales below _SCALE_FLOOR beside a nonzero ``b``, raise
+    InputError.
     """
     plan, n_sweep = _sample_plan(config, dims)
     status, max_res = VERIFIED_SAMPLED, 0.0
     for start in range(0, len(plan[0]), CHUNK):
         chunk = [f[start:start + CHUNK] for f in plan]
-        rel = []
         # overflow surfaces as a non-finite system, scale or residual below
         with np.errstate(over="ignore", invalid="ignore"):
-            for A, b, scale in system(*chunk):
-                if not np.all(np.isfinite(scale)):
-                    raise InputError("residual scale is not finite")
-                rel.append(lc.batch_residuals(A, b) / np.maximum(scale, 1e-300))
-                del A, b, scale  # the loop keeps no block past its solve
-        rel = np.concatenate(rel)
+            A, b, scale = system(*chunk)
+            if not np.all(np.isfinite(scale)):
+                raise InputError("residual scale is not finite")
+            if np.any((scale < _SCALE_FLOOR) & np.any(b != 0, axis=1)):
+                raise InputError("residual scale underflows")
+            rel = lc.batch_residuals(A, b) / np.maximum(scale, 1e-300)
+        del A, b, scale  # no system outlives its chunk
         over = rel > TAU_FEAS
         refuting = np.flatnonzero(over & (rel > TAU_REFUTE))
         stop = refuting[0] + 1 if refuting.size else len(rel)
@@ -190,7 +191,7 @@ def kv_go_check(ders: DerivationAlgebra, config: SamplerConfig = SamplerConfig()
     return _adjudicate(
         config,
         (L.dim,),
-        lambda X: [(*_kv_system(ders, X), cnorm * np.einsum("bi,bi->b", X, X))],
+        lambda X: (*_kv_system(ders, X), cnorm * np.einsum("bi,bi->b", X, X)),
         lambda s, rel, _: {"X": s[0].tolist(), "residual": rel},
     )
 
@@ -200,7 +201,7 @@ def kv_go_check(ders: DerivationAlgebra, config: SamplerConfig = SamplerConfig()
 # ---------------------------------------------------------------------------
 
 
-def _gordon_blocks(split, maps, X, Y):
+def _gordon_system(split, maps, X, Y):
     """Stacked systems for 'exists D: D(X) = 0, D(Y) = J_X(Y)' over rows of
     X and Y, one column per derivation.  With ``maps = (C, A)`` from
     :func:`split_derivations`, ``C[p] X`` and ``A[p] Y - J_X Y`` are
@@ -217,7 +218,7 @@ def _gordon_blocks(split, maps, X, Y):
     M[:, m:] = _apply(A, Y)
     b = np.concatenate([np.zeros_like(X), JXY], axis=1)
     scale = np.linalg.norm(J, axis=(1, 2)).max() * np.linalg.norm(X, axis=1) * np.linalg.norm(Y, axis=1)
-    return [(M, b, scale)]
+    return M, b, scale
 
 
 def apply_center_metric(L: MetricLieAlgebra, q) -> MetricLieAlgebra:
@@ -246,7 +247,7 @@ def gordon_go_check(L: MetricLieAlgebra, config: SamplerConfig = SamplerConfig()
     cert = _adjudicate(
         config,
         (split.m, split.n),
-        functools.partial(_gordon_blocks, split, (C, A)),
+        functools.partial(_gordon_system, split, (C, A)),
         lambda s, rel, sweep: {"X": s[0].tolist(), "Y": s[1].tolist(), "residual": rel, "from_sweep": sweep},
     )
     w = cert.witness
@@ -326,42 +327,39 @@ def _nprime(N: np.ndarray, V: SkewOperatorSubspace) -> tuple[np.ndarray, Optiona
 
 
 def _commutant(nprime, z, Z_mat) -> np.ndarray:
-    """Basis of the commutant of Z = ``Z_mat`` (coefficients z over V)
-    inside span(N'), stacked, for ``nprime`` from :func:`_nprime`."""
+    """Orthogonal projector, on the coefficients over N', onto the commutant of Z =
+    ``Z_mat`` (z over V) in span(N'); ``nprime`` from :func:`_nprime`, Tz not None."""
     N, Tz, nnorm = nprime
-    if Tz is None:
-        return N
     K = (z @ Tz).reshape(len(N), -1).T
     # suppress round-off from the products, relative to the scale of the
     # brackets, so that exactly commuting elements are not ranked by noise
     # singular values
     K[np.abs(K) <= 1e-12 * nnorm * np.linalg.norm(Z_mat)] = 0.0
-    return np.tensordot(lc.nullspace(K), N, 1)
+    ns = lc.nullspace(K)
+    return ns.T @ ns
 
 
-def _tnc_blocks(V, nprime, cache, zc, Y):
+def _tnc_system(V, nprime, cache, zc, Y):
     """Stacked systems X(Y) = Z(Y), X in the commutant of Z inside N'
     (``nprime`` from :func:`_nprime`), over rows of zc (Z in V's basis) and Y.
 
-    When N' centralizes V the chunk is one block ``A[b] = N' Y_b``.
-    Otherwise the commutant is computed once per distinct Z (kept in
-    ``cache``) and applied to each run of samples with that Z; consecutive
-    runs with commutants of one dimension share a block."""
+    Column p of ``A[b]`` is N_p Y_b.  Unless N' centralizes V, each run of
+    samples with one Z is then multiplied in place by the projector onto
+    that Z's commutant, computed once per distinct Z (kept in ``cache``),
+    so that ``A[b]`` has the commutant's column span."""
     N, Tz, _ = nprime
     Zs = np.tensordot(zc, V.basis, 1)
     b = (Zs @ Y[:, :, None])[:, :, 0]
     scale = np.linalg.norm(b, axis=1) + np.linalg.norm(Zs, axis=(1, 2)) * np.linalg.norm(Y, axis=1)
-    if Tz is None:
-        return [(_apply(N, Y), b, scale)]
-    starts = np.flatnonzero(np.r_[True, np.any(zc[1:] != zc[:-1], axis=1)])
-    runs = []
-    for s, e in zip(starts, [*starts[1:], len(zc)]):
-        key = zc[s].tobytes()
-        if key not in cache:
-            cache[key] = _commutant(nprime, zc[s], Zs[s])
-        runs.append((_apply(cache[key], Y[s:e]), b[s:e], scale[s:e]))
-    groups = itertools.groupby(runs, key=lambda run: run[0].shape[2])
-    return [tuple(np.concatenate(part) for part in zip(*group)) for _, group in groups]
+    A = _apply(N, Y)
+    if Tz is not None:
+        starts = np.flatnonzero(np.r_[True, np.any(zc[1:] != zc[:-1], axis=1)])
+        for s, e in zip(starts, [*starts[1:], len(zc)]):
+            key = zc[s].tobytes()
+            if key not in cache:
+                cache[key] = _commutant(nprime, zc[s], Zs[s])
+            np.matmul(A[s:e], cache[key], out=A[s:e])
+    return A, b, scale
 
 
 def tnc_check(
@@ -381,31 +379,30 @@ def tnc_check(
     return _adjudicate(
         config,
         (V.dim, V.ambient_dim),
-        functools.partial(_tnc_blocks, V, _nprime(N, V), {}),
+        functools.partial(_tnc_system, V, _nprime(N, V), {}),
         lambda s, rel, _: {"Z": s[0].tolist(), "Y": s[1].tolist(), "residual": rel},
     )
 
 
 def normalizer_resolve_residual(V: SkewOperatorSubspace, config: SamplerConfig = SamplerConfig()) -> float:
-    """Re-solve the TNC samples against the full normalizer of V and
-    report the worst centralizer residual max_i |[X, V_i]| / (|X| max_i
-    |V_i|) of the minimum-norm solutions X found (0 for X = 0); 0.0 for a
-    zero-dimensional V."""
+    """Re-solve the TNC systems of the full normalizer of V, on the plan of
+    :func:`tnc_check`, and report the worst centralizer residual max_i
+    |[X, V_i]| / (|X| max_i |V_i|) of the minimum-norm solutions X found
+    (0 for X = 0); 0.0 for a zero-dimensional V."""
     if V.dim == 0:
         return 0.0
     nprime = _nprime(normalizer_in_so(V).basis, V)
-    plan, _ = _sample_plan(config, (V.dim, V.ambient_dim), sums=False)
+    plan, _ = _sample_plan(config, (V.dim, V.ambient_dim))
     Bs = V.basis / np.linalg.norm(V.basis, axis=(1, 2)).max()
-    worst = 0.0
-    for zc, Y in zip(*plan):
-        Z_mat = V.element(zc)
-        mats = _commutant(nprime, zc, Z_mat)
-        coeffs, _ = lc.least_squares((mats @ Y).T, Z_mat @ Y)
-        X_mat = np.tensordot(coeffs, mats, 1)
-        xnorm = np.linalg.norm(X_mat)
-        if xnorm > 0:  # unit X and V: no product under- or overflows
-            X_mat = X_mat / xnorm
-            worst = max(worst, float(np.max(np.abs(X_mat @ Bs - Bs @ X_mat))))
+    worst, cache = 0.0, {}
+    for start in range(0, len(plan[0]), CHUNK):
+        A, b, _ = _tnc_system(V, nprime, cache, *(f[start:start + CHUNK] for f in plan))
+        for A_i, b_i in zip(A, b):
+            X_mat = np.tensordot(lc.least_squares(A_i, b_i)[0], nprime[0], 1)
+            xnorm = np.linalg.norm(X_mat)
+            if xnorm > 0:  # unit X and V: no product under- or overflows
+                X_mat = X_mat / xnorm
+                worst = max(worst, float(np.max(np.abs(X_mat @ Bs - Bs @ X_mat))))
     return worst
 
 

@@ -125,7 +125,8 @@ def _normalizes(N: np.ndarray, V: SkewOperatorSubspace) -> bool:
     of the span: bounded by its inputs, not by itself, since its round-off
     can lie almost wholly off the span."""
 
-    def unit(S):
+    def unit(S):  # scaled by a power of two first (exact), so that no norm underflows
+        S = np.ldexp(S, -np.frexp(np.abs(S).max(axis=(1, 2)))[1][:, None, None])
         return S / np.linalg.norm(S, axis=(1, 2))[:, None, None]
 
     return not np.any(_span_gaps(V, brackets(unit(N), unit(V.basis))) > lc.TAU_RANK)

@@ -384,6 +384,46 @@ class TestNonFiniteCertificates:
         assert out == ""
 
 
+def _scaled_family(capsys, tmp_path, s, *family):
+    """The document of ``nilgo family`` with every bracket coefficient times s."""
+    code, out = run(capsys, "family", *family)
+    assert code == 0
+    doc = json.loads(out)
+    for bracket in doc["brackets"]:
+        bracket["coeffs"] = {k: s * float(v) for k, v in bracket["coeffs"].items()}
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+UNDERFLOW_COMMANDS = {
+    "gordon": ["go-check", "--criterion", "gordon"],
+    "kv": ["go-check", "--criterion", "kv"],
+    "tnc": ["tnc", "--nprime", "centralizer"],
+}
+SCALED_FAMILIES = {"h4": (["h_type_clifford", "--m", "4"], 1), "n10(2)": (["n10", "--t", "2"], 0)}
+
+
+class TestUnderflowingCertificates:
+    """Documents whose residual scales underflow exit 64, never 0 or 1."""
+
+    @pytest.mark.parametrize("family", sorted(SCALED_FAMILIES))
+    @pytest.mark.parametrize("command", sorted(UNDERFLOW_COMMANDS))
+    def test_tiny_brackets_exit_64(self, capsys, tmp_path, command, family):
+        path = _scaled_family(capsys, tmp_path, 1e-170, *SCALED_FAMILIES[family][0])
+        code, out = run(capsys, *UNDERFLOW_COMMANDS[command], str(path), "--samples", "5")
+        assert code == 64
+        assert out == ""
+
+    @pytest.mark.parametrize("family", sorted(SCALED_FAMILIES))
+    @pytest.mark.parametrize("command", sorted(UNDERFLOW_COMMANDS))
+    def test_decided_at_1e_150(self, capsys, tmp_path, command, family):
+        args, expected = SCALED_FAMILIES[family]
+        path = _scaled_family(capsys, tmp_path, 1e-150, *args)
+        code, _ = run(capsys, *UNDERFLOW_COMMANDS[command], str(path), "--samples", "5")
+        assert code == expected
+
+
 class TestSubspaceDocumentContract:
     """Malformed {n, basis} documents for ``nilgo tnc`` exit 64, never 0 or 70."""
 

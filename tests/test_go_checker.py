@@ -1,4 +1,3 @@
-import itertools
 import json
 from fractions import Fraction as Q
 
@@ -209,6 +208,12 @@ class TestTnc:
         with pytest.raises(InputError):
             tnc_check(V, V, FAST)  # V_t is not a subalgebra, not in its normalizer
 
+    @pytest.mark.parametrize("s", [1e-170, 1e-300])
+    def test_rejects_tiny_nprime_outside_normalizer(self, s):
+        V = SkewOperatorSubspace(8, s * vt_subspace(2).basis)
+        with pytest.raises(InputError, match="not contained in the normalizer"):
+            tnc_check(V, V, FAST)
+
     def test_gate_agrees_with_is_subalgebra(self):
         # span{L1, L2, L3 + 1e-8 E23} is not a subalgebra, so it does not normalize itself
         V = SkewOperatorSubspace(
@@ -329,6 +334,24 @@ class TestBatchedAdjudicator:
         assert tnc_check(V, N, SamplerConfig(samples=10)).verified
         assert len(calls) == len(set(calls)) == 6 + 10  # e_i, then e_i + e_j, then one per random sample
 
+    @pytest.mark.parametrize("span", ["clifford(3)", "so(3)+so(2)"])
+    def test_tnc_one_solve_per_chunk(self, monkeypatch, span):
+        # in so(3) + so(2) inside so(5) (its own normalizer) the commutant of
+        # Z has dimension 4 at Z = E34 and 2 at every other sample Z, and
+        # still every chunk is one stacked system
+        import nilgo.go_checker as gc
+
+        V = TNC_SPANS[span]()
+        N = normalizer_in_so(V)
+        config = SamplerConfig(samples=10)
+        rows = []
+        real = lc.batch_residuals
+        monkeypatch.setattr(lc, "batch_residuals", lambda A, b: rows.append(len(A)) or real(A, b))
+        monkeypatch.setattr(gc, "CHUNK", 7)
+        assert tnc_check(V, N, config).verified
+        (zc, _), _ = _sample_plan(config, (V.dim, V.ambient_dim))
+        assert rows == [len(zc[s:s + 7]) for s in range(0, len(zc), 7)]
+
 
 def _huge_heisenberg():
     """heisenberg(1) with [e0, e1] = 1e308 e2: finite data, overflowing residual scales."""
@@ -363,6 +386,37 @@ class TestNonFiniteResiduals:
     def test_overflow_raises_input_error(self, call):
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InputError, match="finite"):
             call()
+
+
+def _tiny(L, s=1e-170):
+    """L with every structure constant times s."""
+    return make_algebra(L.structure * s, L.gram)
+
+
+class TestUnderflowingResiduals:
+    """A residual scale whose squares underflow never decides a certificate."""
+
+    CALLS = {
+        "gordon": lambda L: gordon_go_check(L, config=FAST),
+        "kv": lambda L: kv_go_check(isometry_decomposition(L), FAST),
+        "tnc_centralizer": lambda L: tnc_check(V := _j_span(L), centralizer_in_so(V), FAST),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    @pytest.mark.parametrize("family", [lambda: h_type_clifford(4, 1), lambda: n10(2)], ids=["h4", "n10(2)"])
+    def test_underflow_raises_input_error(self, name, family):
+        with pytest.raises(InputError, match="residual scale underflows"):
+            self.CALLS[name](_tiny(family()))
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_decided_above_the_floor(self, name):
+        assert self.CALLS[name](_tiny(h_type_clifford(4, 1), 1e-150)).status == "refuted"
+        assert self.CALLS[name](_tiny(n10(2), 1e-150)).verified
+
+    def test_abelian_kv_verified(self, abelian):
+        # every scale and right-hand side is 0: nothing underflows
+        cert = kv_go_check(isometry_decomposition(abelian), FAST)
+        assert cert.verified and cert.max_residual == 0.0
 
 
 def _indefinite_n10():
@@ -514,10 +568,10 @@ class TestIntegerRecheck:
 # ---------------------------------------------------------------------------
 
 
-def _per_sample_plan(config, dims, sums=True):
+def _per_sample_plan(config, dims):
     """Oracle: the plan drawn from one generator per random sample,
     default_rng((seed, i)), normalised vector by vector."""
-    sweeps = [_sweep(k, sums) for k in dims]
+    sweeps = [_sweep(k) for k in dims]
     combos = np.indices([len(s) for s in sweeps]).reshape(len(dims), -1)
     draws = [
         [v / np.linalg.norm(v) for v in map(np.random.default_rng((config.seed, i)).standard_normal, dims)]
@@ -583,11 +637,10 @@ class TestSamplePlan:
             assert np.array_equal(p, f[: n_sweep + k])
 
     @pytest.mark.parametrize("dims", PLAN_DIMS)
-    @pytest.mark.parametrize("sums", [True, False])
-    def test_sweep_rows_unchanged(self, dims, sums):
+    def test_sweep_rows_unchanged(self, dims):
         config = SamplerConfig(seed=3, samples=20)
-        new, n_sweep = _sample_plan(config, dims, sums)
-        old, n_old = _per_sample_plan(config, dims, sums)
+        new, n_sweep = _sample_plan(config, dims)
+        old, n_old = _per_sample_plan(config, dims)
         assert n_sweep == n_old
         for f, g in zip(new, old):
             assert f.shape == g.shape
@@ -652,14 +705,13 @@ class TestBlockPlanAgainstPerSamplePlan:
 
 
 def _commutant_scaled_per_z(nprime, z, Z_mat):
-    """Oracle: the commutant with its round-off scale recomputed from N' for every Z."""
+    """Oracle: the commutant's projector with its round-off scale recomputed from N' for every Z."""
     N, Tz, _ = nprime
-    if Tz is None:
-        return N
     K = (z @ Tz).reshape(len(N), -1).T
     kscale = max(np.linalg.norm(M) for M in N) * np.linalg.norm(Z_mat)
     K[np.abs(K) <= 1e-12 * kscale] = 0.0
-    return np.tensordot(np.reshape(lc.nullspace(K), (-1, len(N))), N, 1)
+    ns = np.reshape(lc.nullspace(K), (-1, len(N)))
+    return ns.T @ ns
 
 
 class TestTncScale:
@@ -702,30 +754,29 @@ class TestTncScale:
 
 
 def _per_sample_commutant(N, Z_mat):
-    """Oracle: the commutant of Z inside span(N) from its own brackets [N_p, Z],
-    cut at 1e-12 |N'| |Z|."""
+    """Oracle: the projector, on the coefficients over N, onto the commutant
+    of Z inside span(N), from its own brackets [N_p, Z] cut at 1e-12 |N'| |Z|."""
     if not len(N):
-        return N
+        return np.eye(0)
     K = (N @ Z_mat - Z_mat @ N).reshape(len(N), -1).T
     K[np.abs(K) <= 1e-12 * max(np.linalg.norm(M) for M in N) * np.linalg.norm(Z_mat)] = 0.0
-    return np.tensordot(lc.nullspace(K), N, 1)
+    ns = lc.nullspace(K)
+    return ns.T @ ns
 
 
-def _per_sample_tnc_blocks(V, nprime, cache, zc, Y):
-    """Oracle: the TNC systems built sample by sample, with one commutant per
-    distinct Z (kept in ``cache``); consecutive samples with commutants of
-    one dimension share a block."""
+def _per_sample_tnc_system(V, nprime, cache, zc, Y):
+    """Oracle: the TNC systems built sample by sample, with one commutant
+    projector per distinct Z (kept in ``cache``), stacked into one system."""
     N = nprime[0]
     systems = []
     for z, y in zip(zc, Y):
         if z.tobytes() not in cache:
             Z_mat = V.element(z)
             cache[z.tobytes()] = Z_mat, _per_sample_commutant(N, Z_mat)
-        Z_mat, mats = cache[z.tobytes()]
+        Z_mat, proj = cache[z.tobytes()]
         b = Z_mat @ y
-        systems.append(((mats @ y).T, b, np.linalg.norm(b) + np.linalg.norm(Z_mat) * np.linalg.norm(y)))
-    groups = itertools.groupby(systems, key=lambda system: system[0].shape[1])
-    return [tuple(np.array(part) for part in zip(*group)) for _, group in groups]
+        systems.append(((N @ y).T @ proj, b, np.linalg.norm(b) + np.linalg.norm(Z_mat) * np.linalg.norm(y)))
+    return tuple(np.array(part) for part in zip(*systems))
 
 
 TNC_SPANS = {
@@ -734,10 +785,16 @@ TNC_SPANS = {
     "clifford(3)": lambda: _j_span(h_type_clifford(3, 1)),
     "clifford(4)": lambda: _j_span(h_type_clifford(4, 1)),
     "zero": lambda: SkewOperatorSubspace(4, []),
+    # its own normalizer, with commutants of dimension 4 at Z = E34 and 2 elsewhere
+    "so(3)+so(2)": lambda: SkewOperatorSubspace(5, skew_basis(5)[[0, 1, 4, 9]]),
 }
 NPRIMES = {"centralizer": centralizer_in_so, "normalizer": normalizer_in_so, "self": lambda V: V}
-# "self" only where V is a subalgebra (V normalizes itself)
-TNC_CASES = [(v, n) for v in TNC_SPANS for n in NPRIMES if n != "self" or v in ("clifford(3)", "zero")]
+# "self" only where V is a subalgebra (V normalizes itself); the centralizer
+# span{E34} of so(3)+so(2) cannot transport its so(3) part
+TNC_CASES = [
+    (v, n) for v in TNC_SPANS for n in NPRIMES
+    if (n != "self" or v in ("clifford(3)", "zero", "so(3)+so(2)")) and (v, n) != ("so(3)+so(2)", "centralizer")
+]
 
 
 class TestCentralizerWithoutDenseBrackets:
@@ -768,7 +825,7 @@ class TestTncBlocksAgainstPerSample:
         config = SamplerConfig(seed=2, samples=30)
         monkeypatch.setattr(go_checker, "CHUNK", chunk)
         new = tnc_check(V, N, config)
-        monkeypatch.setattr(go_checker, "_tnc_blocks", _per_sample_tnc_blocks)
+        monkeypatch.setattr(go_checker, "_tnc_system", _per_sample_tnc_system)
         old = tnc_check(V, N, config)
         assert new.status == old.status and new.exact_refutation == old.exact_refutation
         assert (span == "clifford(4)") == (new.status == "refuted")
@@ -794,7 +851,7 @@ class TestBlasBuilders:
         split = split_two_step(GO_GRID[name]())
         A, C = split_derivations(split)
         (X, Y), _ = _sample_plan(self.CONFIG, (split.m, split.n))
-        (M, b, _), = go_checker._gordon_blocks(split, (C, A), X, Y)
+        M, b, _ = go_checker._gordon_system(split, (C, A), X, Y)
         J = split_family(split).generators
         m, n = split.m, split.n
         parts = [("pij,bj->bip", C, X, m), ("pij,bj->bip", A, Y, n)]
@@ -847,7 +904,7 @@ class TestStructuralLeftNull:
         split = split_two_step(GO_GRID[name]())
         A, C = split_derivations(split)
         (X, Y), _ = _sample_plan(self.CONFIG, (split.m, split.n))
-        (M, _, _), = go_checker._gordon_blocks(split, (C, A), X, Y)
+        M, _, _ = go_checker._gordon_system(split, (C, A), X, Y)
         W = np.zeros((len(X), split.m + split.n, 2))
         W[:, :split.m, 0], W[:, split.m:, 1] = _unit_rows(X), _unit_rows(Y)
         _assert_left_null(M, W)
@@ -876,12 +933,9 @@ class TestStructuralLeftNull:
         # every X is skew, so Y is orthogonal to X(Y)
         V = vt_subspace(2) if span == "vt(2)" else _j_span(h_type_clifford(4, 1))
         (zc, Y), _ = _sample_plan(self.CONFIG, (V.dim, V.ambient_dim))
-        blocks = go_checker._tnc_blocks(V, go_checker._nprime(nprime(V).basis, V), {}, zc, Y)
-        assert sum(len(A) for A, _, _ in blocks) == len(Y)
-        start = 0
-        for A, _, _ in blocks:
-            _assert_left_null(A, _unit_rows(Y[start:start + len(A)])[:, :, None])
-            start += len(A)
+        A, _, _ = go_checker._tnc_system(V, go_checker._nprime(nprime(V).basis, V), {}, zc, Y)
+        assert len(A) == len(Y)
+        _assert_left_null(A, _unit_rows(Y)[:, :, None])
 
     def test_random_samples_skip_the_svd(self, monkeypatch):
         # h_type_clifford(3, 1): every random Gordon and KV system is certified by its QR
@@ -893,7 +947,7 @@ class TestStructuralLeftNull:
         svd = lc._svd_residuals
         monkeypatch.setattr(lc, "_svd_residuals", lambda A, b: svd_rows.append(len(A)) or svd(A, b))
         (X, Y), n_sweep = _sample_plan(self.CONFIG, (split.m, split.n))
-        (M, b, _), = go_checker._gordon_blocks(split, (C, A), X[n_sweep:], Y[n_sweep:])
+        M, b, _ = go_checker._gordon_system(split, (C, A), X[n_sweep:], Y[n_sweep:])
         lc.batch_residuals(M, b)
         (X,), n_sweep = _sample_plan(self.CONFIG, (L.dim,))
         K, b = go_checker._kv_system(ders, X[n_sweep:])
@@ -922,7 +976,7 @@ class TestStructuralLeftNull:
         (Z,), _ = _sample_plan(config, (L.dim,))
         for start in range(0, len(X), go_checker.CHUNK):
             part = slice(start, start + go_checker.CHUNK)
-            (M, b, _), = go_checker._gordon_blocks(split, (C, A), X[part], Y[part])
+            M, b, _ = go_checker._gordon_system(split, (C, A), X[part], Y[part])
             lc.batch_residuals(M, b)
         for start in range(0, len(Z), go_checker.CHUNK):
             lc.batch_residuals(*go_checker._kv_system(ders, Z[start:start + go_checker.CHUNK]))
@@ -958,7 +1012,7 @@ class TestRankCut:
         # (about 2.6e-15, 4.5e-16 and 1.3e-16) that no rank cut may count
         V = _j_span(h_type_clifford(4, 1))
         zc, Y = np.eye(4)[:1], (np.eye(8)[0] + np.eye(8)[4])[None]
-        (A, b, _), = go_checker._tnc_blocks(V, go_checker._nprime(normalizer_in_so(V).basis, V), {}, zc, Y)
+        A, b, _ = go_checker._tnc_system(V, go_checker._nprime(normalizer_in_so(V).basis, V), {}, zc, Y)
         s = np.linalg.svd(A[0], compute_uv=False)
         assert np.allclose(s[:3], np.sqrt(0.5)) and np.all(s[3:] < 1e-13)
         ref = lc.batch_residuals(A, b)[0]

@@ -10,7 +10,7 @@ import nilgo.linear_core as lc
 from nilgo import SkewOperatorSubspace, heisenberg, n10, skew_derivations, split_two_step
 from nilgo.errors import InputError, PreconditionError
 from nilgo.families import family_thm2, h_type_clifford, l_matrix, quaternionic_heisenberg, vt_subspace
-from nilgo.go_checker import SamplerConfig, apply_center_metric, normalizer_resolve_residual
+from nilgo.go_checker import SamplerConfig, _sample_plan, apply_center_metric, normalizer_resolve_residual
 from nilgo.jmaps import split_family
 from nilgo.operator_subspaces import (
     _upper_pairs,
@@ -431,12 +431,46 @@ class TestNormalizerScale:
         assert np.allclose(values, values[4], rtol=0, atol=1e-13)
 
 
+def _resolve_per_row(V, config):
+    """Oracle: the resolve residual solved sample by sample, each commutant
+    basis from its own brackets [N_p, Z] cut at 1e-12 |N'| |Z|."""
+    N = normalizer_in_so(V).basis
+    nnorm = max(np.linalg.norm(M) for M in N)
+    Bs = V.basis / max(np.linalg.norm(B) for B in V.basis)
+    worst = 0.0
+    for z, y in zip(*_sample_plan(config, (V.dim, V.ambient_dim))[0]):
+        Z = V.element(z)
+        K = (N @ Z - Z @ N).reshape(len(N), -1).T
+        K[np.abs(K) <= 1e-12 * nnorm * np.linalg.norm(Z)] = 0.0
+        mats = np.tensordot(lc.nullspace(K), N, 1)
+        X = np.tensordot(lc.least_squares((mats @ y).T, Z @ y)[0], mats, 1)
+        if np.linalg.norm(X) > 0:
+            X = X / np.linalg.norm(X)
+            worst = max(worst, float(np.max(np.abs(X @ Bs - Bs @ X))))
+    return worst
+
+
+class TestResolveAgainstPerRow:
+    @pytest.mark.parametrize("name", sorted(NORMALIZER_DIMS))
+    def test_same_residual(self, name):
+        V = NORMALIZER_DIMS[name][0]()
+        config = SamplerConfig(seed=1, samples=10)
+        assert abs(normalizer_resolve_residual(V, config) - _resolve_per_row(V, config)) <= 1e-13
+
+
 class TestSubalgebra:
     def test_l_copy_is_subalgebra(self):
         assert is_subalgebra(so3_l_copy())
 
     def test_vt_is_not(self):
         assert not is_subalgebra(vt_subspace(2))
+
+    @pytest.mark.parametrize("s", [1e-170, 1e-300])
+    def test_flag_at_tiny_scale(self, s):
+        # the unit brackets of the gate are scaled by a power of two first, so
+        # no Frobenius norm underflows to 0 and no nan bracket passes
+        assert not is_subalgebra(SkewOperatorSubspace(8, s * vt_subspace(2).basis))
+        assert is_subalgebra(SkewOperatorSubspace(4, s * so3_l_copy().basis))
 
     def test_off_axis_abelian_span_is(self):
         # [E01, E01 + E23] = 0; conjugated by an orthogonal Q the bracket of the
