@@ -37,14 +37,17 @@ def _read_json(path: str) -> dict:
             return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, RecursionError) as e:  # ValueError covers undecodable bytes and bad JSON
         raise InputError(f"cannot read JSON from {path!r}: {e}") from None
 
 
 def _emit(args, payload: str):
     if getattr(args, "output", None) and args.output != "-":
-        with open(args.output, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(payload)
+        except OSError as e:
+            raise InputError(f"cannot write {args.output!r}: {e}") from None
     else:
         sys.stdout.write(payload)
 

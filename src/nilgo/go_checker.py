@@ -177,8 +177,8 @@ def kv_solve(ders: DerivationAlgebra, X) -> tuple[np.ndarray, float]:
 
     Returns coefficients of Z over ``ders.basis`` and the residual norm.
     """
-    A, b = _kv_system(ders, np.asarray(X, dtype=float)[None])
-    return lc.least_squares(A[0], b[0])
+    x, residual = lc.least_squares(*_kv_system(ders, np.asarray(X, dtype=float)[None]))
+    return x[0], float(residual[0])
 
 
 def kv_go_check(ders: DerivationAlgebra, config: SamplerConfig = SamplerConfig()) -> GOCertificate:
@@ -386,7 +386,8 @@ def tnc_check(
 
 def normalizer_resolve_residual(V: SkewOperatorSubspace, config: SamplerConfig = SamplerConfig()) -> float:
     """Re-solve the TNC systems of the full normalizer of V, on the plan of
-    :func:`tnc_check`, and report the worst centralizer residual max_i
+    :func:`tnc_check` and one :func:`linear_core.least_squares` call per
+    chunk, and report the worst centralizer residual max_i
     |[X, V_i]| / (|X| max_i |V_i|) of the minimum-norm solutions X found
     (0 for X = 0); 0.0 for a zero-dimensional V."""
     if V.dim == 0:
@@ -397,12 +398,10 @@ def normalizer_resolve_residual(V: SkewOperatorSubspace, config: SamplerConfig =
     worst, cache = 0.0, {}
     for start in range(0, len(plan[0]), CHUNK):
         A, b, _ = _tnc_system(V, nprime, cache, *(f[start:start + CHUNK] for f in plan))
-        for A_i, b_i in zip(A, b):
-            X_mat = np.tensordot(lc.least_squares(A_i, b_i)[0], nprime[0], 1)
-            xnorm = np.linalg.norm(X_mat)
-            if xnorm > 0:  # unit X and V: no product under- or overflows
-                X_mat = X_mat / xnorm
-                worst = max(worst, float(np.max(np.abs(X_mat @ Bs - Bs @ X_mat))))
+        X = np.tensordot(lc.least_squares(A, b)[0], nprime[0], 1)
+        xnorm = np.linalg.norm(X, axis=(1, 2))
+        X = X[xnorm > 0] / xnorm[xnorm > 0, None, None]  # unit X and V: no product under- or overflows
+        worst = max(worst, float(np.abs(brackets(X, Bs)).max(initial=0.0)))
     return worst
 
 

@@ -125,36 +125,48 @@ def _block_nullspace(A: np.ndarray, row_block: np.ndarray, col_block: np.ndarray
     return np.concatenate(basis)
 
 
-def least_squares(A, b) -> tuple[np.ndarray, float]:
-    """Minimum-norm least squares solution of ``Ax = b`` and its residual,
-    with the rank cut at ``TAU_RANK`` times the largest singular value."""
-    A = as_matrix(A)
-    b = np.asarray(b, dtype=float).ravel()
-    if A.shape[0] != b.shape[0]:
-        raise InputError(f"dimension mismatch: {A.shape[0]} rows vs {b.shape[0]} entries")
-    x, _, _, _ = np.linalg.lstsq(A, b, rcond=TAU_RANK)
-    residual = float(np.linalg.norm(A @ x - b))
-    return x, residual
-
-
-def batch_residuals(A, b) -> np.ndarray:
-    """Residuals of the stacked least-squares systems ``A[i] x = b[i]``.
-
-    The residual is the distance from ``b[i]`` to the span of the left
-    singular vectors of ``A[i]`` with singular values above ``TAU_RANK``
-    times the largest, i.e. the residual that :func:`least_squares`
-    reports.  Each system gets one R-only Householder QR of its columns
-    mixed by a fixed random orthogonal matrix, which reveals its rank
-    (:func:`_qr_residuals`); a system whose R does not prove the SVD's
-    residual is retried with a second mixer, and only the systems left go
-    through one stacked SVD.  Non-finite data raises InputError.
-    """
+def _systems(A, b) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked systems ``A (B, r, k)`` and ``b (B, r)`` as float arrays; InputError
+    on any other shape or on non-finite entries."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 3 or b.shape != A.shape[:2]:
         raise InputError(f"expected stacked systems, got A {A.shape} and b {b.shape}")
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-        raise InputError("system entries must be finite")
+        raise InputError("system entries are not finite")
+    return A, b
+
+
+def least_squares(A, b) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-norm least-squares solutions ``x (B, k)`` of the stacked
+    systems ``A[i] x = b[i]`` and their residuals ``(B,)``, from one stacked SVD.
+
+    The rank is cut at ``TAU_RANK`` times each system's largest singular
+    value, and the residual is the distance from ``b[i]`` to the span of
+    the left singular vectors kept.  Non-finite data raises InputError.
+    """
+    A, b = _systems(A, b)
+    u, s, vt = np.linalg.svd(A, full_matrices=False)
+    if not np.all(np.isfinite(s)):
+        raise InputError("singular values are not finite")
+    keep = s > TAU_RANK * s[:, :1]
+    coords = np.einsum("brk,br->bk", u, b) * keep
+    residual = np.linalg.norm(b - np.einsum("brk,bk->br", u, coords), axis=1)
+    if not np.all(np.isfinite(residual)):
+        raise InputError("least-squares residual is not finite")
+    return np.einsum("bkn,bk->bn", vt, coords / np.where(keep, s, 1.0)), residual
+
+
+def batch_residuals(A, b) -> np.ndarray:
+    """The residuals of :func:`least_squares` for the stacked systems ``A[i] x = b[i]``.
+
+    Each system gets one R-only Householder QR of its columns mixed by a
+    fixed random orthogonal matrix, which reveals its rank
+    (:func:`_qr_residuals`); a system whose R does not prove the SVD's
+    residual is retried with a second mixer, and only the systems left go
+    through :func:`least_squares`.  Non-finite data raises InputError.
+    """
+    A, b = _systems(A, b)
     residual = np.linalg.norm(b, axis=1)  # the residual when there are no unknowns
     if len(A) and min(A.shape[1:]):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -165,7 +177,7 @@ def batch_residuals(A, b) -> np.ndarray:
                 res[retry], certified[retry] = _qr_residuals(A[retry], b[retry], anorm[retry], 1)
         residual[certified] = res[certified]
         if not certified.all():
-            residual[~certified] = _svd_residuals(A[~certified], b[~certified])
+            residual[~certified] = least_squares(A[~certified], b[~certified])[1]
     if not np.all(np.isfinite(residual)):
         raise InputError("least-squares residual is not finite")
     return residual
@@ -237,18 +249,6 @@ def _leading_inverse_norm(R, lead) -> np.ndarray:
         X[:, i] = (eye[i] - (X[:, i, None, i + 1:] @ X[:, i + 1:])[:, 0]) / X[:, i, i, None]
     X *= lead[:, :p, None]
     return np.sqrt(np.square(X, out=X).sum(axis=(1, 2)))
-
-
-def _svd_residuals(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The residuals of :func:`batch_residuals` from one stacked SVD."""
-    u, s, _ = np.linalg.svd(A, full_matrices=False)
-    if not np.all(np.isfinite(s)):
-        raise InputError("singular values are not finite")
-    coords = np.einsum("brk,br->bk", u, b) * (s > TAU_RANK * s[:, :1])
-    residual = np.linalg.norm(b - np.einsum("brk,bk->br", u, coords), axis=1)
-    if not np.all(np.isfinite(residual)):
-        raise InputError("least-squares residual is not finite")
-    return residual
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ oracle of ``linear_core.pfaffian_exact``; the split derivation system from
 the products of the generators with the skew bases, the oracle of
 ``operator_subspaces.split_derivation_system``; the QR certificate of a
 whole stack in one call and R11^-1 beside R11, the oracles of
-``linear_core._qr_residuals`` and ``_leading_inverse_norm``; the
+``linear_core._qr_residuals`` and ``_leading_inverse_norm``; LAPACK's
+gelsd least squares, the oracle of ``linear_core.least_squares``; the
 right-multiplication blocks of so(4) and the centralizers of n10 and of
 the 4k+6 family built from them; and equality of operator subspaces as
 mutual containment."""
@@ -82,6 +83,16 @@ def qr_residuals_whole_stack(A, b, anorm, seed):
     certified = r22 <= cut / math.sqrt(n)
     certified &= (r22 + n * np.finfo(float).eps / 2 * anorm) * inorm <= 1e-12
     return np.sqrt(colsq[:, k]), certified
+
+
+def lstsq_stack(A, b):
+    """Minimum-norm least squares of each system ``A[i] x = b[i]`` of a stack
+    by ``np.linalg.lstsq`` (LAPACK gelsd) with ``rcond=TAU_RANK``: the
+    solutions ``(B, k)`` and the residuals ``|A[i] x - b[i]|``."""
+    x = np.zeros(A.shape[::2])
+    for i in range(len(A)):
+        x[i] = np.linalg.lstsq(A[i], b[i], rcond=lc.TAU_RANK)[0]
+    return x, np.linalg.norm(np.einsum("brk,bk->br", A, x) - b, axis=1)
 
 
 def r_matrix(g1, g2, g3) -> np.ndarray:

@@ -230,6 +230,24 @@ class TestErrors:
         assert captured.out == ""
         assert "Traceback" in captured.err and "RuntimeError: boom" in captured.err
 
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000], ids=["not-utf8", "nested-past-recursion-limit"]
+    )
+    def test_unreadable_document_exit_64(self, capsys, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code = main(["validate", str(path)])
+        err = capsys.readouterr().err
+        assert code == 64
+        assert "Traceback" not in err and "cannot read JSON" in err
+
+    @pytest.mark.parametrize("target", ["missing/out.json", "."], ids=["missing-directory", "a-directory"])
+    def test_unwritable_output_exit_64(self, capsys, tmp_path, target):
+        code = main(["family", "heisenberg", "--k", "1", "-o", str(tmp_path / target)])
+        err = capsys.readouterr().err
+        assert code == 64
+        assert "Traceback" not in err and "cannot write" in err
+
     def test_stdin_input(self, capsys, tmp_path, monkeypatch):
         import io
 

@@ -352,6 +352,21 @@ class TestBatchedAdjudicator:
         (zc, _), _ = _sample_plan(config, (V.dim, V.ambient_dim))
         assert rows == [len(zc[s:s + 7]) for s in range(0, len(zc), 7)]
 
+    def test_resolve_one_solve_per_chunk(self, monkeypatch):
+        # the re-solve sends each chunk of tnc_check's plan to one stacked least_squares
+        import nilgo.go_checker as gc
+
+        V = TNC_SPANS["clifford(3)"]()
+        config = SamplerConfig(samples=10)
+        whole = normalizer_resolve_residual(V, config)
+        rows = []
+        real = lc.least_squares
+        monkeypatch.setattr(lc, "least_squares", lambda A, b: rows.append(len(A)) or real(A, b))
+        monkeypatch.setattr(gc, "CHUNK", 7)
+        assert abs(normalizer_resolve_residual(V, config) - whole) <= 1e-15
+        (zc, _), _ = _sample_plan(config, (V.dim, V.ambient_dim))
+        assert rows == [len(zc[s:s + 7]) for s in range(0, len(zc), 7)]
+
 
 def _huge_heisenberg():
     """heisenberg(1) with [e0, e1] = 1e308 e2: finite data, overflowing residual scales."""
@@ -944,8 +959,8 @@ class TestStructuralLeftNull:
         ders = isometry_decomposition(L)
         A, C = split_derivations(split)
         svd_rows = []
-        svd = lc._svd_residuals
-        monkeypatch.setattr(lc, "_svd_residuals", lambda A, b: svd_rows.append(len(A)) or svd(A, b))
+        svd = lc.least_squares
+        monkeypatch.setattr(lc, "least_squares", lambda A, b: svd_rows.append(len(A)) or svd(A, b))
         (X, Y), n_sweep = _sample_plan(self.CONFIG, (split.m, split.n))
         M, b, _ = go_checker._gordon_system(split, (C, A), X[n_sweep:], Y[n_sweep:])
         lc.batch_residuals(M, b)
@@ -969,8 +984,8 @@ class TestStructuralLeftNull:
         ders = isometry_decomposition(L)
         A, C = split_derivations(split)
         svd_rows = []
-        svd = lc._svd_residuals
-        monkeypatch.setattr(lc, "_svd_residuals", lambda A, b: svd_rows.append(len(A)) or svd(A, b))
+        svd = lc.least_squares
+        monkeypatch.setattr(lc, "least_squares", lambda A, b: svd_rows.append(len(A)) or svd(A, b))
         config = SamplerConfig(seed=3, samples=200)
         (X, Y), _ = _sample_plan(config, (split.m, split.n))
         (Z,), _ = _sample_plan(config, (L.dim,))
@@ -1021,7 +1036,7 @@ class TestRankCut:
         for _ in range(20):
             rows, cols = gen.permutation(A.shape[1]), gen.permutation(A.shape[2])
             assert abs(lc.batch_residuals(A[:, rows][:, :, cols], b[:, rows])[0] - ref) <= 1e-12
-            assert abs(lc.least_squares(A[0][rows][:, cols], b[0][rows])[1] - ref) <= 1e-12
+            assert abs(lc.least_squares(A[:, rows][:, :, cols], b[:, rows])[1][0] - ref) <= 1e-12
 
 
 def _rotated(L, seed):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import nilgo.linear_core as lc
 from nilgo.errors import InputError, InterpolationError
-from oracles import leading_inverse_norm_two_buffers, pfaffian_combinatorial, qr_residuals_whole_stack
+from oracles import leading_inverse_norm_two_buffers, lstsq_stack, pfaffian_combinatorial, qr_residuals_whole_stack
 from rational_oracles import rat_inv, rat_rank, rat_rref, rat_solve, rational_matrix
 
 
@@ -33,15 +33,15 @@ class TestNullspaceLeastSquares:
     def test_least_squares_consistent(self):
         A = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
         x_true = np.array([3.0, -1.0])
-        x, res = lc.least_squares(A, A @ x_true)
-        assert np.allclose(x, x_true)
-        assert res < 1e-12
+        x, res = lc.least_squares(A[None], (A @ x_true)[None])
+        assert np.allclose(x[0], x_true)
+        assert res[0] < 1e-12
 
     def test_least_squares_residual(self):
         A = np.array([[1.0], [1.0]])
-        x, res = lc.least_squares(A, np.array([0.0, 2.0]))
-        assert np.isclose(x[0], 1.0)
-        assert np.isclose(res, np.sqrt(2.0))
+        x, res = lc.least_squares(A[None], np.array([[0.0, 2.0]]))
+        assert np.isclose(x[0, 0], 1.0)
+        assert np.isclose(res[0], np.sqrt(2.0))
 
 
 class TestBlockNullspace:
@@ -135,10 +135,9 @@ class TestBatchResiduals:
 
     def test_matches_least_squares(self, rng):
         for A, b in self._stacks(rng):
-            res = lc.batch_residuals(A, b)
+            res, ref = lc.batch_residuals(A, b), lstsq_stack(A, b)[1]
             for i in range(len(A)):
-                _, ref = lc.least_squares(A[i], b[i])
-                assert abs(res[i] - ref) <= 1e-12 * max(1.0, np.linalg.norm(b[i]))
+                assert abs(res[i] - ref[i]) <= 1e-12 * max(1.0, np.linalg.norm(b[i]))
 
     @staticmethod
     def _null_stacks(rng):
@@ -154,15 +153,14 @@ class TestBatchResiduals:
 
     def test_matches_least_squares_below_full_rank(self, rng, monkeypatch):
         svd_rows = []
-        svd = lc._svd_residuals
-        monkeypatch.setattr(lc, "_svd_residuals", lambda A, b: svd_rows.append(len(A)) or svd(A, b))
+        svd = lc.least_squares
+        monkeypatch.setattr(lc, "least_squares", lambda A, b: svd_rows.append(len(A)) or svd(A, b))
         systems = 0
         for A, b in self._null_stacks(rng):
-            res = lc.batch_residuals(A, b)
+            res, ref = lc.batch_residuals(A, b), lstsq_stack(A, b)[1]
             systems += len(A)
             for i in range(len(A)):
-                _, ref = lc.least_squares(A[i], b[i])
-                assert abs(res[i] - ref) <= 1e-12 * max(1.0, np.linalg.norm(b[i]))
+                assert abs(res[i] - ref[i]) <= 1e-12 * max(1.0, np.linalg.norm(b[i]))
         assert sum(svd_rows) <= systems // 4  # the mixed QR certifies most of them
 
     @staticmethod
@@ -178,24 +176,24 @@ class TestBatchResiduals:
     def test_boundary_full_column_rank(self, rng, ratio):
         stack = [self._permuted_diagonal(rng, 7, 4, [3.0, 1.0, 1.0, 3.0 * ratio])[0] for _ in range(5)]
         A, b = np.array(stack), rng.standard_normal((5, 7))
-        assert np.allclose(lc.batch_residuals(A, b), lc._svd_residuals(A, b), rtol=0, atol=1e-12 * np.abs(b).sum())
+        assert np.allclose(lc.batch_residuals(A, b), lc.least_squares(A, b)[1], rtol=0, atol=1e-12 * np.abs(b).sum())
 
     @pytest.mark.parametrize("ratio", [1e-8, 2e-9, 1.2e-9, 5e-10, 1e-10, 1e-13])
     def test_boundary_structural_rank(self, rng, ratio):
         # two empty rows, and a trailing singular value at ratio times the largest
         stack = [self._permuted_diagonal(rng, 7, 6, [3.0, 1.0, 1.0, 2.0, 3.0 * ratio])[0] for _ in range(5)]
         A, b = np.array(stack), rng.standard_normal((5, 7))
-        assert np.allclose(lc.batch_residuals(A, b), lc._svd_residuals(A, b), rtol=0, atol=1e-12 * np.abs(b).sum())
+        assert np.allclose(lc.batch_residuals(A, b), lc.least_squares(A, b)[1], rtol=0, atol=1e-12 * np.abs(b).sum())
 
     @pytest.mark.parametrize("ratio", [2e-9, 1.2e-9, 1e-9, 8e-10])
     def test_unproven_rank_falls_back_to_the_svd(self, rng, monkeypatch, ratio):
         # a trailing singular value this close to the cut leaves the rank to the SVD
         svd_rows = []
-        svd = lc._svd_residuals
-        monkeypatch.setattr(lc, "_svd_residuals", lambda A, b: svd_rows.append(len(A)) or svd(A, b))
+        svd = lc.least_squares
+        monkeypatch.setattr(lc, "least_squares", lambda A, b: svd_rows.append(len(A)) or svd(A, b))
         A = np.array([self._permuted_diagonal(rng, 7, 6, [3.0, 1.0, 2.0, 3.0 * ratio])[0] for _ in range(4)])
         b = rng.standard_normal((4, 7))
-        assert np.array_equal(lc.batch_residuals(A, b), svd(A, b))
+        assert np.array_equal(lc.batch_residuals(A, b), svd(A, b)[1])
         assert svd_rows == [4]
 
     @staticmethod
@@ -227,7 +225,7 @@ class TestBatchResiduals:
     @given(_ranked_stacks())
     def test_matches_the_svd(self, stack):
         A, b = stack
-        err = np.abs(lc.batch_residuals(A, b) - lc._svd_residuals(A, b))
+        err = np.abs(lc.batch_residuals(A, b) - lc.least_squares(A, b)[1])
         assert np.all(err <= 1e-12 * np.linalg.norm(b, axis=1))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -310,6 +308,33 @@ class TestBatchResiduals:
         b = np.array([[1e308, 1e308]])
         with np.errstate(over="ignore"), pytest.raises(InputError):
             lc.batch_residuals(A, b)
+
+
+class TestLeastSquares:
+    """The stacked SVD solve against LAPACK's gelsd, one system at a time."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+    def test_matches_lstsq(self, rng, scale):
+        # tall, wide, rank 2 of 5, no unknowns, all zero, no systems, consistent
+        for A, b in TestBatchResiduals._stacks(rng):
+            A, b = scale * A, scale * b
+            x, res = lc.least_squares(A, b)
+            x_ref, res_ref = lstsq_stack(A, b)
+            assert x.shape == x_ref.shape and res.shape == res_ref.shape
+            assert np.all(np.linalg.norm(x - x_ref, axis=1) <= 1e-12 * np.linalg.norm(x_ref, axis=1))
+            assert np.all(np.abs(res - res_ref) <= 1e-12 * np.linalg.norm(b, axis=1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["A", "b"])
+    def test_non_finite_system_rejected(self, rng, side, bad):
+        A, b = rng.standard_normal((3, 4, 2)), rng.standard_normal((3, 4))
+        (A if side == "A" else b)[1, 2] = bad
+        with pytest.raises(InputError, match="not finite"):
+            lc.least_squares(A, b)
+
+    def test_rejects_a_single_system(self, rng):
+        with pytest.raises(InputError, match="stacked"):
+            lc.least_squares(rng.standard_normal((4, 2)), rng.standard_normal(4))
 
 
 class TestBareissIntegerRows:

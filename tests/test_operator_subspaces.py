@@ -27,7 +27,7 @@ from nilgo.operator_subspaces import (
     split_derivation_system,
     subspace_contains,
 )
-from oracles import r_matrix, split_derivation_system_products, subspaces_equal
+from oracles import lstsq_stack, r_matrix, split_derivation_system_products, subspaces_equal
 
 
 def _rotated(B):
@@ -443,7 +443,7 @@ def _resolve_per_row(V, config):
         K = (N @ Z - Z @ N).reshape(len(N), -1).T
         K[np.abs(K) <= 1e-12 * nnorm * np.linalg.norm(Z)] = 0.0
         mats = np.tensordot(lc.nullspace(K), N, 1)
-        X = np.tensordot(lc.least_squares((mats @ y).T, Z @ y)[0], mats, 1)
+        X = np.tensordot(lstsq_stack((mats @ y).T[None], (Z @ y)[None])[0][0], mats, 1)
         if np.linalg.norm(X) > 0:
             X = X / np.linalg.norm(X)
             worst = max(worst, float(np.max(np.abs(X @ Bs - Bs @ X))))

@@ -167,6 +167,17 @@ def test_library_reads_no_environment():
     assert found == []
 
 
+def test_library_has_one_least_squares_kernel():
+    # every least-squares solve is linear_core.least_squares, one stacked SVD cut at TAU_RANK
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "nilgo").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and "lstsq" in _identifiers(node)
+    ]
+    assert found == []
+
+
 def test_library_imports_are_module_level_and_acyclic():
     # an import inside a function hides a dependency, and a cycle between the
     # modules would make the import order decide which names exist
